@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from . import decide, evo, opfcore, screen
+from . import decide, evo, netmodel, opfcore, screen
 from .netmodel import (CaseError, ControlSpace, Network, bundled_case_path,
                        load_case)
 from .run import CorrectiveConfig, OpfProblem
@@ -60,6 +60,9 @@ DEFAULT_CONFIG = {
     },
     "decision": {"clusters": 2, "weights": [0.5, 0.5]},
 }
+# config maps keyed by control kind or component name, not by option
+FREE_FORM_KEYS = {("corrective", "per_kind"), ("corrective", "per_name"),
+                  ("screening", "width_per_kind")}
 
 
 class CliError(Exception):
@@ -82,6 +85,18 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unknown_keys(user: dict, default: dict, path: tuple = ()) -> list[str]:
+    out = []
+    for key, value in user.items():
+        where = path + (key,)
+        if key not in default:
+            out.append(".".join(where))
+        elif (isinstance(value, dict) and isinstance(default[key], dict)
+              and where not in FREE_FORM_KEYS):
+            out += _unknown_keys(value, default[key], where)
+    return out
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
@@ -95,10 +110,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(user, dict):
             raise CliError("config document must be a JSON object",
                            EXIT_VALIDATION)
-        unknown = set(user) - set(DEFAULT_CONFIG)
+        unknown = _unknown_keys(user, DEFAULT_CONFIG)
         if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}",
-                           EXIT_VALIDATION)
+            raise CliError(f"unknown config keys: {unknown}", EXIT_VALIDATION)
         cfg = _merge(cfg, user)
     cfg = _merge(cfg, overrides)
     if os.environ.get("ACDCOPF_OUTPUT_DIR"):
@@ -212,7 +226,6 @@ def _fmt(value: float, digits: int = 6) -> str:
 
 def cmd_powerflow(args) -> int:
     cfg = load_config(args.config, {"case": args.case} if args.case else {})
-    cfg.setdefault("seed", 0)
     if cfg.get("seed") is None:
         cfg["seed"] = 0
     stamp = {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
@@ -289,9 +302,10 @@ def cmd_powerflow(args) -> int:
 # train-screen
 
 
-def train_screening_model(net: Network, cfg: dict, seed: int, workers: int):
+def train_screening_model(net: Network, cfg: dict, seed: int):
     """Build training data, fit with cross-validated penalty, validate on
-    held-out control samples.  Returns (model, validation dict, table rows).
+    held-out control samples.  Returns (model, validation dict, table rows,
+    training set).
     """
     scr = cfg["screening"]
     space = ControlSpace(net)
@@ -367,7 +381,8 @@ def train_screening_model(net: Network, cfg: dict, seed: int, workers: int):
     table_errors: list[float] = []
     preds, exacts = [], []
     for k in ac_outages:
-        exact, diverged = _exact_index_post(net, space, u0, k)
+        exact, diverged = screen.exact_index(
+            netmodel.apply_contingency(net, k), space, u0)
         pred = model.predict(net, space, u0, k)
         err = None if diverged else screen.prediction_error(pred, exact)
         table.append([k.label, pred, exact,
@@ -382,17 +397,7 @@ def train_screening_model(net: Network, cfg: dict, seed: int, workers: int):
     validation["table_rows_scored"] = len(table_errors)
     validation["table_spearman"] = (
         float(spearmanr(preds, exacts).statistic) if len(preds) >= 3 else None)
-    return model, validation, table
-
-
-def _exact_index_post(net: Network, space: ControlSpace, u: np.ndarray,
-                      k) -> tuple[float, bool]:
-    from .netmodel import apply_contingency
-    net_k = apply_contingency(net, k)
-    res = opfcore.evaluate(net_k, space, u)
-    params = screen.SecurityIndexParams.from_network(net_k)
-    pi_value = screen.composite_index(res.state, params)
-    return pi_value, not res.state.converged
+    return model, validation, table, train
 
 
 def cmd_train_screen(args) -> int:
@@ -410,10 +415,9 @@ def cmd_train_screen(args) -> int:
     stamp = {"config_hash": config_hash(cfg), "seed": seed}
     net = resolve_case(cfg)
     out = _ensure_outdir(cfg)
-    workers = int(cfg["optimizer"]["workers"])
 
     started = time.perf_counter()
-    model, validation, table = train_screening_model(net, cfg, seed, workers)
+    model, validation, table, train = train_screening_model(net, cfg, seed)
     validation["train_seconds"] = round(time.perf_counter() - started, 3)
 
     model_path = out / "screening_model.json"
@@ -426,13 +430,6 @@ def cmd_train_screen(args) -> int:
                 _fmt(r[3], 4) if r[3] != "" else "n/a", r[4]]
                for r in table], stamp)
     if args.dump_training:
-        sampler = screen.SamplerConfig(
-            width=float(cfg["screening"]["width"]),
-            per_kind={k: float(v) for k, v
-                      in cfg["screening"]["width_per_kind"].items()},
-            full_box=bool(cfg["screening"]["full_box"]), seed=seed)
-        train = screen.build_training_set(
-            net, sampler, int(cfg["screening"]["samples"]))
         rows = [[o] + [f"{v:.6g}" for v in row] + [f"{y:.6g}"]
                 for o, row, y in zip(train.row_outage, train.x, train.y)]
         write_csv(out / "training_set.csv",
@@ -470,7 +467,8 @@ def cmd_rank(args) -> int:
     for k, pred, cls in ranked.entries:
         row = [k.label, _fmt(pred, 4), cls]
         if args.exact:
-            exact, diverged = _exact_index_post(net, space, u, k)
+            exact, diverged = screen.exact_index(
+                netmodel.apply_contingency(net, k), space, u)
             err = (None if diverged
                    else screen.prediction_error(pred, exact))
             row += [_fmt(exact, 4), _fmt(err, 4) if err is not None else "n/a"]
@@ -521,8 +519,7 @@ def cmd_optimize(args) -> int:
     else:
         if (args.train_first or refresh == "per_run"
                 or not model_file.exists()):
-            trained, validation, table = train_screening_model(
-                net, cfg, seed, int(cfg["optimizer"]["workers"]))
+            trained, validation, _, _ = train_screening_model(net, cfg, seed)
             trained.save(model_file)
             write_json(out / "screen_validation.json",
                        {"validation": validation}, stamp)
@@ -548,12 +545,12 @@ def cmd_optimize(args) -> int:
         mutation_rate=(None if opt["mutation_rate"] is None
                        else float(opt["mutation_rate"])),
         eta_crossover=float(opt["eta_crossover"]),
-        eta_mutation=float(opt["eta_mutation"]),
-        workers=int(opt["workers"]), seed=seed)
+        eta_mutation=float(opt["eta_mutation"]), seed=seed)
 
     progress: list[evo.GenerationLog] = []
     started = time.perf_counter()
-    with OpfProblem(net, model, corrective, workers=config.workers) as problem:
+    with OpfProblem(net, model, corrective,
+                    workers=int(opt["workers"])) as problem:
         base = problem.evaluate_one(space.default_vector())
         archive = evo.run(problem, config, progress=progress)
     elapsed = time.perf_counter() - started
@@ -586,45 +583,37 @@ def cmd_optimize(args) -> int:
               file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    selections = _write_decision(archive.members, cfg, stamp, out, space)
-    _write_summary(base, archive, selections, stamp, out)
+    bcs = _write_decision([{
+        "f1": m.objectives[0], "f2": m.objectives[1],
+        "genome": {name: float(v) for name, v in zip(space.names, m.genome)},
+        "critical_set": m.meta.get("cstar", []),
+    } for m in archive.members], cfg, stamp, out)
+    rows = [["before_optimization",
+             _fmt(base["objectives"][0], 2), _fmt(base["objectives"][1], 6)]]
+    rows += [[f"after_optimization_bcs{i + 1}", _fmt(e["f1"], 2),
+              _fmt(e["f2"], 6)] for i, e in enumerate(bcs)]
+    write_csv(out / "summary.csv", ["status", "f1", "f2"], rows, stamp)
     print(f"archive of {len(archive.members)} points in {elapsed:.1f} s; "
           f"artifacts in {out}")
     return EXIT_OK
 
 
-def _write_decision(members, cfg, stamp, out, space):
-    objectives = np.array([m.objectives for m in members])
+def _write_decision(entries: list[dict], cfg: dict, stamp: dict,
+                    out: Path) -> list[dict]:
+    """Best compromise solution of each cluster of the archive ``entries``
+    (dicts holding ``f1``, ``f2``, ``genome`` and ``critical_set``),
+    written to ``bcs.json`` and returned in its order."""
     dec = cfg["decision"]
-    selections = decide.select_bcs(objectives,
-                                   n_clusters=int(dec["clusters"]),
-                                   weights=tuple(dec["weights"]),
-                                   seed=int(stamp["seed"]))
-    payload = []
-    for sel in selections:
-        m = members[sel.member_index]
-        payload.append({
-            "cluster": sel.cluster, "d": sel.d,
-            "f1": m.objectives[0], "f2": m.objectives[1],
-            "genome": {name: float(v)
-                       for name, v in zip(space.names, m.genome)},
-            "critical_set": m.meta.get("cstar", []),
-            "memberships": sel.memberships.tolist(),
-        })
+    selections = decide.select_bcs(
+        np.array([[e["f1"], e["f2"]] for e in entries]),
+        n_clusters=int(dec["clusters"]), weights=tuple(dec["weights"]),
+        seed=int(stamp["seed"]))
+    payload = [dict(entries[sel.member_index], cluster=sel.cluster, d=sel.d,
+                    memberships=sel.memberships.tolist())
+               for sel in selections]
     write_json(out / "bcs.json", {"best_compromise_solutions": payload},
                stamp)
-    return selections
-
-
-def _write_summary(base, archive, selections, stamp, out):
-    rows = [["before_optimization",
-             _fmt(base["objectives"][0], 2), _fmt(base["objectives"][1], 6)]]
-    members = sorted(archive.members, key=lambda m: m.objectives[0])
-    for i, sel in enumerate(selections):
-        m = members[sel.member_index]
-        rows.append([f"after_optimization_bcs{i + 1}",
-                     _fmt(m.objectives[0], 2), _fmt(m.objectives[1], 6)])
-    write_csv(out / "summary.csv", ["status", "f1", "f2"], rows, stamp)
+    return payload
 
 
 def cmd_decide(args) -> int:
@@ -646,22 +635,10 @@ def cmd_decide(args) -> int:
     if not members:
         raise CliError("archive holds no members", EXIT_INFEASIBLE)
     out = _ensure_outdir(cfg)
-    objectives = np.array([[m["f1"], m["f2"]] for m in members])
-    dec = cfg["decision"]
-    selections = decide.select_bcs(objectives,
-                                   n_clusters=int(dec["clusters"]),
-                                   weights=tuple(dec["weights"]),
-                                   seed=int(cfg["seed"]))
-    payload = []
-    for sel in selections:
-        m = members[sel.member_index]
-        payload.append({"cluster": sel.cluster, "d": sel.d,
-                        "f1": m["f1"], "f2": m["f2"],
-                        "genome": m.get("genome"),
-                        "critical_set": m.get("cstar", []),
-                        "memberships": sel.memberships.tolist()})
-    write_json(out / "bcs.json", {"best_compromise_solutions": payload},
-               stamp)
+    payload = _write_decision([
+        {"f1": m["f1"], "f2": m["f2"], "genome": m.get("genome"),
+         "critical_set": m.get("cstar", [])} for m in members],
+        cfg, stamp, out)
     for entry in payload:
         print(f"cluster {entry['cluster']}: f1={entry['f1']:.2f} "
               f"f2={entry['f2']:.6f} d={entry['d']:.4f}")

@@ -49,7 +49,6 @@ class EvoConfig:
     mutation_rate: float | None = None     # default 1/n_vars
     eta_crossover: float = 20.0
     eta_mutation: float = 20.0
-    workers: int = 1
     seed: int = 0
 
 

@@ -195,10 +195,6 @@ class Network:
         return len(self.buses)
 
     @property
-    def n_dc_bus(self) -> int:
-        return len(self.dc_buses)
-
-    @property
     def slack_index(self) -> int:
         for i, bus in enumerate(self.buses):
             if bus.kind == "slack":
@@ -219,21 +215,28 @@ class Network:
 # Admittance matrix
 
 
+def branch_admittance(br: AcBranch) -> tuple[complex, complex, complex]:
+    """Pi-model terms ``(y_ff, y_ft, y_tt)`` of one branch, tap on the from
+    side; the model is symmetric, so ``y_tf == y_ft``."""
+    ys = complex(br.g, br.b)
+    ysh = 1j * br.b_charge / 2.0
+    tap = br.tap if br.tap != 0.0 else 1.0
+    return (ys + ysh) / (tap * tap), -ys / tap, ys + ysh
+
+
 def build_ybus(buses: list[AcBus], branches: list[AcBranch],
                bus_index: dict[int, int]) -> np.ndarray:
-    """Dense complex bus admittance matrix (tap on the from side)."""
+    """Dense complex bus admittance matrix."""
     n = len(buses)
     ybus = np.zeros((n, n), dtype=complex)
     for br in branches:
         f = bus_index[br.from_bus]
         t = bus_index[br.to_bus]
-        ys = complex(br.g, br.b)
-        ysh = 1j * br.b_charge / 2.0
-        tap = br.tap if br.tap != 0.0 else 1.0
-        ybus[f, f] += (ys + ysh) / (tap * tap)
-        ybus[t, t] += ys + ysh
-        ybus[f, t] += -ys / tap
-        ybus[t, f] += -ys / tap
+        yff, yft, ytt = branch_admittance(br)
+        ybus[f, f] += yff
+        ybus[t, t] += ytt
+        ybus[f, t] += yft
+        ybus[t, f] += yft
     return ybus
 
 
@@ -244,6 +247,15 @@ def build_ybus(buses: list[AcBus], branches: list[AcBranch],
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise CaseValidationError(message)
+
+
+def _require_finite(fields: dict, name: str) -> None:
+    # JSON parsing accepts NaN and Infinity, and the invariant checks
+    # would let a NaN through
+    for key, value in fields.items():
+        for v in value if isinstance(value, list) else (value,):
+            _require(not isinstance(v, float) or math.isfinite(v),
+                     f"{name}: {key} is not finite ({v})")
 
 
 def _near_multiple(span: float, step: float, tol: float = 1e-9) -> bool:
@@ -286,6 +298,7 @@ def network_from_dict(raw: dict) -> Network:
         out = []
         for i, item in enumerate(items):
             fields = {k: v for k, v in item.items() if not k.startswith("_")}
+            _require_finite(fields, f"{section}[{i}]")
             try:
                 out.append(cls(**fields))
             except TypeError as exc:
@@ -300,6 +313,8 @@ def network_from_dict(raw: dict) -> Network:
     dc_buses = build(DcBus, raw.get("dc_buses", []), "dc_buses")
     dc_branches = build(DcBranch, raw.get("dc_branches", []), "dc_branches")
     bounds_raw = raw.get("limits", {})
+    _require_finite(bounds_raw, "limits")
+    _require_finite({"base_mva": raw["base_mva"]}, "case")
     bounds = ControlBounds(**{k: tuple(v) for k, v in bounds_raw.items()})
 
     net = Network(
@@ -528,7 +543,7 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# Control space and discrete snapping
+# Control space
 
 
 @dataclass(frozen=True)
@@ -628,12 +643,6 @@ class ControlSpace:
         return u, clamped
 
 
-def snap_discrete(space: ControlSpace, u_raw: np.ndarray) -> np.ndarray:
-    """Snap a raw control vector onto the case's discrete grids."""
-    u, _ = space.snap(u_raw)
-    return u
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -660,10 +669,6 @@ def network_to_dict(net: Network) -> dict:
         "dc_branches": [strip(b) for b in net.dc_branches],
         "limits": {k: list(v) for k, v in asdict(net.bounds).items()},
     }
-
-
-def save_case(net: Network, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -48,25 +48,12 @@ class DecodedControls:
 
 
 def decode(space: ControlSpace, u: np.ndarray) -> DecodedControls:
+    """Split ``u`` into the dictionary named after each component's kind,
+    keyed by bus id (generators, shunts) or by branch/converter name."""
     dec = DecodedControls()
     for comp, value in zip(space.components, u):
-        value = float(value)
-        if comp.kind == "p_g":
-            dec.p_g[int(comp.key)] = value
-        elif comp.kind == "u_g":
-            dec.u_g[int(comp.key)] = value
-        elif comp.kind == "tap":
-            dec.tap[comp.key] = value
-        elif comp.kind == "q_c":
-            dec.q_c[int(comp.key)] = value
-        elif comp.kind == "p_s":
-            dec.p_s[comp.key] = value
-        elif comp.kind == "q_s":
-            dec.q_s[comp.key] = value
-        elif comp.kind == "u_dc0":
-            dec.u_dc0[comp.key] = value
-        elif comp.kind == "droop":
-            dec.droop[comp.key] = value
+        key = int(comp.key) if comp.kind in ("p_g", "u_g", "q_c") else comp.key
+        getattr(dec, comp.kind)[key] = float(value)
     return dec
 
 
@@ -296,7 +283,6 @@ class CorrectiveResult:
     u_k: np.ndarray
     residual: float            # minimal total violation achieved
     probes: int
-    all_diverged: bool = False
 
 
 def corrective_feasibility(net: Network, space: ControlSpace,
@@ -320,12 +306,11 @@ def corrective_feasibility(net: Network, space: ControlSpace,
 
     def post_violation(u):
         res = evaluate(net_k, space, u, warm=base_state)
-        return res.report.total_violation, res.state.converged
+        return res.report.total_violation
 
     best_u = u0.copy()
-    best_v, converged = post_violation(u0)
+    best_v = post_violation(u0)
     probes = 1
-    any_converged = converged
     if best_v <= tol_feas:
         return CorrectiveResult(True, best_u, best_v, probes)
 
@@ -360,9 +345,8 @@ def corrective_feasibility(net: Network, space: ControlSpace,
                 cand[idx] = raw
                 if cand[idx] == best_u[idx]:
                     continue
-                v, conv = post_violation(cand)
+                v = post_violation(cand)
                 probes += 1
-                any_converged = any_converged or conv
                 if v < best_v - 1e-12:
                     best_v = v
                     best_u = cand
@@ -371,6 +355,4 @@ def corrective_feasibility(net: Network, space: ControlSpace,
         if probes >= max_probes or best_v <= tol_feas:
             break
 
-    feasible = best_v <= tol_feas
-    return CorrectiveResult(feasible, best_u, best_v, probes,
-                            all_diverged=not any_converged)
+    return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)

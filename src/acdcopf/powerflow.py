@@ -12,9 +12,6 @@ Sign conventions
 branch (positive rectifies, AC to DC).  ``P_dc`` is the power a converter
 injects into the DC network.  Station bookkeeping uses the power arriving
 at the converter terminal, which at convergence equals ``P_dc + P_loss``.
-The pure two-port helper :func:`converter_injections` instead reports the
-power entering the coupling branch at *each* end, so that
-``P_s + P_c`` equals the series conduction loss exactly.
 
 All functions are pure: identical inputs give bit-identical outputs, and
 any number of concurrent solves may share a read-only network.
@@ -27,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Network
+from .netmodel import Network, branch_admittance
 
 TOL_AC = 1e-8
 TOL_DC = 1e-8
@@ -103,72 +100,36 @@ class SystemState:
 # Converter station primitives
 
 
-def converter_injections(us: float, delta_s: float, uc: float, delta_c: float,
-                         g: float, b: float) -> tuple[float, float, float, float]:
-    """Two-port power injections of the PCC-converter coupling branch.
-
-    Each pair is the power entering the branch at its own end, so
-    ``p_s + p_c == g * (us^2 + uc^2 - 2*us*uc*cos(delta_s - delta_c))``
-    holds identically (the series conduction loss).
-    """
-    th = delta_s - delta_c
-    cos_t, sin_t = math.cos(th), math.sin(th)
-    p_s = us * us * g - us * uc * (g * cos_t + b * sin_t)
-    q_s = -us * us * b - us * uc * (g * sin_t - b * cos_t)
-    p_c = uc * uc * g - uc * us * (g * cos_t - b * sin_t)
-    q_c = -uc * uc * b + uc * us * (g * sin_t + b * cos_t)
-    return p_s, q_s, p_c, q_c
+def _series_resistance(conv) -> float:
+    """Resistance of the PCC-converter coupling branch."""
+    return (1.0 / complex(conv.g, conv.b)).real
 
 
-def converter_loss(p_c: float, q_c: float, u_c: float,
-                   a: float, b: float, c: float) -> float:
-    """Converter station loss ``a + b*I_c + c*I_c^2`` with
-    ``I_c = sqrt(p_c^2 + q_c^2) / u_c``."""
-    if u_c <= 0:
-        raise ValueError(f"converter voltage must be positive, got {u_c}")
-    i_c = math.hypot(p_c, q_c) / u_c
-    return a + b * i_c + c * i_c * i_c
+def _station_loss(conv, i_c: float, k: float) -> float:
+    """Station loss ``a + b*I_c + c*I_c^2`` with ``k = I_c^2``."""
+    return conv.a_loss + conv.b_loss * i_c + conv.c_loss * k
 
 
-def capability_check(p_s: float, q_s: float, p_center: float, q_center: float,
-                     r_min: float, r_max: float) -> str:
-    """Classify an operating point against the PQ capability annulus.
-
-    Boundary points count as ``inside``.
-    """
-    if not r_min < r_max:
-        raise ValueError("capability radii must satisfy r_min < r_max")
-    d2 = (p_s - p_center) ** 2 + (q_s - q_center) ** 2
-    if d2 > r_max * r_max:
-        return "above_max"
-    if d2 < r_min * r_min:
-        return "below_min"
-    return "inside"
-
-
-def _station_from_pcc(v_pcc: complex, p_s: float, q_s: float,
-                      g: float, b: float) -> tuple[complex, complex]:
-    """Converter terminal voltage and series current for a given PCC state.
-
-    Closed form: the series current follows from the PCC power, and the
-    terminal voltage from the voltage drop over the coupling impedance.
-    """
-    y = complex(g, b)
-    s_s = complex(p_s, q_s)
-    i_ser = np.conj(s_s / v_pcc)
-    v_c = v_pcc - i_ser / y
-    return v_c, i_ser
+def _net_dc_power(conv, r_br: float, p_s: float, k: float) -> float:
+    """DC-side power ``p_s - R*K - loss(sqrt(K))`` of a station drawing
+    ``p_s`` at the PCC with squared series current ``K``."""
+    return p_s - r_br * k - _station_loss(conv, math.sqrt(k), k)
 
 
 def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
                         conv) -> dict:
-    """Arriving power, loss and DC-side injection of one station."""
-    v_c, i_ser = _station_from_pcc(v_pcc, p_s, q_s, conv.g, conv.b)
+    """Arriving power, loss and DC-side injection of one station.
+
+    Closed form: the series current follows from the PCC power, and the
+    terminal voltage from the voltage drop over the coupling impedance.
+    """
+    i_ser = np.conj(complex(p_s, q_s) / v_pcc)
+    v_c = v_pcc - i_ser / complex(conv.g, conv.b)
     s_into = v_c * np.conj(i_ser)          # power arriving at the terminal
     p_c, q_c = s_into.real, s_into.imag
     u_c = abs(v_c)
     i_c = abs(i_ser)
-    p_loss = conv.a_loss + conv.b_loss * i_c + conv.c_loss * i_c * i_c
+    p_loss = _station_loss(conv, i_c, i_c * i_c)
     return {
         "u_c": u_c, "delta_c": math.atan2(v_c.imag, v_c.real),
         "i_c": i_c, "p_c": p_c, "q_c": q_c, "p_loss": p_loss,
@@ -185,15 +146,12 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
     for realistic loss coefficients.
     """
     u_s2 = abs(v_pcc) ** 2
-    y = complex(conv.g, conv.b)
-    r_br = (1.0 / y).real
+    r_br = _series_resistance(conv)
     p_s = p_s_guess
     for _ in range(60):
         k = (p_s * p_s + q_s * q_s) / u_s2
         i_c = math.sqrt(k)
-        h = (p_s - r_br * k
-             - (conv.a_loss + conv.b_loss * i_c + conv.c_loss * k)
-             - p_dc_target)
+        h = _net_dc_power(conv, r_br, p_s, k) - p_dc_target
         if abs(h) < 1e-13:
             break
         dk = 2.0 * p_s / u_s2
@@ -293,11 +251,7 @@ def branch_flows(net: Network, vm: np.ndarray,
     for i, br in enumerate(net.branches):
         f = net.bus_index[br.from_bus]
         t = net.bus_index[br.to_bus]
-        ys = complex(br.g, br.b)
-        ysh = 1j * br.b_charge / 2.0
-        tap = br.tap if br.tap != 0.0 else 1.0
-        yff = (ys + ysh) / (tap * tap)
-        yft = -ys / tap
+        yff, yft, _ = branch_admittance(br)
         s_f = v[f] * np.conj(yff * v[f] + yft * v[t])
         p[i], q[i] = s_f.real, s_f.imag
     return p, q
@@ -436,17 +390,11 @@ def derive_droop_schedule(conv, p_s: float, q_s: float) -> float:
     Evaluated at nominal voltage: the droop characteristic absorbs the
     (small) mismatch between this estimate and the converged solution.
     """
-    y = complex(conv.g, conv.b)
-    r_br = (1.0 / y).real
-    k = p_s * p_s + q_s * q_s
-    i_c = math.sqrt(k)
-    return p_s - r_br * k - (conv.a_loss + conv.b_loss * i_c + conv.c_loss * k)
+    return _net_dc_power(conv, _series_resistance(conv), p_s,
+                         p_s * p_s + q_s * q_s)
 
 
-def solve_acdc(net: Network, controls, *,
-               tol_ac: float = TOL_AC, tol_dc: float = TOL_DC,
-               tol_couple: float = TOL_COUPLE, max_outer: int = MAX_OUTER,
-               warm: SystemState | None = None,
+def solve_acdc(net: Network, controls, *, warm: SystemState | None = None,
                trace: list | None = None) -> SystemState:
     """Alternating AC/DC solve for a decoded control setting.
 
@@ -478,12 +426,12 @@ def solve_acdc(net: Network, controls, *,
     failure = ""
     converged = False
 
-    while outer < max_outer:
+    while outer < MAX_OUTER:
         outer += 1
         p_inj, q_inj, vm_set = assemble_ac_inputs(
             net, controls.p_g, controls.u_g, controls.q_c, p_s_act, q_s)
         ac = solve_ac(net, p_inj, q_inj, vm_set, vm0=vm0, va0=va0,
-                      tol=tol_ac)
+                      tol=TOL_AC)
         if not ac.converged:
             failure = "ac"
             break
@@ -512,7 +460,7 @@ def solve_acdc(net: Network, controls, *,
                                              droop=droop[j], u0=u_dc0[j],
                                              p0=p_dc0[j]))
         dc = solve_dc(net.dc_buses, net.dc_branches, dc_controls,
-                      u_start=dc_u0, tol=tol_dc)
+                      u_start=dc_u0, tol=TOL_DC)
         if not dc.converged:
             failure = "dc"
             break
@@ -524,7 +472,7 @@ def solve_acdc(net: Network, controls, *,
                        for j, c in enumerate(net.converters))
         if trace is not None:
             trace.append((outer, ac.iterations, dc.iterations, residual))
-        if residual <= tol_couple:
+        if residual <= TOL_COUPLE:
             converged = True
             break
 

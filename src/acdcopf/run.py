@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opfcore, screen
-from .netmodel import ControlSpace, Network, apply_contingency, network_from_dict
+from .netmodel import (ControlSpace, Network, apply_contingency,
+                       network_from_dict, network_to_dict)
 from .opfcore import CorrectiveLimits
+
+# an uncorrectable contingency adds 1 plus its capped residual, so a sound
+# base point with one bad outage still beats a diverged genome
+RESIDUAL_CAP = 10.0
+# base-infeasible points skip contingency checks; the surcharge must
+# exceed any possible contingency total so the skip never pays off
+SKIP_SURCHARGE = 300.0
 
 
 @dataclass
@@ -29,12 +37,6 @@ class CorrectiveConfig:
     max_probes: int = 30
     tol_feas: float = 1e-6
     include_discrete: bool = True
-    # an uncorrectable contingency adds 1 plus its capped residual, so a
-    # sound base point with one bad outage still beats a diverged genome
-    residual_cap: float = 10.0
-    # base-infeasible points skip contingency checks; the surcharge must
-    # exceed any possible contingency total so the skip never pays off
-    skip_surcharge: float = 300.0
 
 
 class _EvalContext:
@@ -66,7 +68,7 @@ class _EvalContext:
         cstar_labels: list[str] = []
         residuals: dict[str, float] = {}
         if res.state.converged and violation > self.corrective.tol_feas:
-            violation += self.corrective.skip_surcharge
+            violation += SKIP_SURCHARGE
         if res.state.converged and violation <= self.corrective.tol_feas:
             if self.model is not None:
                 cstar = screen.filter_contingencies(
@@ -83,8 +85,7 @@ class _EvalContext:
                     include_discrete=self.corrective.include_discrete)
                 if not check.feasible:
                     residuals[k.label] = check.residual
-                    violation += 1.0 + min(check.residual,
-                                           self.corrective.residual_cap)
+                    violation += 1.0 + min(check.residual, RESIDUAL_CAP)
         meta["cstar"] = cstar_labels
         meta["infeasible_contingencies"] = residuals
         return {"objectives": res.objectives, "violation": violation,
@@ -111,25 +112,25 @@ class OpfProblem:
     """Problem adapter handed to :func:`acdcopf.evo.run`.
 
     Owns the evaluation context and, for ``workers > 1``, a pool of
-    ``workers - 1`` evaluator processes (the coordinating process is the
-    remaining worker).  Use as a context manager.
+    ``workers - 1`` evaluator processes.  A batch goes entirely to the
+    pool while the coordinating process waits for its results, so only
+    ``workers - 1`` processes evaluate.  Use as a context manager.
     """
 
     def __init__(self, net: Network, model: screen.ScreeningModel | None,
                  corrective: CorrectiveConfig | None = None,
-                 workers: int = 1, seed_default_point: bool = True):
+                 workers: int = 1):
         self.corrective = corrective or CorrectiveConfig()
         self._ctx = _EvalContext(net, model, self.corrective)
         self.net = net
         self.space = self._ctx.space
         self.workers = max(1, int(workers))
-        self.seed_default_point = seed_default_point
         self._pool = None
         if self.workers > 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers - 1,
                 initializer=_worker_init,
-                initargs=(_case_payload(net),
+                initargs=(network_to_dict(net),
                           model.to_dict() if model is not None else None,
                           self.corrective))
 
@@ -155,10 +156,7 @@ class OpfProblem:
         samples stumble on sound settings.
         """
         space = self.space
-        seeds = []
-        if self.seed_default_point:
-            seeds.append(space.default_vector())
-        seeds.append(self._mid_dispatch_seed())
+        seeds = [space.default_vector(), self._mid_dispatch_seed()]
         genomes = list(seeds)
         span = space.hi - space.lo
         n_local = (config.population - len(genomes)) // 2
@@ -191,8 +189,3 @@ class OpfProblem:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _case_payload(net: Network) -> dict:
-    from .netmodel import network_to_dict
-    return network_to_dict(net)

@@ -54,19 +54,15 @@ class SecurityIndexParams:
         )
 
 
-def composite_index(state: SystemState, params: SecurityIndexParams,
-                    *, flagged_ok: bool = True) -> float:
+def composite_index(state: SystemState, params: SecurityIndexParams) -> float:
     """Composite security index of a solved state; 0 when nothing crosses
     a security limit.
 
     An unconverged state is treated as maximal severity and returns the
     ``PI_MAX`` sentinel (callers that need the distinction should check
-    ``state.converged`` themselves, or pass ``flagged_ok=False`` to get a
-    ``ValueError``).
+    ``state.converged`` themselves).
     """
     if not state.converged:
-        if not flagged_ok:
-            raise ValueError("composite index of an unconverged state")
         return PI_MAX
     n2 = 2 * params.n
     vm = state.ac.vm
@@ -82,6 +78,15 @@ def composite_index(state: SystemState, params: SecurityIndexParams,
                    / (params.p_alarm - params.p_secure), 0.0)
     total = (np.sum(q_hi ** n2) + np.sum(q_lo ** n2) + np.sum(q_p ** n2))
     return float(total ** (1.0 / n2))
+
+
+def exact_index(net_k: Network, space: ControlSpace,
+                u: np.ndarray) -> tuple[float, bool]:
+    """Exact composite index of control vector ``u`` on the post-outage
+    network ``net_k``, and whether its flow diverged."""
+    res = opfcore.evaluate(net_k, space, u)
+    params = SecurityIndexParams.from_network(net_k)
+    return composite_index(res.state, params), not res.state.converged
 
 
 def classify(pi_value: float) -> str:
@@ -167,9 +172,7 @@ def encode_row(net: Network, space: ControlSpace, u: np.ndarray,
 
 
 def build_training_set(net: Network, sampler: SamplerConfig,
-                       n_samples: int, *,
-                       params: SecurityIndexParams | None = None,
-                       map_fn=map) -> TrainingSet:
+                       n_samples: int, *, map_fn=map) -> TrainingSet:
     """Simulate every AC-line outage at LHS-sampled control points.
 
     Each row pairs an outage one-hot with the control vector; the
@@ -178,7 +181,6 @@ def build_training_set(net: Network, sampler: SamplerConfig,
     caller fan the (sample, outage) evaluations out over workers.
     """
     space = ControlSpace(net)
-    params = params or SecurityIndexParams.from_network(net)
     controls = sample_controls(space, sampler, n_samples)
     ac_outages = [k for k in net.contingencies if k.kind == "ac_line"]
     nets_k = {k.branch_id: apply_contingency(net, k) for k in ac_outages}
@@ -187,14 +189,7 @@ def build_training_set(net: Network, sampler: SamplerConfig,
 
     def run(task):
         si, kid = task
-        res = opfcore.evaluate(nets_k[kid], space, controls[si])
-        post_params = SecurityIndexParams(
-            n=params.n, h_min=params.h_min, h_max=params.h_max,
-            a_min=params.a_min, a_max=params.a_max,
-            p_secure=np.array([br.p_secure for br in nets_k[kid].branches]),
-            p_alarm=np.array([br.p_alarm for br in nets_k[kid].branches]))
-        pi_value = composite_index(res.state, post_params)
-        return pi_value, not res.state.converged
+        return exact_index(nets_k[kid], space, controls[si])
 
     results = list(map_fn(run, tasks))
     rows = np.vstack([encode_row(net, space, controls[si], kid)
@@ -378,23 +373,17 @@ def standardize(x: np.ndarray):
 def fit_screening_model(net: Network, train: TrainingSet, *,
                         lam: float | None = None, folds: int = 5,
                         grid_size: int = 30, lam_min_factor: float = 1e-4,
-                        seed: int = 0,
-                        drop_flagged: bool = False) -> ScreeningModel:
+                        seed: int = 0) -> ScreeningModel:
     """Standardize, cross-validate the penalty and fit the final model.
 
     The penalty is chosen by k-fold cross-validation over a log grid
     below the smallest all-zero penalty; ties prefer the sparser model.
-    Sentinel rows stay in the regression by default (their outage
-    intercepts absorb them, which keeps divergent outages ranked on
-    top); pass ``drop_flagged=True`` to exclude them.
+    Sentinel rows stay in the regression (their outage intercepts absorb
+    them, which keeps divergent outages ranked on top).
     """
-    x_fit, y_fit = train.x, train.y
-    if drop_flagged and train.flagged.any():
-        keep = ~train.flagged
-        x_fit, y_fit = train.x[keep], train.y[keep]
-    z, mean, scale, active = standardize(x_fit)
-    y_mean = float(y_fit.mean())
-    y_c = y_fit - y_mean
+    z, mean, scale, active = standardize(train.x)
+    y_mean = float(train.y.mean())
+    y_c = train.y - y_mean
     za = z[:, active]
 
     cv_table: list[tuple[float, float]] = []
@@ -431,14 +420,8 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
     return ScreeningModel(
         feature_names=train.feature_names, sigma=sigma, lam=float(lam),
         x_mean=mean, x_scale=scale, active=active, y_mean=y_mean,
-        n_obs=len(y_fit), cv_table=cv_table,
+        n_obs=len(train.y), cv_table=cv_table,
         fingerprint=model_fingerprint(net, space))
-
-
-def lasso_predict(model: ScreeningModel, net: Network, space: ControlSpace,
-                  u: np.ndarray, k: Contingency) -> float:
-    """Predicted composite index, clamped below at zero."""
-    return model.predict(net, space, u, k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from acdcopf import cli
+from acdcopf import cli, evo
+from acdcopf.netmodel import ControlSpace, load_bundled_case
 
 from conftest import two_bus_case, write_case
 
@@ -177,6 +178,74 @@ class TestOptimizeAndDecideCmd:
                                         "seed": 1, "bogus": 1}))
         assert run_cli("optimize", "--config",
                        str(cfg_path)) == cli.EXIT_VALIDATION
+
+    def test_unknown_nested_config_key_rejected(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        for bad in ({"optimizer": {"popualtion": 10}},
+                    {"screening": {"samples": 30, "fold": 3}},
+                    {"decision": {"weights": [0.5, 0.5], "cluster": 3}}):
+            cfg_path.write_text(json.dumps(
+                {"case": "bundled:case14_acdc", "seed": 1, **bad}))
+            with pytest.raises(cli.CliError) as exc:
+                cli.load_config(str(cfg_path), {})
+            assert exc.value.code == cli.EXIT_VALIDATION
+            assert run_cli("optimize", "--config",
+                           str(cfg_path)) == cli.EXIT_VALIDATION
+
+    def test_free_form_config_maps_accepted(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "corrective": {"per_kind": {"tap": 0.0},
+                           "per_name": {"P_s:VSC1": 0.1}},
+            "screening": {"width_per_kind": {"droop": 0.001, "tap": 0.01}},
+        }))
+        cfg = cli.load_config(str(cfg_path), {})
+        assert cfg["corrective"]["per_name"] == {"P_s:VSC1": 0.1}
+        assert cfg["screening"]["width_per_kind"] == {"droop": 0.001,
+                                                      "tap": 0.01}
+
+    def test_summary_rows_match_bcs(self, tmp_path, monkeypatch):
+        # the archive keeps its members in insertion order, not f1 order
+        objectives = [(6400.0, 0.002), (5000.0, 0.050), (5600.0, 0.010),
+                      (6000.0, 0.005), (5400.0, 0.020), (5200.0, 0.030)]
+        n_controls = len(ControlSpace(load_bundled_case("case14_acdc")))
+        archive = evo.ParetoArchive(len(objectives))
+        archive.members = [
+            evo.Individual(id=i, genome=np.full(n_controls, float(i)),
+                           objectives=f, violation=0.0, meta={"cstar": []})
+            for i, f in enumerate(objectives)]
+
+        class StubProblem:
+            def __init__(self, net, model, corrective, workers=1):
+                self.space = ControlSpace(net)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def evaluate_one(self, genome):
+                return {"objectives": (12924.5, 0.0462), "violation": 0.0,
+                        "meta": {}}
+
+        monkeypatch.setattr(cli, "OpfProblem", StubProblem)
+        monkeypatch.setattr(evo, "run", lambda problem, config, progress=None:
+                            archive)
+        assert run_cli("optimize", "--case", "bundled:case14_acdc",
+                       "--seed", "1", "--no-screening",
+                       "--out", str(tmp_path)) == 0
+        bcs = json.loads((tmp_path / "bcs.json").read_text())
+        bcs = bcs["best_compromise_solutions"]
+        with (tmp_path / "summary.csv").open() as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["status"] == "before_optimization"
+        assert len(rows) == 1 + len(bcs) == 3
+        for i, (row, entry) in enumerate(zip(rows[1:], bcs)):
+            assert row["status"] == f"after_optimization_bcs{i + 1}"
+            assert row["f1"] == f"{entry['f1']:.2f}"
+            assert row["f2"] == f"{entry['f2']:.6f}"
 
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),

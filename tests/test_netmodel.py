@@ -76,6 +76,37 @@ class TestLoadCase:
         with pytest.raises(CaseValidationError, match="P_A > P_H"):
             load_case(write_case(tmp_path, case))
 
+    @pytest.mark.parametrize("section,index,key,value", [
+        ("ac_branches", 0, "g", float("nan")),
+        ("ac_branches", 3, "b", float("-inf")),
+        ("ac_branches", 2, "p_secure", float("nan")),
+        ("ac_branches", 5, "p_max", float("inf")),
+        ("converters", 1, "c_loss", float("nan")),
+        ("ac_buses", 4, "u_max", float("inf")),
+        ("dc_branches", 0, "y", float("inf")),
+    ])
+    def test_non_finite_number_named(self, tmp_path, section, index, key,
+                                     value):
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        case[section][index][key] = value
+        path = write_case(tmp_path, case)
+        # the file holds the bare JSON literals that Python's parser accepts
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(CaseValidationError,
+                           match=rf"{section}\[{index}\]: {key} is not finite"):
+            load_case(path)
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("limits", {"p_s": [float("-inf"), 1.0]}, "limits: p_s"),
+        ("base_mva", float("nan"), "base_mva"),
+    ])
+    def test_non_finite_case_level_number(self, tmp_path, field, value, name):
+        case = two_bus_case()
+        case[field] = value
+        with pytest.raises(CaseValidationError, match=name):
+            load_case(write_case(tmp_path, case))
+
     def test_round_trip(self, acdc_net):
         doc = network_to_dict(acdc_net)
         again = network_from_dict(doc)

@@ -1,5 +1,8 @@
 """Solvers: AC Newton-Raphson, DC grid with droop, coupled alternation."""
 
+import cmath
+import copy
+import dataclasses
 import math
 import pickle
 import time
@@ -8,11 +11,10 @@ import numpy as np
 import pytest
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import ControlSpace, network_from_dict
+from acdcopf.netmodel import ConverterStation, network_from_dict
 from acdcopf.opfcore import DecodedControls
-from acdcopf.powerflow import (DcControl, PowerFlowConfigError,
-                               capability_check, converter_injections,
-                               converter_loss, solve_ac, solve_acdc, solve_dc)
+from acdcopf.powerflow import (DcControl, PowerFlowConfigError, solve_ac,
+                               solve_acdc, solve_dc)
 
 from conftest import two_bus_case
 from oracles import oracle_solve_ac, two_bus_closed_form
@@ -91,58 +93,103 @@ class TestSolveAc:
         assert load > 0 and injections < load  # losses are a few percent
 
 
+def station(g=0.0206, b=-3.6028, a_loss=0.011, b_loss=0.003,
+            c_loss=0.0043):
+    return ConverterStation(name="VSC", pcc_bus=1, dc_bus=1, g=g, b=b,
+                            a_loss=a_loss, b_loss=b_loss, c_loss=c_loss)
+
+
+def capability_margin(net, base_state, p_s, q_s, r_min=0.0, r_max=1.0):
+    """Capability entry of ``constraint_report`` for the first converter
+    moved to ``(p_s, q_s)`` with annulus radii ``r_min``/``r_max``."""
+    net = pickle.loads(pickle.dumps(net))
+    conv = net.converters[0]
+    conv.p_center = conv.q_center = 0.0
+    conv.r_min, conv.r_max = r_min, r_max
+    state = copy.copy(base_state)
+    state.converters = ([dataclasses.replace(base_state.converters[0],
+                                             p_s=p_s, q_s=q_s)]
+                        + base_state.converters[1:])
+    _, values = opfcore.constraint_report(net, state).groups["capability"]
+    return values[0]
+
+
 class TestConverterPrimitives:
     def test_equal_phasors_no_transfer(self):
-        p_s, q_s, p_c, q_c = converter_injections(1.03, 0.2, 1.03, 0.2,
-                                                  0.5, -3.0)
-        assert p_s == pytest.approx(0.0, abs=1e-15)
-        assert q_s == pytest.approx(0.0, abs=1e-15)
-        assert p_c == pytest.approx(0.0, abs=1e-15)
-        assert q_c == pytest.approx(0.0, abs=1e-15)
+        v_pcc = 1.03 * cmath.exp(0.2j)
+        st = powerflow._station_quantities(v_pcc, 0.0, 0.0, station())
+        assert st["u_c"] == pytest.approx(1.03, abs=1e-15)
+        assert st["delta_c"] == pytest.approx(0.2, abs=1e-15)
+        assert st["p_c"] == pytest.approx(0.0, abs=1e-15)
+        assert st["q_c"] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
-        p_s, _, _, _ = converter_injections(1.0, 0.1, 1.0, 0.0, 0.0, -10.0)
-        assert p_s == pytest.approx(10.0 * math.sin(0.1), abs=1e-12)
+        # a lossless reactance of 0.1 p.u. carrying 10*sin(0.1) from a
+        # PCC at angle 0.1 puts the converter terminal at 1 p.u., angle 0
+        p_s = 10.0 * math.sin(0.1)
+        q_s = 10.0 * (1.0 - math.cos(0.1))
+        st = powerflow._station_quantities(cmath.exp(0.1j), p_s, q_s,
+                                           station(g=0.0, b=-10.0))
         assert p_s == pytest.approx(0.9983, abs=5e-4)
+        assert st["u_c"] == pytest.approx(1.0, abs=1e-12)
+        assert st["delta_c"] == pytest.approx(0.0, abs=1e-12)
+        assert st["p_c"] == pytest.approx(p_s, abs=1e-12)
 
     def test_loss_identity_sampled(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            us, uc = rng.uniform(0.9, 1.1, 2)
-            ds, dc = rng.uniform(-0.5, 0.5, 2)
-            g = rng.uniform(0.0, 2.0)
-            b = rng.uniform(-15.0, 15.0)
-            p_s, _, p_c, _ = converter_injections(us, ds, uc, dc, g, b)
-            loss = g * (us * us + uc * uc
-                        - 2 * us * uc * math.cos(ds - dc))
-            assert abs(p_s + p_c - loss) <= 1e-12
-            assert loss >= -1e-15
+            conv = station(g=rng.uniform(0.0, 2.0),
+                           b=rng.uniform(-15.0, -1.0))
+            r_br = (1.0 / complex(conv.g, conv.b)).real
+            v_pcc = rng.uniform(0.9, 1.1) * cmath.exp(
+                1j * rng.uniform(-0.5, 0.5))
+            p_s, q_s = rng.uniform(-1.0, 1.0, 2)
+            st = powerflow._station_quantities(v_pcc, p_s, q_s, conv)
+            # series conduction loss, then the station loss
+            assert abs(p_s - st["p_c"] - r_br * st["i_c"] ** 2) <= 1e-12
+            assert st["p_c"] - st["p_dc"] == pytest.approx(st["p_loss"],
+                                                           abs=1e-15)
+            assert st["p_loss"] >= conv.a_loss
 
     def test_loss_zero_coefficients(self):
-        assert converter_loss(0.7, -0.3, 1.02, 0, 0, 0) == 0.0
+        st = powerflow._station_quantities(
+            1.02 + 0j, 0.7, -0.3, station(a_loss=0.0, b_loss=0.0, c_loss=0.0))
+        assert st["p_loss"] == 0.0
+        assert st["p_dc"] == st["p_c"]
 
     def test_no_load_loss(self):
-        assert converter_loss(0.0, 0.0, 1.0, 0.011, 0.003, 0.0043) == 0.011
+        st = powerflow._station_quantities(1.0 + 0j, 0.0, 0.0, station())
+        assert st["p_loss"] == 0.011
 
     def test_loss_hand_value(self):
-        loss = converter_loss(0.5, 0.0, 1.0, 0.011, 0.003, 0.0043)
-        assert loss == pytest.approx(0.013575, abs=1e-12)
+        st = powerflow._station_quantities(1.0 + 0j, 0.5, 0.0, station())
+        assert st["i_c"] == pytest.approx(0.5, abs=1e-15)
+        assert st["p_loss"] == pytest.approx(0.013575, abs=1e-12)
 
-    def test_loss_rejects_bad_voltage(self):
-        with pytest.raises(ValueError):
-            converter_loss(0.5, 0.0, 0.0, 0.011, 0.003, 0.0043)
+    def test_droop_schedule_inverted_by_pcc_solve(self):
+        # at nominal PCC voltage the scheduled DC power, the station model
+        # and the PCC-power inversion agree on one net-DC-power expression
+        conv = station()
+        for p_s, q_s in ((-0.862, 0.0111), (0.968, -0.1237), (0.3, 0.4)):
+            p_dc = powerflow.derive_droop_schedule(conv, p_s, q_s)
+            st = powerflow._station_quantities(1.0 + 0j, p_s, q_s, conv)
+            assert st["p_dc"] == pytest.approx(p_dc, abs=1e-12)
+            p_s_back = powerflow._solve_ps_for_pdc(1.0 + 0j, q_s, conv,
+                                                   p_dc, 0.0)
+            assert p_s_back == pytest.approx(p_s, abs=1e-12)
 
-    def test_capability_center(self):
-        assert capability_check(0.0, 0.0, 0.0, 0.0, 0.0, 1.0) == "inside"
+    def test_capability_center(self, acdc_net, base_eval):
+        assert capability_margin(acdc_net, base_eval.state, 0.0, 0.0) <= 0.0
 
-    def test_capability_boundary_inside(self):
-        assert capability_check(0.8, 0.6, 0.0, 0.0, 0.0, 1.0) == "inside"
+    def test_capability_boundary_inside(self, acdc_net, base_eval):
+        assert capability_margin(acdc_net, base_eval.state, 0.8, 0.6) <= 1e-15
 
-    def test_capability_above(self):
-        assert capability_check(0.9, 0.6, 0.0, 0.0, 0.0, 1.0) == "above_max"
+    def test_capability_above(self, acdc_net, base_eval):
+        assert capability_margin(acdc_net, base_eval.state, 0.9, 0.6) > 0.0
 
-    def test_capability_below(self):
-        assert capability_check(0.1, 0.0, 0.0, 0.0, 0.5, 1.0) == "below_min"
+    def test_capability_below(self, acdc_net, base_eval):
+        assert capability_margin(acdc_net, base_eval.state, 0.1, 0.0,
+                                 r_min=0.5) > 0.0
 
 
 DC_BUSES = [dict(id=1), dict(id=2)]

@@ -56,8 +56,6 @@ class TestCompositeIndex:
     def test_unconverged_sentinel(self):
         state = FakeState([1.0], [0.0], converged=False)
         assert composite_index(state, index_params()) == screen.PI_MAX
-        with pytest.raises(ValueError):
-            composite_index(state, index_params(), flagged_ok=False)
 
     def test_monotone_in_violations(self):
         rng = np.random.default_rng(5)
