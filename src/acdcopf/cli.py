@@ -1,12 +1,13 @@
 """Command-line workflows: power flow, screening, ranking, optimization
 and decision reports.
 
-Subcommands read a declarative JSON config (flags win over config keys),
-write CSV + JSON artifacts stamped with the config hash and seed, and
-use a fixed exit-code taxonomy: 0 success, 2 validation, 3 solver
-divergence, 4 infeasible run, 5 I/O.  Only the output directory and the
-worker count may come from the environment (``ACDCOPF_OUTPUT_DIR``,
-``ACDCOPF_WORKERS``).
+Every subcommand reads its settings through :func:`configure`: the
+defaults, then a declarative JSON config (``--config``), then the
+environment (``ACDCOPF_OUTPUT_DIR``, ``ACDCOPF_WORKERS``), then the
+flags, each overriding the ones before and each key checked against the
+type of its default.  Subcommands write CSV + JSON artifacts stamped with
+the config hash and seed, and use a fixed exit-code taxonomy: 0 success,
+2 validation, 3 solver divergence, 4 infeasible run, 5 I/O.
 """
 
 from __future__ import annotations
@@ -46,23 +47,34 @@ DEFAULT_CONFIG = {
         "crossover_rate": 0.9, "mutation_rate": None,
         "eta_crossover": 20.0, "eta_mutation": 20.0, "workers": 1,
     },
-    "screening": {
-        "samples": 90, "width": 0.005,
-        "width_per_kind": {"droop": 0.0005},
-        "full_box": False, "folds": 5,
-        "grid_size": 30, "lambda_min_factor": 1e-4,
-        "holdout_fraction": 0.2, "min_rows_factor": 10,
-        "model_path": None, "refresh": "never",
-    },
-    "corrective": {
-        "fraction": 0.15, "max_probes": 30, "tol_feas": 1e-6,
-        "include_discrete": True, "per_kind": {}, "per_name": {},
-    },
+    "screening": {"samples": 90, "width": 0.005, "model_path": None},
+    "corrective": {"fraction": 0.15, "max_probes": 30, "tol_feas": 1e-6,
+                   "include_discrete": True},
     "decision": {"clusters": 2, "weights": [0.5, 0.5]},
 }
-# config maps keyed by control kind or component name, not by option
-FREE_FORM_KEYS = {("corrective", "per_kind"), ("corrective", "per_name"),
-                  ("screening", "width_per_kind")}
+# the type of a key whose default is None, once it is set
+NULLABLE = {"case": str, "seed": int, "optimizer.mutation_rate": float,
+            "screening.model_path": str}
+# smallest value a run can use
+MINIMUM = {"optimizer.population": 1, "decision.clusters": 1,
+           "corrective.fraction": 0}
+# flag -> (config key it sets, subcommands that take it)
+FLAGS = {
+    "--case": ("case", ("powerflow", "train-screen", "rank", "optimize")),
+    "--seed": ("seed", ("train-screen", "optimize", "decide")),
+    "--out": ("output_dir", ("train-screen", "optimize", "decide")),
+    "--samples": ("screening.samples", ("train-screen",)),
+    "--workers": ("optimizer.workers", ("optimize",)),
+    "--population": ("optimizer.population", ("optimize",)),
+    "--iterations": ("optimizer.iterations", ("optimize",)),
+}
+# environment variable -> config key it sets
+ENVIRONMENT = {"ACDCOPF_OUTPUT_DIR": "output_dir",
+               "ACDCOPF_WORKERS": "optimizer.workers"}
+# train-screen: share of the control samples held out for validation, and
+# the fewest training rows per regression feature
+HOLDOUT_FRACTION = 0.2
+MIN_ROWS_FACTOR = 10
 
 
 class CliError(Exception):
@@ -75,29 +87,43 @@ class CliError(Exception):
 # Config handling
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _kind(where: str) -> type:
+    """Type of the value at the dotted config key ``where``."""
+    default = DEFAULT_CONFIG
+    for key in where.split("."):
+        default = default[key]
+    return NULLABLE.get(where, type(default))
 
 
-def _unknown_keys(user: dict, default: dict, path: tuple = ()) -> list[str]:
-    out = []
-    for key, value in user.items():
-        where = path + (key,)
-        if key not in default:
-            out.append(".".join(where))
-        elif (isinstance(value, dict) and isinstance(default[key], dict)
-              and where not in FREE_FORM_KEYS):
-            out += _unknown_keys(value, default[key], where)
-    return out
+def _set(cfg: dict, where: str, value, source: str) -> None:
+    """Set the dotted config key ``where`` to ``value`` (an object key by
+    key), checked against the type of its default (an int is taken where
+    a float is due) and against ``MINIMUM``."""
+    *path, key = where.split(".")    # a section and its key, or a key
+    section = cfg[path[0]] if path else cfg
+    if key not in section:
+        raise CliError(f"{source}: unknown config key {where!r}",
+                       EXIT_VALIDATION)
+    kind = _kind(where)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind and not (value is None and where in NULLABLE):
+        raise CliError(f"{source}: {where} must be {kind.__name__}, "
+                       f"not {value!r}", EXIT_VALIDATION)
+    if where in MINIMUM and value < MINIMUM[where]:
+        raise CliError(f"{source}: {where} must be >= {MINIMUM[where]}, "
+                       f"not {value!r}", EXIT_VALIDATION)
+    if kind is dict:
+        for name, item in value.items():
+            _set(cfg, f"{where}.{name}", item, source)
+    else:
+        section[key] = value
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+def load_config(path: str | None, flags: dict) -> dict:
+    """Defaults, then the config file at ``path``, then the ``ACDCOPF_*``
+    environment, then ``flags`` (dotted config key -> value), each
+    checked as it is merged and overriding the ones before."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
         try:
@@ -110,16 +136,44 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not isinstance(user, dict):
             raise CliError("config document must be a JSON object",
                            EXIT_VALIDATION)
-        unknown = _unknown_keys(user, DEFAULT_CONFIG)
-        if unknown:
-            raise CliError(f"unknown config keys: {unknown}", EXIT_VALIDATION)
-        cfg = _merge(cfg, user)
-    cfg = _merge(cfg, overrides)
-    if os.environ.get("ACDCOPF_OUTPUT_DIR"):
-        cfg["output_dir"] = os.environ["ACDCOPF_OUTPUT_DIR"]
-    if os.environ.get("ACDCOPF_WORKERS"):
-        cfg["optimizer"]["workers"] = int(os.environ["ACDCOPF_WORKERS"])
+        for key, value in user.items():
+            _set(cfg, key, value, f"config file {path}")
+    for name, where in ENVIRONMENT.items():
+        raw = os.environ.get(name)
+        if raw:
+            kind = _kind(where)
+            try:
+                value = kind(raw)
+            except ValueError as exc:
+                raise CliError(f"{name}: {where} must be {kind.__name__}, "
+                               f"not {raw!r}", EXIT_VALIDATION) from exc
+            _set(cfg, where, value, name)
+    for where, value in flags.items():
+        _set(cfg, where, value, "command line")
+    weights = cfg["decision"]["weights"]
+    if len(weights) != 2 or not all(type(w) in (int, float) and w > 0
+                                    for w in weights):
+        raise CliError(f"decision.weights must be two positive numbers, "
+                       f"not {weights!r}", EXIT_VALIDATION)
     return cfg
+
+
+def configure(args, *, seed_required: bool) -> tuple[dict, dict]:
+    """Settings of one subcommand and the stamp of its artifacts.
+
+    Flags win over the environment, which wins over the config file,
+    which wins over ``DEFAULT_CONFIG``.  Commands that do not require a
+    seed use 0 when none is given.
+    """
+    cfg = load_config(args.config, {
+        where: getattr(args, flag[2:]) for flag, (where, _) in FLAGS.items()
+        if getattr(args, flag[2:], None) is not None})
+    if cfg["seed"] is None:
+        if seed_required:
+            raise CliError("a seed is mandatory (config 'seed' or --seed)",
+                           EXIT_VALIDATION)
+        cfg["seed"] = 0
+    return cfg, {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
 
 
 def config_hash(cfg: dict) -> str:
@@ -130,18 +184,10 @@ def config_hash(cfg: dict) -> str:
     experiment remain byte-identical across them).
     """
     semantic = json.loads(json.dumps(cfg))
-    semantic.pop("output_dir", None)
-    semantic.get("optimizer", {}).pop("workers", None)
+    semantic.pop("output_dir")
+    semantic["optimizer"].pop("workers")
     return hashlib.sha256(
         json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def require_seed(cfg: dict) -> int:
-    seed = cfg.get("seed")
-    if seed is None:
-        raise CliError("a seed is mandatory (config 'seed' or --seed)",
-                       EXIT_VALIDATION)
-    return int(seed)
 
 
 def resolve_case(cfg: dict) -> Network:
@@ -150,12 +196,28 @@ def resolve_case(cfg: dict) -> Network:
         raise CliError("no case file given (config 'case' or --case)",
                        EXIT_VALIDATION)
     path = Path(case)
-    if str(case).startswith("bundled:"):
-        path = bundled_case_path(str(case).split(":", 1)[1])
+    if case.startswith("bundled:"):
+        path = bundled_case_path(case.split(":", 1)[1])
     try:
         return load_case(path)
     except CaseError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
+
+
+def load_model(path, net: Network,
+               space: ControlSpace) -> screen.ScreeningModel:
+    """The screening model at ``path``, checked against the case."""
+    try:
+        model = screen.ScreeningModel.load(path)
+    except FileNotFoundError as exc:
+        raise CliError(f"model file not found: {path}", EXIT_IO) from exc
+    except (ValueError, KeyError) as exc:
+        raise CliError(f"model file {path} is not a screening model: {exc}",
+                       EXIT_VALIDATION) from exc
+    if model.fingerprint != screen.model_fingerprint(net, space):
+        raise CliError("model/case mismatch: feature layout hash differs; "
+                       "retrain the model", EXIT_VALIDATION)
+    return model
 
 
 def load_control_overrides(space: ControlSpace,
@@ -225,10 +287,7 @@ def _fmt(value: float, digits: int = 6) -> str:
 
 
 def cmd_powerflow(args) -> int:
-    cfg = load_config(args.config, {"case": args.case} if args.case else {})
-    if cfg.get("seed") is None:
-        cfg["seed"] = 0
-    stamp = {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
+    cfg, stamp = configure(args, seed_required=False)
     net = resolve_case(cfg)
     space = ControlSpace(net)
     u = load_control_overrides(space, args.controls)
@@ -267,11 +326,13 @@ def cmd_powerflow(args) -> int:
     write_csv(out / "powerflow_branches.csv",
               ["branch", "p_from", "q_from", "p_max"], br_rows, stamp)
 
+    droop = opfcore.decode(space, result.u).droop
     conv_rows = []
     for conv, cs in zip(net.converters, state.converters):
         u_dc = state.dc.u[net.dc_bus_index[conv.dc_bus]]
         conv_rows.append([cs.name, _fmt(cs.p_s), _fmt(cs.q_s), _fmt(u_dc),
-                          _fmt(conv.droop), _fmt(cs.p_dc), _fmt(cs.p_loss),
+                          _fmt(droop.get(conv.name, conv.droop)),
+                          _fmt(cs.p_dc), _fmt(cs.p_loss),
                           _fmt(cs.residual, 10)])
     write_csv(out / "powerflow_converters.csv",
               ["converter", "p_s", "q_s", "u_dc", "droop", "p_dc", "p_loss",
@@ -302,30 +363,27 @@ def cmd_powerflow(args) -> int:
 # train-screen
 
 
-def train_screening_model(net: Network, cfg: dict, seed: int):
+def train_screening_model(net: Network, cfg: dict):
     """Build training data, fit with cross-validated penalty, validate on
     held-out control samples.  Returns (model, validation dict, table rows,
     training set).
     """
-    scr = cfg["screening"]
+    seed = cfg["seed"]
     space = ControlSpace(net)
-    n_samples = int(scr["samples"])
+    n_samples = cfg["screening"]["samples"]
     ac_outages = [k for k in net.contingencies if k.kind == "ac_line"]
-    min_rows = scr["min_rows_factor"] * (len(net.contingencies) + len(space))
+    min_rows = MIN_ROWS_FACTOR * (len(net.contingencies) + len(space))
     if n_samples * max(1, len(ac_outages)) < min_rows:
         raise CliError(
             f"insufficient samples: {n_samples} control samples give "
             f"{n_samples * len(ac_outages)} rows, need >= {min_rows}",
             EXIT_VALIDATION)
 
-    sampler = screen.SamplerConfig(
-        width=float(scr["width"]),
-        per_kind={k: float(v) for k, v in scr["width_per_kind"].items()},
-        full_box=bool(scr["full_box"]), seed=seed)
+    sampler = screen.SamplerConfig(width=cfg["screening"]["width"], seed=seed)
     train = screen.build_training_set(net, sampler, n_samples)
 
     rng = np.random.default_rng(seed + 1)
-    n_hold = max(1, int(round(scr["holdout_fraction"] * n_samples)))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n_samples)))
     holdout = set(rng.choice(n_samples, size=n_hold, replace=False).tolist())
     train_rows = np.array([s not in holdout for s in train.row_sample])
 
@@ -335,9 +393,7 @@ def train_screening_model(net: Network, cfg: dict, seed: int):
         row_outage=[o for o, keep in zip(train.row_outage, train_rows) if keep],
         row_sample=train.row_sample[train_rows],
         controls=train.controls, flagged=train.flagged[train_rows])
-    model = screen.fit_screening_model(
-        net, fit_set, folds=int(scr["folds"]), grid_size=int(scr["grid_size"]),
-        lam_min_factor=float(scr["lambda_min_factor"]), seed=seed)
+    model = screen.fit_screening_model(net, fit_set, seed=seed)
 
     # held-out validation: relative errors and per-sample rank correlation
     errors: list[float] = []
@@ -401,23 +457,12 @@ def train_screening_model(net: Network, cfg: dict, seed: int):
 
 
 def cmd_train_screen(args) -> int:
-    overrides: dict = {}
-    if args.case:
-        overrides["case"] = args.case
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides.setdefault("screening", {})["samples"] = args.samples
-    if args.out:
-        overrides["output_dir"] = args.out
-    cfg = load_config(args.config, overrides)
-    seed = require_seed(cfg)
-    stamp = {"config_hash": config_hash(cfg), "seed": seed}
+    cfg, stamp = configure(args, seed_required=True)
     net = resolve_case(cfg)
     out = _ensure_outdir(cfg)
 
     started = time.perf_counter()
-    model, validation, table, train = train_screening_model(net, cfg, seed)
+    model, validation, table, train = train_screening_model(net, cfg)
     validation["train_seconds"] = round(time.perf_counter() - started, 3)
 
     model_path = out / "screening_model.json"
@@ -445,19 +490,10 @@ def cmd_train_screen(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    cfg = load_config(args.config, {"case": args.case} if args.case else {})
-    if cfg.get("seed") is None:
-        cfg["seed"] = 0
-    stamp = {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
+    cfg, stamp = configure(args, seed_required=False)
     net = resolve_case(cfg)
     space = ControlSpace(net)
-    try:
-        model = screen.ScreeningModel.load(args.model)
-    except FileNotFoundError:
-        raise CliError(f"model file not found: {args.model}", EXIT_IO)
-    if model.fingerprint != screen.model_fingerprint(net, space):
-        raise CliError("model/case mismatch: feature layout hash differs",
-                       EXIT_VALIDATION)
+    model = load_model(args.model, net, space)
     u = load_control_overrides(space, args.controls)
     out = _ensure_outdir(cfg)
 
@@ -490,22 +526,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    overrides: dict = {}
-    for key, val in (("case", args.case), ("seed", args.seed),
-                     ("output_dir", args.out)):
-        if val is not None:
-            overrides[key] = val
-    opt_over = {}
-    for key, val in (("workers", args.workers),
-                     ("population", args.population),
-                     ("iterations", args.iterations)):
-        if val is not None:
-            opt_over[key] = val
-    if opt_over:
-        overrides["optimizer"] = opt_over
-    cfg = load_config(args.config, overrides)
-    seed = require_seed(cfg)
-    stamp = {"config_hash": config_hash(cfg), "seed": seed}
+    cfg, stamp = configure(args, seed_required=True)
     net = resolve_case(cfg)
     space = ControlSpace(net)
     out = _ensure_outdir(cfg)
@@ -513,44 +534,24 @@ def cmd_optimize(args) -> int:
     model_path = cfg["screening"]["model_path"]
     model_file = Path(model_path) if model_path else out / "screening_model.json"
     model = None
-    refresh = cfg["screening"].get("refresh", "never")
     if args.no_screening:
         log.warning("screening disabled: every contingency will be checked")
+    elif args.train_first or not model_file.exists():
+        model, validation, _, _ = train_screening_model(net, cfg)
+        model.save(model_file)
+        write_json(out / "screen_validation.json",
+                   {"validation": validation}, stamp)
     else:
-        if (args.train_first or refresh == "per_run"
-                or not model_file.exists()):
-            trained, validation, _, _ = train_screening_model(net, cfg, seed)
-            trained.save(model_file)
-            write_json(out / "screen_validation.json",
-                       {"validation": validation}, stamp)
-            model = trained
-        else:
-            model = screen.ScreeningModel.load(model_file)
-            if model.fingerprint != screen.model_fingerprint(net, space):
-                raise CliError("model/case mismatch: feature layout hash "
-                               "differs; retrain with --train-first",
-                               EXIT_VALIDATION)
+        model = load_model(model_file, net, space)
 
-    corr = cfg["corrective"]
-    corrective = CorrectiveConfig(
-        fraction=float(corr["fraction"]),
-        per_kind=dict(corr["per_kind"]), per_name=dict(corr["per_name"]),
-        max_probes=int(corr["max_probes"]), tol_feas=float(corr["tol_feas"]),
-        include_discrete=bool(corr["include_discrete"]))
-    opt = cfg["optimizer"]
-    config = evo.EvoConfig(
-        population=int(opt["population"]), iterations=int(opt["iterations"]),
-        kappa=float(opt["kappa"]),
-        crossover_rate=float(opt["crossover_rate"]),
-        mutation_rate=(None if opt["mutation_rate"] is None
-                       else float(opt["mutation_rate"])),
-        eta_crossover=float(opt["eta_crossover"]),
-        eta_mutation=float(opt["eta_mutation"]), seed=seed)
+    evo_settings = dict(cfg["optimizer"])
+    workers = evo_settings.pop("workers")
+    config = evo.EvoConfig(**evo_settings, seed=cfg["seed"])
 
     progress: list[evo.GenerationLog] = []
     started = time.perf_counter()
-    with OpfProblem(net, model, corrective,
-                    workers=int(opt["workers"])) as problem:
+    with OpfProblem(net, model, CorrectiveConfig(**cfg["corrective"]),
+                    workers=workers) as problem:
         base = problem.evaluate_one(space.default_vector())
         archive = evo.run(problem, config, progress=progress)
     elapsed = time.perf_counter() - started
@@ -562,20 +563,21 @@ def cmd_optimize(args) -> int:
                 g.archive_size, _fmt(g.feasible_fraction, 4)]
                for g in progress], stamp)
 
-    members = sorted(archive.members, key=lambda m: m.objectives[0])
+    members = [{
+        "id": m.id, "f1": m.objectives[0], "f2": m.objectives[1],
+        "violation": m.violation, "genome": m.genome.tolist(),
+        "cstar": m.meta.get("cstar", []),
+    } for m in sorted(archive.members, key=lambda m: m.objectives[0])]
     write_csv(out / "archive.csv",
               ["id", "f1", "f2", "violation"] + list(space.names),
-              [[m.id, _fmt(m.objectives[0], 4), _fmt(m.objectives[1], 8),
-                _fmt(m.violation, 8)] + [f"{v:.8g}" for v in m.genome]
+              [[m["id"], _fmt(m["f1"], 4), _fmt(m["f2"], 8),
+                _fmt(m["violation"], 8)] + [f"{v:.8g}" for v in m["genome"]]
                for m in members], stamp)
     write_json(out / "archive.json", {
         "infeasible_run": archive.infeasible_run,
         "wall_seconds": round(elapsed, 3),
-        "members": [{
-            "id": m.id, "f1": m.objectives[0], "f2": m.objectives[1],
-            "violation": m.violation, "genome": m.genome.tolist(),
-            "cstar": m.meta.get("cstar", []),
-        } for m in members],
+        "control_names": space.names,
+        "members": members,
     }, stamp)
 
     if archive.infeasible_run or not archive.members:
@@ -583,11 +585,7 @@ def cmd_optimize(args) -> int:
               file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    bcs = _write_decision([{
-        "f1": m.objectives[0], "f2": m.objectives[1],
-        "genome": {name: float(v) for name, v in zip(space.names, m.genome)},
-        "critical_set": m.meta.get("cstar", []),
-    } for m in archive.members], cfg, stamp, out)
+    bcs = _write_decision(members, space.names, cfg, stamp, out)
     rows = [["before_optimization",
              _fmt(base["objectives"][0], 2), _fmt(base["objectives"][1], 6)]]
     rows += [[f"after_optimization_bcs{i + 1}", _fmt(e["f1"], 2),
@@ -598,47 +596,48 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _write_decision(entries: list[dict], cfg: dict, stamp: dict,
-                    out: Path) -> list[dict]:
-    """Best compromise solution of each cluster of the archive ``entries``
-    (dicts holding ``f1``, ``f2``, ``genome`` and ``critical_set``),
-    written to ``bcs.json`` and returned in its order."""
+def _write_decision(members: list[dict], names: list[str], cfg: dict,
+                    stamp: dict, out: Path) -> list[dict]:
+    """Best compromise solution of each cluster of the ``archive.json``
+    ``members``, written to ``bcs.json`` and returned in its order; each
+    genome becomes a map from control name to value.
+
+    Members are clustered in id order, the order the archive keeps them
+    in, so ``optimize`` and ``decide`` on its archive choose alike."""
+    members = sorted(members, key=lambda m: m["id"])
     dec = cfg["decision"]
     selections = decide.select_bcs(
-        np.array([[e["f1"], e["f2"]] for e in entries]),
-        n_clusters=int(dec["clusters"]), weights=tuple(dec["weights"]),
-        seed=int(stamp["seed"]))
-    payload = [dict(entries[sel.member_index], cluster=sel.cluster, d=sel.d,
-                    memberships=sel.memberships.tolist())
-               for sel in selections]
+        np.array([[m["f1"], m["f2"]] for m in members]),
+        n_clusters=dec["clusters"], weights=dec["weights"], seed=cfg["seed"])
+    payload = []
+    for sel in selections:
+        m = members[sel.member_index]
+        payload.append({
+            "f1": m["f1"], "f2": m["f2"],
+            "genome": dict(zip(names, m["genome"])),
+            "critical_set": m["cstar"], "cluster": sel.cluster, "d": sel.d,
+            "memberships": sel.memberships.tolist()})
     write_json(out / "bcs.json", {"best_compromise_solutions": payload},
                stamp)
     return payload
 
 
 def cmd_decide(args) -> int:
-    cfg = load_config(args.config, {})
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if cfg.get("seed") is None:
-        cfg["seed"] = 0
-    if args.out:
-        cfg["output_dir"] = args.out
-    stamp = {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
+    cfg, stamp = configure(args, seed_required=False)
     try:
         doc = json.loads(Path(args.archive).read_text())
     except FileNotFoundError:
         raise CliError(f"archive file not found: {args.archive}", EXIT_IO)
     except json.JSONDecodeError as exc:
         raise CliError(f"archive is not valid JSON: {exc}", EXIT_VALIDATION)
+    if not isinstance(doc, dict) or "control_names" not in doc:
+        raise CliError("archive lists no control_names; write it again "
+                       "with optimize", EXIT_VALIDATION)
     members = doc.get("members", [])
     if not members:
         raise CliError("archive holds no members", EXIT_INFEASIBLE)
     out = _ensure_outdir(cfg)
-    payload = _write_decision([
-        {"f1": m["f1"], "f2": m["f2"], "genome": m.get("genome"),
-         "critical_set": m.get("cstar", [])} for m in members],
-        cfg, stamp, out)
+    payload = _write_decision(members, doc["control_names"], cfg, stamp, out)
     for entry in payload:
         print(f"cluster {entry['cluster']}: f1={entry['f1']:.2f} "
               f"f2={entry['f2']:.6f} d={entry['d']:.4f}")
@@ -655,50 +654,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corrective security-constrained multi-objective OPF "
                     "for hybrid AC/DC grids")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, text in (
+            ("powerflow", cmd_powerflow, "solve one coupled power flow"),
+            ("train-screen", cmd_train_screen, "train the screening model"),
+            ("rank", cmd_rank, "rank contingencies by predicted index"),
+            ("optimize", cmd_optimize, "run the optimization pipeline"),
+            ("decide", cmd_decide, "re-run decision on an archive")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].add_argument("--config")
+        commands[name].set_defaults(fn=fn)
+    for flag, (where, names) in FLAGS.items():
+        for name in names:
+            commands[name].add_argument(flag, type=_kind(where))
 
-    pf = sub.add_parser("powerflow", help="solve one coupled power flow")
-    pf.add_argument("--case")
-    pf.add_argument("--config")
+    pf = commands["powerflow"]
     pf.add_argument("--controls", help="JSON file of control overrides")
     pf.add_argument("--debug-trace", action="store_true")
-    pf.set_defaults(fn=cmd_powerflow)
-
-    ts = sub.add_parser("train-screen", help="train the screening model")
-    ts.add_argument("--case")
-    ts.add_argument("--config")
-    ts.add_argument("--seed", type=int)
-    ts.add_argument("--samples", type=int)
-    ts.add_argument("--out")
-    ts.add_argument("--dump-training", action="store_true")
-    ts.set_defaults(fn=cmd_train_screen)
-
-    rk = sub.add_parser("rank", help="rank contingencies by predicted index")
+    commands["train-screen"].add_argument("--dump-training",
+                                          action="store_true")
+    rk = commands["rank"]
     rk.add_argument("--model", required=True)
-    rk.add_argument("--case")
-    rk.add_argument("--config")
     rk.add_argument("--controls")
     rk.add_argument("--exact", action="store_true",
                     help="also compute the exact index per outage")
-    rk.set_defaults(fn=cmd_rank)
-
-    op = sub.add_parser("optimize", help="run the optimization pipeline")
-    op.add_argument("--config")
-    op.add_argument("--case")
-    op.add_argument("--seed", type=int)
-    op.add_argument("--workers", type=int)
-    op.add_argument("--population", type=int)
-    op.add_argument("--iterations", type=int)
-    op.add_argument("--out")
+    op = commands["optimize"]
     op.add_argument("--train-first", action="store_true")
     op.add_argument("--no-screening", action="store_true")
-    op.set_defaults(fn=cmd_optimize)
-
-    de = sub.add_parser("decide", help="re-run decision on an archive")
-    de.add_argument("--archive", required=True)
-    de.add_argument("--config")
-    de.add_argument("--seed", type=int)
-    de.add_argument("--out")
-    de.set_defaults(fn=cmd_decide)
+    commands["decide"].add_argument("--archive", required=True)
     return parser
 
 

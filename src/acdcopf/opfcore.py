@@ -259,19 +259,10 @@ class CorrectiveLimits:
     du_max: np.ndarray
 
     @classmethod
-    def from_fraction(cls, space: ControlSpace, fraction: float = 0.15,
-                      per_kind: dict[str, float] | None = None,
-                      per_name: dict[str, float] | None = None
-                      ) -> "CorrectiveLimits":
+    def from_fraction(cls, space: ControlSpace,
+                      fraction: float = 0.15) -> "CorrectiveLimits":
         """Default box: ``fraction`` of each component's full range."""
         du = fraction * (space.hi - space.lo)
-        if per_kind:
-            for i, kind in enumerate(space.kinds):
-                if kind in per_kind:
-                    du[i] = per_kind[kind]
-        if per_name:
-            for name, v in per_name.items():
-                du[space.index[name]] = v
         if np.any(du < 0):
             raise ValueError("corrective limits must be nonnegative")
         return cls(du_max=du)

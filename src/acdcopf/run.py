@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ SKIP_SURCHARGE = 300.0
 @dataclass
 class CorrectiveConfig:
     fraction: float = 0.15
-    per_kind: dict = field(default_factory=dict)
-    per_name: dict = field(default_factory=dict)
     max_probes: int = 30
     tol_feas: float = 1e-6
     include_discrete: bool = True
@@ -48,23 +46,16 @@ class _EvalContext:
         self.space = ControlSpace(net)
         self.model = model
         self.corrective = corrective
-        self.lims = CorrectiveLimits.from_fraction(
-            self.space, corrective.fraction,
-            per_kind=corrective.per_kind, per_name=corrective.per_name)
+        self.lims = CorrectiveLimits.from_fraction(self.space,
+                                                   corrective.fraction)
         self.net_k = {k.branch_id: apply_contingency(net, k)
                       for k in net.contingencies}
-        slack_bus = net.buses[net.slack_index].id
-        self.slack_gen = next((i for i, g in enumerate(net.generators)
-                               if g.bus == slack_bus), None)
 
     def evaluate(self, genome) -> dict:
         u = np.asarray(genome, dtype=float)
         res = opfcore.evaluate(self.net, self.space, u)
         violation = res.report.total_violation
-        meta = {"base_violation": violation,
-                "converged": res.state.converged}
-        if res.state.converged and self.slack_gen is not None:
-            meta["slack_p"] = float(res.state.gen_p[self.slack_gen])
+        meta = {"base_violation": violation}
         cstar_labels: list[str] = []
         residuals: dict[str, float] = {}
         if res.state.converged and violation > self.corrective.tol_feas:

@@ -27,6 +27,11 @@ log = logging.getLogger(__name__)
 
 PI_MAX = 10.0                  # severity sentinel for divergent flows
 MODEL_SCHEMA_VERSION = "screening-model/1"
+# penalty cross-validation: folds, and a log grid of penalties from
+# LAMBDA_MIN_FACTOR times the all-zero penalty up to it
+CV_FOLDS = 5
+GRID_SIZE = 30
+LAMBDA_MIN_FACTOR = 1e-4
 
 
 @dataclass
@@ -115,13 +120,11 @@ class SamplerConfig:
     ``width`` is the per-component half-width as a fraction of the full
     control range, centred on the case defaults; ``per_kind`` overrides
     it for a control kind (droop slopes in particular have a declared
-    range far wider than their useful scale); ``full_box`` ignores the
-    centre and spans the declared bounds.
+    range far wider than their useful scale).
     """
 
     width: float = 0.005
     per_kind: dict = field(default_factory=lambda: {"droop": 0.0005})
-    full_box: bool = False
     seed: int = 0
 
 
@@ -141,15 +144,12 @@ def sample_controls(space: ControlSpace, cfg: SamplerConfig,
     """Latin-hypercube control samples snapped onto discrete grids."""
     sampler = qmc.LatinHypercube(d=len(space), seed=cfg.seed)
     unit = sampler.random(n=n_samples)
-    if cfg.full_box:
-        lo, hi = space.lo, space.hi
-    else:
-        centre = space.default_vector()
-        width = np.array([cfg.per_kind.get(kind, cfg.width)
-                          for kind in space.kinds])
-        half = width * (space.hi - space.lo)
-        lo = np.maximum(space.lo, centre - half)
-        hi = np.minimum(space.hi, centre + half)
+    centre = space.default_vector()
+    width = np.array([cfg.per_kind.get(kind, cfg.width)
+                      for kind in space.kinds])
+    half = width * (space.hi - space.lo)
+    lo = np.maximum(space.lo, centre - half)
+    hi = np.minimum(space.hi, centre + half)
     raw = lo + unit * (hi - lo)
     return np.vstack([space.snap(row)[0] for row in raw])
 
@@ -299,10 +299,6 @@ class ScreeningModel:
     cv_table: list[tuple[float, float]] = field(default_factory=list)
     fingerprint: str = ""
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_names)
-
     def predict_row(self, row: np.ndarray) -> float:
         z = (row - self.x_mean) / self.x_scale
         value = self.y_mean + float(z[self.active] @ self.sigma[self.active])
@@ -371,8 +367,7 @@ def standardize(x: np.ndarray):
 
 
 def fit_screening_model(net: Network, train: TrainingSet, *,
-                        lam: float | None = None, folds: int = 5,
-                        grid_size: int = 30, lam_min_factor: float = 1e-4,
+                        lam: float | None = None,
                         seed: int = 0) -> ScreeningModel:
     """Standardize, cross-validate the penalty and fit the final model.
 
@@ -389,11 +384,11 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
     cv_table: list[tuple[float, float]] = []
     if lam is None:
         lmax = lambda_max(za, y_c)
-        grid = np.geomspace(lam_min_factor * lmax, lmax, grid_size)[::-1]
+        grid = np.geomspace(LAMBDA_MIN_FACTOR * lmax, lmax, GRID_SIZE)[::-1]
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(y_c))
-        fold_ids = np.array_split(order, folds)
-        scores = np.zeros(grid_size)
+        fold_ids = np.array_split(order, CV_FOLDS)
+        scores = np.zeros(GRID_SIZE)
         for fi, test_idx in enumerate(fold_ids):
             mask = np.ones(len(y_c), dtype=bool)
             mask[test_idx] = False
@@ -403,7 +398,7 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
                                        sigma0=sigma_warm)
                 pred = za[test_idx] @ sigma_warm
                 scores[gi] += float(np.mean((pred - y_c[test_idx]) ** 2))
-        scores /= folds
+        scores /= CV_FOLDS
         cv_table = [(float(l), float(s)) for l, s in zip(grid, scores)]
         best = int(np.argmin(scores))
         # prefer the largest penalty within half a percent of the best score

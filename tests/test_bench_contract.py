@@ -1,17 +1,24 @@
-"""The program names that the benchmark's layer tracer patches.
+"""What the benchmark relies on: the names its layer tracer patches and
+the settings it passes.
 
 ``perfbench/bench_trace.py`` wraps program functions by replacing module
-attributes.  A refactor that renames or drops one of them would only show
-up when the benchmark runs, so the contract is checked here.
+attributes, and ``perfbench/run.py`` writes a config file and builds a
+``CorrectiveConfig``.  A refactor that renames or drops one of them would
+only show up when the benchmark runs, so the contract is checked here.
 """
 
+import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from acdcopf import cli, run
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import bench_trace  # noqa: E402
 
@@ -38,3 +45,37 @@ def traced_targets():
                          ids=[t[0] for t in traced_targets()])
 def test_traced_name_exists_and_is_callable(name, owner, attr):
     assert callable(getattr(owner, attr, None)), name
+
+
+def bench_settings() -> dict:
+    """The literal settings of ``perfbench/run.py``, read without importing
+    it (importing it edits the environment)."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("CASE", "CORRECTIVE", "POPULATION",
+                                       "GENERATIONS", "CLUSTERS")}
+
+
+def test_bench_config_accepted(tmp_path):
+    """The config document ``Bench.setup`` writes."""
+    bench = bench_settings()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "case": bench["CASE"],
+        "optimizer": {"population": bench["POPULATION"],
+                      "iterations": bench["GENERATIONS"]},
+        "screening": {"model_path": str(tmp_path / "screening_model.json")},
+        "corrective": bench["CORRECTIVE"],
+        "decision": {"clusters": bench["CLUSTERS"]},
+    }))
+    cfg = cli.load_config(str(path), {})
+    assert cfg["corrective"] == bench["CORRECTIVE"]
+
+
+def test_bench_corrective_config_builds():
+    corrective = bench_settings()["CORRECTIVE"]
+    config = run.CorrectiveConfig(**corrective)
+    assert {key: getattr(config, key) for key in corrective} == corrective

@@ -54,6 +54,18 @@ class TestPowerflowCmd:
         # droop shifts the realised transfer slightly off the schedule
         assert float(vsc1["p_s"]) == pytest.approx(-0.7776, abs=0.05)
 
+    def test_droop_column_reports_applied_control(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
+        controls = tmp_path / "controls.json"
+        controls.write_text(json.dumps({"R:VSC1": 0.01}))
+        assert run_cli("powerflow", "--case", "bundled:case14_acdc",
+                       "--controls", str(controls)) == 0
+        with (tmp_path / "powerflow_converters.csv").open() as fh:
+            fh.readline()
+            rows = {r["converter"]: r for r in csv.DictReader(fh)}
+        assert rows["VSC1"]["droop"] == "0.010000"
+
     def test_malformed_case_no_partial_output(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(out))
@@ -132,15 +144,26 @@ class TestRankCmd:
     def test_model_case_mismatch(self, model_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
         other = write_case(tmp_path, two_bus_case())
-        code = run_cli("rank", "--model",
-                       str(model_dir / "screening_model.json"),
-                       "--case", str(other))
+        model = str(model_dir / "screening_model.json")
+        code = run_cli("rank", "--model", model, "--case", str(other))
+        assert code == cli.EXIT_VALIDATION
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"screening": {"model_path": model}}))
+        code = run_cli("optimize", "--config", str(cfg_path), "--case",
+                       str(other), "--seed", "1", "--out", str(tmp_path))
         assert code == cli.EXIT_VALIDATION
 
     def test_missing_model_file(self, tmp_path):
         code = run_cli("rank", "--model", str(tmp_path / "nope.json"),
                        "--case", "bundled:case14_acdc")
         assert code == cli.EXIT_IO
+
+    def test_malformed_model_file(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text("{}")
+        code = run_cli("rank", "--model", str(model),
+                       "--case", "bundled:case14_acdc")
+        assert code == cli.EXIT_VALIDATION
 
 
 class TestOptimizeAndDecideCmd:
@@ -155,22 +178,25 @@ class TestOptimizeAndDecideCmd:
         }
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = run_cli("optimize", "--config", str(cfg_path))
-        assert code in (0, cli.EXIT_INFEASIBLE)
-        assert (tmp_path / "archive.json").exists()
+        assert run_cli("optimize", "--config", str(cfg_path)) == 0
         assert (tmp_path / "progress.csv").exists()
-        if code == 0:
-            assert (tmp_path / "bcs.json").exists()
-            assert (tmp_path / "summary.csv").exists()
-            doc = json.loads((tmp_path / "archive.json").read_text())
-            assert doc["members"]
-            # decision rerun over the written archive
-            out2 = tmp_path / "redecide"
-            code2 = run_cli("decide", "--archive",
-                            str(tmp_path / "archive.json"),
-                            "--seed", "11", "--out", str(out2))
-            assert code2 == 0
-            assert (out2 / "bcs.json").exists()
+        assert (tmp_path / "summary.csv").exists()
+        doc = json.loads((tmp_path / "archive.json").read_text())
+        assert len(doc["members"]) > 1
+        # the decision rerun over the written archive writes the same file
+        out2 = tmp_path / "redecide"
+        assert run_cli("decide", "--archive", str(tmp_path / "archive.json"),
+                       "--config", str(cfg_path), "--out", str(out2)) == 0
+        bcs = (tmp_path / "bcs.json").read_bytes()
+        assert (out2 / "bcs.json").read_bytes() == bcs
+        names = ControlSpace(load_bundled_case("case14_acdc")).names
+        for entry in json.loads(bcs)["best_compromise_solutions"]:
+            assert list(entry["genome"]) == sorted(names)
+        # an archive without its control names cannot be decided
+        del doc["control_names"]
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert run_cli("decide", "--archive", str(tmp_path / "old.json"),
+                       "--out", str(out2)) == cli.EXIT_VALIDATION
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -192,17 +218,67 @@ class TestOptimizeAndDecideCmd:
             assert run_cli("optimize", "--config",
                            str(cfg_path)) == cli.EXIT_VALIDATION
 
-    def test_free_form_config_maps_accepted(self, tmp_path):
+    def test_removed_config_maps_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({
-            "corrective": {"per_kind": {"tap": 0.0},
-                           "per_name": {"P_s:VSC1": 0.1}},
-            "screening": {"width_per_kind": {"droop": 0.001, "tap": 0.01}},
-        }))
-        cfg = cli.load_config(str(cfg_path), {})
-        assert cfg["corrective"]["per_name"] == {"P_s:VSC1": 0.1}
-        assert cfg["screening"]["width_per_kind"] == {"droop": 0.001,
-                                                      "tap": 0.01}
+        for key, bad in (
+                ("corrective.per_kind", {"corrective": {"per_kind": {}}}),
+                ("corrective.per_name",
+                 {"corrective": {"per_name": {"P_s:VSC1": 0.1}}}),
+                ("screening.width_per_kind",
+                 {"screening": {"width_per_kind": {"droop": 0.001}}})):
+            cfg_path.write_text(json.dumps(bad))
+            with pytest.raises(cli.CliError, match=key) as exc:
+                cli.load_config(str(cfg_path), {})
+            assert exc.value.code == cli.EXIT_VALIDATION
+            assert run_cli("optimize", "--config", str(cfg_path), "--seed",
+                           "1", "--out", str(tmp_path)) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("doc,env,key", [
+        ({"optimizer": 5}, None, "optimizer"),
+        ({"optimizer": {"population": "ten"}}, None, "optimizer.population"),
+        ({"seed": "x"}, None, "seed"),
+        ({"screening": {"model_path": 3}}, None, "screening.model_path"),
+        ({"corrective": {"include_discrete": 1}}, None,
+         "corrective.include_discrete"),
+        ({}, "abc", "ACDCOPF_WORKERS"),
+        ({"optimizer": {"population": 0}}, None, "optimizer.population"),
+        ({"decision": {"clusters": 0}}, None, "decision.clusters"),
+        ({"decision": {"weights": [1.0]}}, None, "decision.weights"),
+        ({"decision": {"weights": [0.5, -0.5]}}, None, "decision.weights"),
+        ({"decision": {"weights": [0.5, "a"]}}, None, "decision.weights"),
+        ({"corrective": {"fraction": -0.1}}, None, "corrective.fraction"),
+    ])
+    def test_bad_setting_rejected_before_solving(self, doc, env, key, tmp_path,
+                                                 monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli, "OpfProblem", no_solve)
+        monkeypatch.setattr(cli, "train_screening_model", no_solve)
+        if env is not None:
+            monkeypatch.setenv("ACDCOPF_WORKERS", env)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(
+            {"case": "bundled:case14_acdc", "seed": 1, **doc}))
+        assert run_cli("optimize", "--config", str(cfg_path), "--out",
+                       str(tmp_path)) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train-screen"], ["optimize"], ["decide", "--archive", "a.json"]])
+    def test_flags_beat_environment(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("ACDCOPF_WORKERS", "3")
+        args = cli.build_parser().parse_args(argv + ["--out", "flag"])
+        cfg, _ = cli.configure(args, seed_required=False)
+        assert cfg["output_dir"] == "flag"
+        assert cfg["optimizer"]["workers"] == 3
+        if argv == ["optimize"]:
+            args = cli.build_parser().parse_args(argv + ["--workers", "2"])
+            cfg, _ = cli.configure(args, seed_required=False)
+            assert cfg["optimizer"]["workers"] == 2
+            assert cfg["output_dir"] == str(tmp_path / "env")
 
     def test_summary_rows_match_bcs(self, tmp_path, monkeypatch):
         # the archive keeps its members in insertion order, not f1 order
