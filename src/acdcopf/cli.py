@@ -222,6 +222,8 @@ def load_model(path, net: Network,
 
 def load_control_overrides(space: ControlSpace,
                            path: str | None) -> np.ndarray:
+    """The case defaults with the controls of the JSON object at ``path``
+    (control name -> finite number) set, snapped to the control space."""
     u = space.default_vector()
     if not path:
         return u
@@ -232,11 +234,19 @@ def load_control_overrides(space: ControlSpace,
     except json.JSONDecodeError as exc:
         raise CliError(f"controls file is not valid JSON: {exc}",
                        EXIT_VALIDATION) from exc
+    if not isinstance(overrides, dict):
+        raise CliError("controls file must hold a JSON object, not "
+                       f"{type(overrides).__name__}", EXIT_VALIDATION)
     for name, value in overrides.items():
         if name not in space.index:
             raise CliError(f"unknown control component {name!r}",
                            EXIT_VALIDATION)
-        u[space.index[name]] = float(value)
+        # a bool is not taken as a number; NaN fails the comparison
+        if (type(value) not in (int, float)
+                or not abs(value) <= sys.float_info.max):
+            raise CliError(f"control {name} must be a finite number, "
+                           f"not {value!r}", EXIT_VALIDATION)
+        u[space.index[name]] = value
     return space.snap(u)[0]
 
 
@@ -326,12 +336,11 @@ def cmd_powerflow(args) -> int:
     write_csv(out / "powerflow_branches.csv",
               ["branch", "p_from", "q_from", "p_max"], br_rows, stamp)
 
-    droop = opfcore.decode(space, result.u).droop
     conv_rows = []
-    for conv, cs in zip(net.converters, state.converters):
+    for conv, cs in zip(result.net.converters, state.converters):
         u_dc = state.dc.u[net.dc_bus_index[conv.dc_bus]]
         conv_rows.append([cs.name, _fmt(cs.p_s), _fmt(cs.q_s), _fmt(u_dc),
-                          _fmt(droop.get(conv.name, conv.droop)),
+                          _fmt(conv.droop),
                           _fmt(cs.p_dc), _fmt(cs.p_loss),
                           _fmt(cs.residual, 10)])
     write_csv(out / "powerflow_converters.csv",

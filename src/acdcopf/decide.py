@@ -16,6 +16,10 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+FCM_TOL = 1e-9                 # fuzzy C-means: stop at this loss change
+FCM_MAX_ITER = 300             # or after this many updates
+GREY_RESOLUTION = 0.5          # grey relational distinguishing coefficient
+
 
 @dataclass
 class FcmResult:
@@ -42,13 +46,12 @@ def _kmeanspp_init(points: np.ndarray, n_clusters: int,
 
 
 def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
-                seed: int = 0, *, tol: float = 1e-9,
-                max_iter: int = 300) -> FcmResult:
+                seed: int = 0) -> FcmResult:
     """Fuzzy C-means with alternating membership/center updates.
 
     Memberships of each point sum to one; a point coinciding with a
     center receives hard membership there.  Stops when the loss change
-    falls below ``tol``.
+    falls to ``FCM_TOL``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
@@ -65,7 +68,7 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
     history: list[float] = []
     mu = np.full((n, n_clusters), 1.0 / n_clusters)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FCM_MAX_ITER + 1):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         zero = d2 < 1e-24
         mu = np.empty((n, n_clusters))
@@ -80,7 +83,7 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
         centers = (w.T @ points) / w.sum(axis=0)[:, None]
         loss = float(np.sum(w * d2))
         history.append(loss)
-        if abs(loss_prev - loss) <= tol:
+        if abs(loss_prev - loss) <= FCM_TOL:
             break
         loss_prev = loss
     return FcmResult(memberships=mu, centers=centers, fuzziness=fuzziness,
@@ -100,11 +103,9 @@ class GrpRanking:
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
     weights: np.ndarray
-    resolution: float
 
 
-def grp_rank(points: np.ndarray, weights=(0.5, 0.5), *,
-             resolution: float = 0.5) -> GrpRanking:
+def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> GrpRanking:
     """Priority membership of each solution within one cluster.
 
     Objectives (minimized) are min-max normalized within the cluster; a
@@ -135,7 +136,8 @@ def grp_rank(points: np.ndarray, weights=(0.5, 0.5), *,
         if d_max <= 0:
             return np.ones_like(delta)
         d_min = delta.min()
-        return (d_min + resolution * d_max) / (delta + resolution * d_max)
+        return ((d_min + GREY_RESOLUTION * d_max)
+                / (delta + GREY_RESOLUTION * d_max))
 
     gamma_plus = coefficients(z_best)
     gamma_minus = coefficients(z_worst)
@@ -150,7 +152,7 @@ def grp_rank(points: np.ndarray, weights=(0.5, 0.5), *,
     d = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
     return GrpRanking(d=d, v_plus=v_plus, v_minus=v_minus, v_zero=v_zero,
                       gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                      weights=weights, resolution=resolution)
+                      weights=weights)
 
 
 # ---------------------------------------------------------------------------

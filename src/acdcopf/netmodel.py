@@ -546,6 +546,21 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
 # Control space
 
 
+# control kind -> (name prefix, element list of the network, attribute
+# that names the element), in control-vector order; each kind is also the
+# element field that the control sets
+CONTROL_KINDS = {
+    "p_g": ("P_G:bus", "generators", "bus"),
+    "u_g": ("U_G:bus", "generators", "bus"),
+    "tap": ("T:", "branches", "outage_id"),
+    "q_c": ("Q_C:bus", "shunts", "bus"),
+    "p_s": ("P_s:", "converters", "name"),
+    "q_s": ("Q_s:", "converters", "name"),
+    "u_dc0": ("U_dc0:", "converters", "name"),
+    "droop": ("R:", "converters", "name"),
+}
+
+
 @dataclass(frozen=True)
 class ControlComponent:
     name: str                  # e.g. "P_G:bus2", "T:L5", "P_s:VSC1"
@@ -555,6 +570,24 @@ class ControlComponent:
     hi: float
     step: float                # 0 for continuous components
     base: float                # case-file default value
+
+
+def _control_range(net: Network, kind: str, el) -> tuple | None:
+    """``(lo, hi, step)`` of the ``kind`` control of element ``el``, or
+    None when ``el`` has no such control."""
+    if kind == "p_g":
+        lo, hi, step = el.p_min, el.p_max, 0.0
+    elif kind == "tap":
+        lo, hi, step = el.tap_min, el.tap_max, el.tap_step
+    elif kind == "q_c":
+        lo, hi, step = el.q_min, el.q_max, el.q_step
+    else:
+        (lo, hi), step = getattr(net.bounds, kind), 0.0
+    fixed = (kind == "p_g" and el.bus == net.buses[net.slack_index].id
+             or kind in ("tap", "q_c") and not lo < hi
+             or kind == "u_dc0" and el.mode == "const_p"
+             or kind == "droop" and el.mode != "droop")
+    return None if fixed else (lo, hi, step)
 
 
 class ControlSpace:
@@ -567,44 +600,13 @@ class ControlSpace:
 
     def __init__(self, net: Network):
         comps: list[ControlComponent] = []
-        slack_bus = net.buses[net.slack_index].id
-        for g in net.generators:
-            if g.bus != slack_bus:
-                comps.append(ControlComponent(
-                    f"P_G:bus{g.bus}", "p_g", str(g.bus),
-                    g.p_min, g.p_max, 0.0, g.p_g))
-        lo, hi = net.bounds.u_g
-        for g in net.generators:
-            comps.append(ControlComponent(
-                f"U_G:bus{g.bus}", "u_g", str(g.bus), lo, hi, 0.0, g.u_g))
-        for br in net.branches:
-            if br.tap_min < br.tap_max:
-                comps.append(ControlComponent(
-                    f"T:{br.outage_id}", "tap", br.outage_id,
-                    br.tap_min, br.tap_max, br.tap_step, br.tap))
-        for sh in net.shunts:
-            if sh.q_min < sh.q_max:
-                comps.append(ControlComponent(
-                    f"Q_C:bus{sh.bus}", "q_c", str(sh.bus),
-                    sh.q_min, sh.q_max, sh.q_step, sh.q_c))
-        lo, hi = net.bounds.p_s
-        for c in net.converters:
-            comps.append(ControlComponent(
-                f"P_s:{c.name}", "p_s", c.name, lo, hi, 0.0, c.p_s))
-        lo, hi = net.bounds.q_s
-        for c in net.converters:
-            comps.append(ControlComponent(
-                f"Q_s:{c.name}", "q_s", c.name, lo, hi, 0.0, c.q_s))
-        lo, hi = net.bounds.u_dc0
-        for c in net.converters:
-            if c.mode in ("droop", "const_vdc"):
-                comps.append(ControlComponent(
-                    f"U_dc0:{c.name}", "u_dc0", c.name, lo, hi, 0.0, c.u_dc0))
-        lo, hi = net.bounds.droop
-        for c in net.converters:
-            if c.mode == "droop":
-                comps.append(ControlComponent(
-                    f"R:{c.name}", "droop", c.name, lo, hi, 0.0, c.droop))
+        for kind, (prefix, elements, name) in CONTROL_KINDS.items():
+            for el in getattr(net, elements):
+                limits = _control_range(net, kind, el)
+                if limits is not None:
+                    key = str(getattr(el, name))
+                    comps.append(ControlComponent(prefix + key, kind, key,
+                                                  *limits, getattr(el, kind)))
 
         self.components = comps
         self.names = [c.name for c in comps]

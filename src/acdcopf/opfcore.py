@@ -1,9 +1,10 @@
 """Problem definition: objectives, constraints and corrective feasibility.
 
-A decoded control vector is applied to the network (transformer taps
-rebuild the admittance matrix), the coupled power flow is run, and both
-objectives plus a full constraint report are produced.  Post-contingency
-corrective feasibility searches for an adjusted control vector inside the
+A control vector is written into a network variant once
+(``apply_controls``; transformer taps rebuild the admittance matrix), the
+coupled power flow is run on that variant, and both objectives plus a
+full constraint report are produced.  Post-contingency corrective
+feasibility searches for an adjusted control vector inside the
 per-component corrective box.
 
 ``evaluate`` and ``corrective_feasibility`` are pure and reentrant; they
@@ -15,12 +16,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import (Contingency, ControlSpace, Network, apply_contingency,
-                       build_ybus)
+from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
+                       apply_contingency, build_ybus)
 from .powerflow import SystemState, solve_acdc
 
 PENALTY_UNCONVERGED = 1e3
@@ -33,48 +34,45 @@ _KIND_PRIORITY = {"p_s": 0, "q_s": 1, "u_dc0": 2, "p_g": 3, "u_g": 4,
                   "tap": 5, "q_c": 6, "droop": 7}
 
 
-@dataclass
-class DecodedControls:
-    """Control vector split into per-element dictionaries."""
-
-    p_g: dict[int, float] = field(default_factory=dict)
-    u_g: dict[int, float] = field(default_factory=dict)
-    tap: dict[str, float] = field(default_factory=dict)
-    q_c: dict[int, float] = field(default_factory=dict)
-    p_s: dict[str, float] = field(default_factory=dict)
-    q_s: dict[str, float] = field(default_factory=dict)
-    u_dc0: dict[str, float] = field(default_factory=dict)
-    droop: dict[str, float] = field(default_factory=dict)
-
-
-def decode(space: ControlSpace, u: np.ndarray) -> DecodedControls:
-    """Split ``u`` into the dictionary named after each component's kind,
-    keyed by bus id (generators, shunts) or by branch/converter name."""
-    dec = DecodedControls()
-    for comp, value in zip(space.components, u):
-        key = int(comp.key) if comp.kind in ("p_g", "u_g", "q_c") else comp.key
-        getattr(dec, comp.kind)[key] = float(value)
-    return dec
-
-
-def apply_taps(net: Network, dec: DecodedControls) -> Network:
-    """Network variant with control taps applied (admittance rebuilt)."""
-    if not dec.tap:
-        return net
-    changed = False
-    branches = []
-    for br in net.branches:
-        t = dec.tap.get(br.outage_id)
-        if t is not None and t != br.tap:
-            branches.append(dataclasses.replace(br, tap=t))
-            changed = True
-        else:
-            branches.append(br)
-    if not changed:
+def apply_taps(net: Network, taps: dict[str, float]) -> Network:
+    """Network variant with the taps (by branch outage id) applied; the
+    admittance matrix is rebuilt only when a tap changes."""
+    branches = [br if taps.get(br.outage_id, br.tap) == br.tap
+                else dataclasses.replace(br, tap=taps[br.outage_id])
+                for br in net.branches]
+    if all(new is old for new, old in zip(branches, net.branches)):
         return net
     variant = copy.copy(net)
     variant.branches = branches
     variant.ybus = build_ybus(variant.buses, branches, variant.bus_index)
+    return variant
+
+
+def apply_controls(net: Network, space: ControlSpace,
+                   u: np.ndarray) -> Network:
+    """Network variant whose elements carry the control vector ``u``.
+
+    ``net`` is never mutated; only the elements that a control sets are
+    copied.  A control of an absent element (the outaged branch of a
+    contingency variant) is ignored.
+    """
+    taps: dict[str, float] = {}
+    settings: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
+    for comp, value in zip(space.components, u):
+        if comp.kind == "tap":      # through apply_taps, which rebuilds ybus
+            taps[comp.key] = float(value)
+        else:
+            _, elements, name = CONTROL_KINDS[comp.kind]
+            settings.setdefault((elements, name), {}).setdefault(
+                comp.key, {})[comp.kind] = float(value)
+    variant = copy.copy(apply_taps(net, taps))
+    for (elements, name), by_key in settings.items():
+        updated = []
+        for el in getattr(net, elements):
+            values = by_key.get(str(getattr(el, name)))
+            updated.append(el if values is None
+                           else dataclasses.replace(el, **values))
+        setattr(variant, elements, updated)
     return variant
 
 
@@ -129,11 +127,11 @@ class ConstraintReport:
                 total += float(np.sum(np.clip(values, 0.0, None)))
         return total
 
-    def violations(self, tol: float = 0.0) -> list[tuple[str, str, float]]:
+    def violations(self) -> list[tuple[str, str, float]]:
         out = []
         for group, (names, values) in self.groups.items():
             for name, v in zip(names, values):
-                if v > tol:
+                if v > 0.0:
                     out.append((group, name, float(v)))
         return out
 
@@ -219,6 +217,7 @@ class EvalResult:
     report: ConstraintReport
     state: SystemState
     u: np.ndarray
+    net: Network               # the variant carrying ``u`` that was solved
 
     @property
     def feasible(self) -> bool:
@@ -228,24 +227,24 @@ class EvalResult:
 def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
              warm: SystemState | None = None,
              trace: list | None = None) -> EvalResult:
-    """Run the coupled power flow and score one control vector.
+    """Run the coupled power flow on ``apply_controls(net, space, u)`` and
+    score one control vector; the result keeps that variant as ``net``.
 
     An unconverged flow yields invalid (infinite) objectives and a report
     whose total violation is the divergence penalty.
     """
     u, _ = space.snap(np.asarray(u, dtype=float))
-    dec = decode(space, u)
-    net_v = apply_taps(net, dec)
-    state = solve_acdc(net_v, dec, warm=warm, trace=trace)
+    net_v = apply_controls(net, space, u)
+    state = solve_acdc(net_v, warm=warm, trace=trace)
     if not state.converged:
         report = ConstraintReport(groups={}, converged=False,
                                   penalty=PENALTY_UNCONVERGED)
         return EvalResult(objectives=(math.inf, math.inf), report=report,
-                          state=state, u=u)
+                          state=state, u=u, net=net_v)
     report = constraint_report(net_v, state)
     return EvalResult(objectives=(generation_cost(state, net_v),
                                   voltage_deviation(state, net_v)),
-                      report=report, state=state, u=u)
+                      report=report, state=state, u=u, net=net_v)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ through the station loss model and the voltage-power droop characteristic
 ``U_dc - U_dc0 = R * (P_dc0 - P_dc)`` until the coupling residual at every
 converter is below tolerance.
 
+The solvers read every setpoint from the network elements; a control
+vector arrives as the variant :func:`acdcopf.opfcore.apply_controls` builds.
+
 Sign conventions
 ----------------
 ``P_s``/``Q_s`` is the power flowing from the PCC bus into the converter
@@ -19,6 +22,7 @@ any number of concurrent solves may share a read-only network.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -117,24 +121,23 @@ def _net_dc_power(conv, r_br: float, p_s: float, k: float) -> float:
 
 
 def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
-                        conv) -> dict:
+                        conv) -> ConverterState:
     """Arriving power, loss and DC-side injection of one station.
 
     Closed form: the series current follows from the PCC power, and the
     terminal voltage from the voltage drop over the coupling impedance.
+    :func:`solve_acdc` replaces ``p_dc = p_c - p_loss`` by the DC side's.
     """
     i_ser = np.conj(complex(p_s, q_s) / v_pcc)
     v_c = v_pcc - i_ser / complex(conv.g, conv.b)
     s_into = v_c * np.conj(i_ser)          # power arriving at the terminal
-    p_c, q_c = s_into.real, s_into.imag
-    u_c = abs(v_c)
     i_c = abs(i_ser)
     p_loss = _station_loss(conv, i_c, i_c * i_c)
-    return {
-        "u_c": u_c, "delta_c": math.atan2(v_c.imag, v_c.real),
-        "i_c": i_c, "p_c": p_c, "q_c": q_c, "p_loss": p_loss,
-        "p_dc": p_c - p_loss,
-    }
+    return ConverterState(
+        name=conv.name, p_s=p_s, q_s=q_s, p_c=s_into.real, q_c=s_into.imag,
+        p_loss=p_loss, i_c=i_c, u_c=abs(v_c),
+        delta_c=math.atan2(v_c.imag, v_c.real),
+        p_dc=s_into.real - p_loss, residual=0.0)
 
 
 def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
@@ -169,14 +172,15 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
 
 def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
              vm_setpoint: np.ndarray, *,
-             vm0: np.ndarray | None = None, va0: np.ndarray | None = None,
-             tol: float = TOL_AC, max_iter: int = MAX_NR) -> AcState:
+             vm0: np.ndarray | None = None,
+             va0: np.ndarray | None = None) -> AcState:
     """Newton-Raphson AC power flow in polar form.
 
     ``p_inj``/``q_inj`` are the specified net injections per bus (load,
     shunt and converter terms already folded in); the slack entry of
     ``p_inj`` and the PV/slack entries of ``q_inj`` are ignored.
-    ``vm_setpoint`` fixes the magnitude at PV and slack buses.
+    ``vm_setpoint`` fixes the magnitude at PV and slack buses.  Stops at
+    a mismatch of ``TOL_AC`` or after ``MAX_NR`` iterations.
     """
     n = net.n_bus
     ybus = net.ybus
@@ -198,7 +202,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     iterations = 0
     max_mismatch = math.inf
 
-    for it in range(max_iter + 1):
+    for it in range(MAX_NR + 1):
         v = vm * np.exp(1j * va)
         s_calc = v * np.conj(ybus @ v)
         dp = p_inj[pvpq] - s_calc.real[pvpq]
@@ -206,10 +210,10 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
         mis = np.concatenate([dp, dq])
         max_mismatch = float(np.max(np.abs(mis))) if mis.size else 0.0
         iterations = it
-        if max_mismatch <= tol:
+        if max_mismatch <= TOL_AC:
             converged = True
             break
-        if it == max_iter:
+        if it == MAX_NR:
             break
 
         diag_v = np.diag(v)
@@ -273,14 +277,13 @@ class DcControl:
 
 
 def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
-             u_start: np.ndarray | None = None,
-             tol: float = TOL_DC, max_iter: int = MAX_DC) -> DcState:
+             u_start: np.ndarray | None = None) -> DcState:
     """Newton solve of the DC network with droop characteristics.
 
-    Node current balance and the droop law are driven to ``tol``.  At
-    least one droop or const_vdc converter must be present, otherwise the
-    voltage profile is undetermined and :class:`PowerFlowConfigError` is
-    raised.
+    Node current balance and the droop law are driven to ``TOL_DC`` in
+    at most ``MAX_DC`` iterations.  At least one droop or const_vdc
+    converter must be present, otherwise the voltage profile is
+    undetermined and :class:`PowerFlowConfigError` is raised.
     """
     n = len(dc_buses)
     index = {b.id: i for i, b in enumerate(dc_buses)}
@@ -305,7 +308,7 @@ def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
 
     converged = False
     iterations = 0
-    for it in range(max_iter + 1):
+    for it in range(MAX_DC + 1):
         i_inj = ydc @ u
         p_inj = u * i_inj
         f_res = np.empty(len(free))
@@ -318,10 +321,10 @@ def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
             else:                                          # droop
                 f_res[r] = u[i] - c.u0 - c.droop * (c.p0 - p_inj[i])
         iterations = it
-        if free.size == 0 or np.max(np.abs(f_res)) <= tol:
+        if free.size == 0 or np.max(np.abs(f_res)) <= TOL_DC:
             converged = True
             break
-        if it == max_iter:
+        if it == MAX_DC:
             break
 
         # dP_i/dU_j = delta_ij * I_i + U_i * Y_ij
@@ -358,9 +361,8 @@ def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
 # Coupled AC/DC solve
 
 
-def assemble_ac_inputs(net: Network, p_g_ctrl: dict[int, float],
-                       u_g_ctrl: dict[int, float], q_c_ctrl: dict[int, float],
-                       p_s_act: np.ndarray, q_s_act: np.ndarray):
+def assemble_ac_inputs(net: Network, p_s_act: np.ndarray,
+                       q_s_act: np.ndarray):
     """Per-bus specified injections and magnitude setpoints."""
     n = net.n_bus
     p_inj = np.zeros(n)
@@ -373,10 +375,10 @@ def assemble_ac_inputs(net: Network, p_g_ctrl: dict[int, float],
         vm_set[i] = bus.u
     for gen in net.generators:
         i = net.bus_index[gen.bus]
-        p_inj[i] += p_g_ctrl.get(gen.bus, gen.p_g)
-        vm_set[i] = u_g_ctrl.get(gen.bus, gen.u_g)
+        p_inj[i] += gen.p_g
+        vm_set[i] = gen.u_g
     for sh in net.shunts:
-        q_inj[net.bus_index[sh.bus]] += q_c_ctrl.get(sh.bus, sh.q_c)
+        q_inj[net.bus_index[sh.bus]] += sh.q_c
     for j, conv in enumerate(net.converters):
         i = net.bus_index[conv.pcc_bus]
         p_inj[i] -= p_s_act[j]
@@ -394,50 +396,37 @@ def derive_droop_schedule(conv, p_s: float, q_s: float) -> float:
                          p_s * p_s + q_s * q_s)
 
 
-def solve_acdc(net: Network, controls, *, warm: SystemState | None = None,
+def solve_acdc(net: Network, *, warm: SystemState | None = None,
                trace: list | None = None) -> SystemState:
-    """Alternating AC/DC solve for a decoded control setting.
+    """Alternating AC/DC solve at the setpoints the network carries.
 
-    ``controls`` is an :class:`acdcopf.opfcore.DecodedControls`-like
-    object carrying per-element dictionaries (see that module).  Failure
-    of an inner stage is reported through ``converged=False`` plus
-    ``failure_stage`` in {"ac", "dc", "coupling"}.
+    Failure of an inner stage is reported through ``converged=False``
+    plus ``failure_stage`` in {"ac", "dc", "coupling"}.
     """
-    n_conv = len(net.converters)
-    p_s = np.array([controls.p_s.get(c.name, c.p_s) for c in net.converters])
-    q_s = np.array([controls.q_s.get(c.name, c.q_s) for c in net.converters])
-    u_dc0 = np.array([controls.u_dc0.get(c.name, c.u_dc0)
-                      for c in net.converters])
-    droop = np.array([controls.droop.get(c.name, c.droop)
-                      for c in net.converters])
+    q_s = np.array([c.q_s for c in net.converters])
+    p_dc0 = [derive_droop_schedule(c, c.p_s, c.q_s) for c in net.converters]
 
-    p_dc0 = np.array([derive_droop_schedule(c, p_s[j], q_s[j])
-                      for j, c in enumerate(net.converters)])
-
-    vm0 = warm.ac.vm if warm is not None else None
-    va0 = warm.ac.va if warm is not None else None
+    vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
     dc_u0 = warm.dc.u if (warm is not None and warm.dc is not None) else None
 
     ac = None
     dc = None
-    p_s_act = p_s.copy()
-    station: list[dict] = []
+    p_s_act = np.array([c.p_s for c in net.converters])
+    station: list[ConverterState] = []
     outer = 0
     failure = ""
     converged = False
 
     while outer < MAX_OUTER:
         outer += 1
-        p_inj, q_inj, vm_set = assemble_ac_inputs(
-            net, controls.p_g, controls.u_g, controls.q_c, p_s_act, q_s)
-        ac = solve_ac(net, p_inj, q_inj, vm_set, vm0=vm0, va0=va0,
-                      tol=TOL_AC)
+        p_inj, q_inj, vm_set = assemble_ac_inputs(net, p_s_act, q_s)
+        ac = solve_ac(net, p_inj, q_inj, vm_set, vm0=vm0, va0=va0)
         if not ac.converged:
             failure = "ac"
             break
         vm0, va0 = ac.vm, ac.va
 
-        if n_conv == 0:
+        if not net.converters:
             converged = True
             break
 
@@ -447,27 +436,20 @@ def solve_acdc(net: Network, controls, *, warm: SystemState | None = None,
         station = [_station_quantities(v_pcc[j], p_s_act[j], q_s[j], c)
                    for j, c in enumerate(net.converters)]
 
-        dc_controls = []
-        for j, c in enumerate(net.converters):
-            if c.mode == "const_p":
-                dc_controls.append(DcControl(c.dc_bus, "const_p",
-                                             p0=station[j]["p_dc"]))
-            elif c.mode == "const_vdc":
-                dc_controls.append(DcControl(c.dc_bus, "const_vdc",
-                                             u0=u_dc0[j]))
-            else:
-                dc_controls.append(DcControl(c.dc_bus, "droop",
-                                             droop=droop[j], u0=u_dc0[j],
-                                             p0=p_dc0[j]))
+        # a const_p station injects what its AC side delivers
+        dc_controls = [DcControl(c.dc_bus, c.mode, droop=c.droop, u0=c.u_dc0,
+                                 p0=station[j].p_dc if c.mode == "const_p"
+                                 else p_dc0[j])
+                       for j, c in enumerate(net.converters)]
         dc = solve_dc(net.dc_buses, net.dc_branches, dc_controls,
-                      u_start=dc_u0, tol=TOL_DC)
+                      u_start=dc_u0)
         if not dc.converged:
             failure = "dc"
             break
         dc_u0 = dc.u
 
         # coupling residual: AC-side delivery vs DC-side absorption
-        residual = max(abs(station[j]["p_dc"]
+        residual = max(abs(station[j].p_dc
                            - dc.p_inj[net.dc_bus_index[c.dc_bus]])
                        for j, c in enumerate(net.converters))
         if trace is not None:
@@ -487,29 +469,24 @@ def solve_acdc(net: Network, controls, *, warm: SystemState | None = None,
         failure = "coupling"
 
     conv_states: list[ConverterState] = []
-    if ac is not None and ac.converged and n_conv and station:
-        for j, c in enumerate(net.converters):
-            st = station[j]
+    if ac.converged and station:
+        for j, (c, st) in enumerate(zip(net.converters, station)):
+            p_dc = st.p_dc
             if dc is not None and dc.converged and c.mode != "const_p":
                 p_dc = dc.p_inj[net.dc_bus_index[c.dc_bus]]
-            else:
-                p_dc = st["p_dc"]
-            conv_states.append(ConverterState(
-                name=c.name, p_s=p_s_act[j], q_s=q_s[j],
-                p_c=st["p_c"], q_c=st["q_c"], p_loss=st["p_loss"],
-                i_c=st["i_c"], u_c=st["u_c"], delta_c=st["delta_c"],
-                p_dc=p_dc, residual=abs(st["p_c"] - p_dc - st["p_loss"])))
+            conv_states.append(dataclasses.replace(
+                st, p_s=p_s_act[j], p_dc=p_dc,
+                residual=abs(st.p_c - p_dc - st.p_loss)))
 
     state = SystemState(ac=ac, dc=dc, converters=conv_states,
                         outer_iterations=outer, converged=converged,
                         failure_stage=failure)
     if converged:
-        _fill_generator_outputs(net, state, controls)
+        _fill_generator_outputs(net, state)
     return state
 
 
-def _fill_generator_outputs(net: Network, state: SystemState,
-                            controls) -> None:
+def _fill_generator_outputs(net: Network, state: SystemState) -> None:
     """Recover generator P/Q from solved bus injections."""
     ac = state.ac
     n_gen = len(net.generators)
@@ -521,14 +498,14 @@ def _fill_generator_outputs(net: Network, state: SystemState,
     for cs, conv in zip(state.converters, net.converters):
         p_s_by_bus[conv.pcc_bus] = p_s_by_bus.get(conv.pcc_bus, 0.0) + cs.p_s
         q_s_by_bus[conv.pcc_bus] = q_s_by_bus.get(conv.pcc_bus, 0.0) + cs.q_s
-    q_c_by_bus = {sh.bus: controls.q_c.get(sh.bus, sh.q_c) for sh in net.shunts}
+    q_c_by_bus = {sh.bus: sh.q_c for sh in net.shunts}
     for gi, gen in enumerate(net.generators):
         i = net.bus_index[gen.bus]
         bus = net.buses[i]
         if gen.bus == slack_bus:
             gen_p[gi] = (ac.p_inj[i] + bus.p_d + p_s_by_bus.get(gen.bus, 0.0))
         else:
-            gen_p[gi] = controls.p_g.get(gen.bus, gen.p_g)
+            gen_p[gi] = gen.p_g
         gen_q[gi] = (ac.q_inj[i] + bus.q_d + q_s_by_bus.get(gen.bus, 0.0)
                      - q_c_by_bus.get(gen.bus, 0.0))
     state.gen_p = gen_p

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opfcore, screen
-from .netmodel import (ControlSpace, Network, apply_contingency,
-                       network_from_dict, network_to_dict)
+from .netmodel import ControlSpace, Network, apply_contingency
 from .opfcore import CorrectiveLimits
 
 # an uncorrectable contingency adds 1 plus its capped residual, so a sound
@@ -38,7 +37,7 @@ class CorrectiveConfig:
 
 
 class _EvalContext:
-    """Everything one evaluation needs, built once per process."""
+    """Everything one evaluation needs, built once and shared by the pool."""
 
     def __init__(self, net: Network, model: screen.ScreeningModel | None,
                  corrective: CorrectiveConfig):
@@ -86,13 +85,9 @@ class _EvalContext:
 _WORKER_CTX: _EvalContext | None = None
 
 
-def _worker_init(case_dict: dict, model_dict: dict | None,
-                 corrective: CorrectiveConfig) -> None:
+def _worker_init(ctx: _EvalContext) -> None:
     global _WORKER_CTX
-    net = network_from_dict(case_dict)
-    model = (screen.ScreeningModel.from_dict(model_dict)
-             if model_dict is not None else None)
-    _WORKER_CTX = _EvalContext(net, model, corrective)
+    _WORKER_CTX = ctx
 
 
 def _worker_eval(genome: list) -> dict:
@@ -113,17 +108,13 @@ class OpfProblem:
                  workers: int = 1):
         self.corrective = corrective or CorrectiveConfig()
         self._ctx = _EvalContext(net, model, self.corrective)
-        self.net = net
         self.space = self._ctx.space
         self.workers = max(1, int(workers))
         self._pool = None
         if self.workers > 1:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers - 1,
-                initializer=_worker_init,
-                initargs=(network_to_dict(net),
-                          model.to_dict() if model is not None else None,
-                          self.corrective))
+                initializer=_worker_init, initargs=(self._ctx,))
 
     def _mid_dispatch_seed(self) -> np.ndarray:
         """Generic relieved schedule: every dispatchable generator at the

@@ -47,9 +47,8 @@ class SecurityIndexParams:
     p_alarm: np.ndarray = None
 
     @classmethod
-    def from_network(cls, net: Network, n: int = 2) -> "SecurityIndexParams":
+    def from_network(cls, net: Network) -> "SecurityIndexParams":
         return cls(
-            n=n,
             h_min=np.array([b.h_min for b in net.buses]),
             h_max=np.array([b.h_max for b in net.buses]),
             a_min=np.array([b.a_min for b in net.buses]),
@@ -172,13 +171,12 @@ def encode_row(net: Network, space: ControlSpace, u: np.ndarray,
 
 
 def build_training_set(net: Network, sampler: SamplerConfig,
-                       n_samples: int, *, map_fn=map) -> TrainingSet:
+                       n_samples: int) -> TrainingSet:
     """Simulate every AC-line outage at LHS-sampled control points.
 
     Each row pairs an outage one-hot with the control vector; the
     response is the exact post-contingency composite index (divergent
-    flows get the severity sentinel and are flagged).  ``map_fn`` lets a
-    caller fan the (sample, outage) evaluations out over workers.
+    flows get the severity sentinel and are flagged).
     """
     space = ControlSpace(net)
     controls = sample_controls(space, sampler, n_samples)
@@ -187,11 +185,8 @@ def build_training_set(net: Network, sampler: SamplerConfig,
 
     tasks = [(si, k.branch_id) for si in range(n_samples) for k in ac_outages]
 
-    def run(task):
-        si, kid = task
-        return exact_index(nets_k[kid], space, controls[si])
-
-    results = list(map_fn(run, tasks))
+    results = [exact_index(nets_k[kid], space, controls[si])
+               for si, kid in tasks]
     rows = np.vstack([encode_row(net, space, controls[si], kid)
                       for si, kid in tasks])
     y = np.array([r[0] for r in results])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from acdcopf import cli, run
+from acdcopf import cli, opfcore, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -79,3 +79,23 @@ def test_bench_corrective_config_builds():
     corrective = bench_settings()["CORRECTIVE"]
     config = run.CorrectiveConfig(**corrective)
     assert {key: getattr(config, key) for key in corrective} == corrective
+
+
+def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
+    """The traced ``opfcore.apply_taps`` layer is reached through the
+    module attribute, once per evaluation."""
+    calls = []
+    apply_taps = opfcore.apply_taps
+
+    def counting(net, taps):
+        calls.append(taps)
+        return apply_taps(net, taps)
+
+    monkeypatch.setattr(opfcore, "apply_taps", counting)
+    u = acdc_space.default_vector()
+    i = acdc_space.index["T:L5"]
+    u[i] += acdc_space.step[i]
+    result = opfcore.evaluate(acdc_net, acdc_space, u)
+    assert len(calls) == 1
+    assert calls[0]["L5"] == u[i]
+    assert result.net.ybus is not acdc_net.ybus

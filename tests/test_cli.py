@@ -83,6 +83,28 @@ class TestPowerflowCmd:
                        "--controls", str(controls))
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("text,named", [
+        ('{"P_s:VSC1": "abc"}', "P_s:VSC1"),
+        ('{"P_s:VSC1": null}', "P_s:VSC1"),
+        ('{"P_s:VSC1": NaN}', "P_s:VSC1"),
+        ('{"P_s:VSC1": Infinity}', "P_s:VSC1"),
+        ('{"P_s:VSC1": true}', "P_s:VSC1"),
+        ('{"P_s:VSC1": [0.5]}', "P_s:VSC1"),
+        ("null", "object"),
+        ("[1, 2]", "object"),
+    ])
+    def test_malformed_controls_rejected(self, text, named, tmp_path,
+                                         monkeypatch, capsys):
+        out = tmp_path / "out"
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(out))
+        controls = tmp_path / "controls.json"
+        controls.write_text(text)
+        code = run_cli("powerflow", "--case", "bundled:case14_acdc",
+                       "--controls", str(controls))
+        assert code == cli.EXIT_VALIDATION
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainScreenCmd:
     def test_zero_samples_rejected(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
 from acdcopf.powerflow import solve_acdc
 
 from conftest import two_bus_case
+
+
+def element_of(net, comp):
+    """The element of ``net`` that control component ``comp`` sets."""
+    if comp.kind in ("p_g", "u_g"):
+        return next(g for g in net.generators if str(g.bus) == comp.key)
+    if comp.kind == "q_c":
+        return next(sh for sh in net.shunts if str(sh.bus) == comp.key)
+    if comp.kind == "tap":
+        return next(br for br in net.branches if br.outage_id == comp.key)
+    return next(c for c in net.converters if c.name == comp.key)
 
 
 def diverging_controls(space):
@@ -120,6 +132,30 @@ class TestEvaluate:
         b = opfcore.evaluate(acdc_net, acdc_space, u)
         assert a.objectives == b.objectives
         assert a.report.total_violation == b.report.total_violation
+
+    def test_input_network_untouched(self, acdc_net, acdc_space):
+        # every component halfway to its farther bound, taps included
+        space = acdc_space
+        far = np.where(space.hi - space.base > space.base - space.lo,
+                       space.hi, space.lo)
+        u, _ = space.snap(space.base + 0.5 * (far - space.base))
+        assert np.all(u != space.base)
+        before = pickle.dumps(acdc_net)
+        res = opfcore.evaluate(acdc_net, space, u)
+        assert pickle.dumps(acdc_net) == before
+        for comp, value in zip(space.components, u):
+            assert getattr(element_of(res.net, comp), comp.kind) == value
+        assert not np.array_equal(res.net.ybus, acdc_net.ybus)
+
+        # the variant's own taps again, every other control moved back:
+        # the admittance matrix is shared, not rebuilt
+        taps = [i for i, kind in enumerate(space.kinds) if kind == "tap"]
+        v = space.default_vector()
+        v[taps] = u[taps]
+        variant = pickle.dumps(res.net)
+        again = opfcore.evaluate(res.net, space, v)
+        assert pickle.dumps(res.net) == variant
+        assert again.net.ybus is res.net.ybus
 
 
 def constrained_two_bus(p_limit):

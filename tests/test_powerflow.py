@@ -12,7 +12,6 @@ import pytest
 
 from acdcopf import opfcore, powerflow
 from acdcopf.netmodel import ConverterStation, network_from_dict
-from acdcopf.opfcore import DecodedControls
 from acdcopf.powerflow import (DcControl, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
@@ -20,12 +19,10 @@ from conftest import two_bus_case
 from oracles import oracle_solve_ac, two_bus_closed_form
 
 
-def ac_inputs(net, dec=None):
-    dec = dec or DecodedControls()
+def ac_inputs(net):
     p_s = np.zeros(len(net.converters))
     q_s = np.zeros(len(net.converters))
-    return powerflow.assemble_ac_inputs(net, dec.p_g, dec.u_g, dec.q_c,
-                                        p_s, q_s)
+    return powerflow.assemble_ac_inputs(net, p_s, q_s)
 
 
 class TestSolveAc:
@@ -118,10 +115,10 @@ class TestConverterPrimitives:
     def test_equal_phasors_no_transfer(self):
         v_pcc = 1.03 * cmath.exp(0.2j)
         st = powerflow._station_quantities(v_pcc, 0.0, 0.0, station())
-        assert st["u_c"] == pytest.approx(1.03, abs=1e-15)
-        assert st["delta_c"] == pytest.approx(0.2, abs=1e-15)
-        assert st["p_c"] == pytest.approx(0.0, abs=1e-15)
-        assert st["q_c"] == pytest.approx(0.0, abs=1e-15)
+        assert st.u_c == pytest.approx(1.03, abs=1e-15)
+        assert st.delta_c == pytest.approx(0.2, abs=1e-15)
+        assert st.p_c == pytest.approx(0.0, abs=1e-15)
+        assert st.q_c == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         # a lossless reactance of 0.1 p.u. carrying 10*sin(0.1) from a
@@ -131,9 +128,9 @@ class TestConverterPrimitives:
         st = powerflow._station_quantities(cmath.exp(0.1j), p_s, q_s,
                                            station(g=0.0, b=-10.0))
         assert p_s == pytest.approx(0.9983, abs=5e-4)
-        assert st["u_c"] == pytest.approx(1.0, abs=1e-12)
-        assert st["delta_c"] == pytest.approx(0.0, abs=1e-12)
-        assert st["p_c"] == pytest.approx(p_s, abs=1e-12)
+        assert st.u_c == pytest.approx(1.0, abs=1e-12)
+        assert st.delta_c == pytest.approx(0.0, abs=1e-12)
+        assert st.p_c == pytest.approx(p_s, abs=1e-12)
 
     def test_loss_identity_sampled(self):
         rng = np.random.default_rng(11)
@@ -146,25 +143,24 @@ class TestConverterPrimitives:
             p_s, q_s = rng.uniform(-1.0, 1.0, 2)
             st = powerflow._station_quantities(v_pcc, p_s, q_s, conv)
             # series conduction loss, then the station loss
-            assert abs(p_s - st["p_c"] - r_br * st["i_c"] ** 2) <= 1e-12
-            assert st["p_c"] - st["p_dc"] == pytest.approx(st["p_loss"],
-                                                           abs=1e-15)
-            assert st["p_loss"] >= conv.a_loss
+            assert abs(p_s - st.p_c - r_br * st.i_c ** 2) <= 1e-12
+            assert st.p_c - st.p_dc == pytest.approx(st.p_loss, abs=1e-15)
+            assert st.p_loss >= conv.a_loss
 
     def test_loss_zero_coefficients(self):
         st = powerflow._station_quantities(
             1.02 + 0j, 0.7, -0.3, station(a_loss=0.0, b_loss=0.0, c_loss=0.0))
-        assert st["p_loss"] == 0.0
-        assert st["p_dc"] == st["p_c"]
+        assert st.p_loss == 0.0
+        assert st.p_dc == st.p_c
 
     def test_no_load_loss(self):
         st = powerflow._station_quantities(1.0 + 0j, 0.0, 0.0, station())
-        assert st["p_loss"] == 0.011
+        assert st.p_loss == 0.011
 
     def test_loss_hand_value(self):
         st = powerflow._station_quantities(1.0 + 0j, 0.5, 0.0, station())
-        assert st["i_c"] == pytest.approx(0.5, abs=1e-15)
-        assert st["p_loss"] == pytest.approx(0.013575, abs=1e-12)
+        assert st.i_c == pytest.approx(0.5, abs=1e-15)
+        assert st.p_loss == pytest.approx(0.013575, abs=1e-12)
 
     def test_droop_schedule_inverted_by_pcc_solve(self):
         # at nominal PCC voltage the scheduled DC power, the station model
@@ -173,7 +169,7 @@ class TestConverterPrimitives:
         for p_s, q_s in ((-0.862, 0.0111), (0.968, -0.1237), (0.3, 0.4)):
             p_dc = powerflow.derive_droop_schedule(conv, p_s, q_s)
             st = powerflow._station_quantities(1.0 + 0j, p_s, q_s, conv)
-            assert st["p_dc"] == pytest.approx(p_dc, abs=1e-12)
+            assert st.p_dc == pytest.approx(p_dc, abs=1e-12)
             p_s_back = powerflow._solve_ps_for_pdc(1.0 + 0j, q_s, conv,
                                                    p_dc, 0.0)
             assert p_s_back == pytest.approx(p_s, abs=1e-12)
@@ -297,10 +293,8 @@ class TestSolveAcdc:
         net = pickle.loads(pickle.dumps(acdc_net))
         for conv in net.converters:
             conv.a_loss = conv.b_loss = conv.c_loss = 0.0
-        dec = DecodedControls(
-            p_s={c.name: 0.0 for c in net.converters},
-            q_s={c.name: 0.0 for c in net.converters})
-        state = solve_acdc(net, dec)
+            conv.p_s = conv.q_s = 0.0
+        state = solve_acdc(net)
         assert state.converged
         p, q, vm = ac_inputs(net)
         ac_only = solve_ac(net, p, q, vm)
