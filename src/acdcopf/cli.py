@@ -7,7 +7,8 @@ environment (``ACDCOPF_OUTPUT_DIR``, ``ACDCOPF_WORKERS``), then the
 flags, each overriding the ones before and each key checked against the
 type of its default.  Subcommands write CSV + JSON artifacts stamped with
 the config hash and seed, and use a fixed exit-code taxonomy: 0 success,
-2 validation, 3 solver divergence, 4 infeasible run, 5 I/O.
+2 validation, 3 solver divergence, 4 infeasible run, 5 I/O, 6 an
+evaluator process died.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import logging
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGED = 3
 EXIT_INFEASIBLE = 4
 EXIT_IO = 5
+EXIT_WORKER = 6
 
 DEFAULT_CONFIG = {
     "case": None,
@@ -559,11 +562,20 @@ def cmd_optimize(args) -> int:
 
     progress: list[evo.GenerationLog] = []
     started = time.perf_counter()
-    with OpfProblem(net, model, CorrectiveConfig(**cfg["corrective"]),
-                    workers=workers) as problem:
-        base = problem.evaluate_one(space.default_vector())
-        archive = evo.run(problem, config, progress=progress)
+    try:
+        with OpfProblem(net, model, CorrectiveConfig(**cfg["corrective"]),
+                        workers=workers) as problem:
+            archive = evo.run(problem, config, progress=progress)
+    except BrokenProcessPool as exc:
+        raise CliError(f"an evaluator process died: {exc}",
+                       EXIT_WORKER) from exc
     elapsed = time.perf_counter() - started
+    # the scheduled point is the first initial genome, so its record gives
+    # the before-optimization row without a second evaluation
+    base = archive.start
+    if not np.array_equal(base.genome, space.default_vector()):
+        raise RuntimeError("the first initial genome is not the scheduled "
+                           "point")
 
     write_csv(out / "progress.csv",
               ["generation", "best_f1", "best_f2", "archive_size",
@@ -596,7 +608,7 @@ def cmd_optimize(args) -> int:
 
     bcs = _write_decision(members, space.names, cfg, stamp, out)
     rows = [["before_optimization",
-             _fmt(base["objectives"][0], 2), _fmt(base["objectives"][1], 6)]]
+             _fmt(base.objectives[0], 2), _fmt(base.objectives[1], 6)]]
     rows += [[f"after_optimization_bcs{i + 1}", _fmt(e["f1"], 2),
               _fmt(e["f2"], 6)] for i, e in enumerate(bcs)]
     write_csv(out / "summary.csv", ["status", "f1", "f2"], rows, stamp)

@@ -260,6 +260,9 @@ class ParetoArchive:
         self.capacity = capacity
         self.members: list[Individual] = []
         self.infeasible_run = False
+        # the first initial individual, kept by ``run`` whether or not it
+        # is feasible
+        self.start: Individual | None = None
 
     def offer(self, candidates: list[Individual]) -> int:
         """Insert feasible non-dominated candidates; returns acceptances."""
@@ -396,7 +399,8 @@ class GenerationLog:
 def run(problem, config: EvoConfig,
         progress: list[GenerationLog] | None = None) -> ParetoArchive:
     """Evolve for the configured number of generations and return the
-    archive (flagged infeasible-run if no feasible point was ever found).
+    archive (flagged infeasible-run if no feasible point was ever found),
+    with the evaluated first initial genome as ``archive.start``.
 
     ``problem`` supplies the control space, a batch evaluator and an
     optional seed genome (see :class:`acdcopf.run.OpfProblem`)."""
@@ -413,6 +417,7 @@ def run(problem, config: EvoConfig,
                       violation=rec["violation"], meta=rec.get("meta", {}))
            for g, rec in zip(genomes, evaluated)]
     archive = ParetoArchive(config.population)
+    archive.start = npc[0]
     archive.offer(npc)
     archive.maintain()
     _log_generation(progress, 0, npc, archive)

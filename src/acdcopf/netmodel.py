@@ -379,9 +379,14 @@ def _validate(net: Network) -> None:
     dup = {b for b in gen_buses if gen_buses.count(b) > 1}
     _require(not dup, f"multiple generators on bus(es) {sorted(dup)}")
 
-    for sh in net.shunts:
+    # one shunt per bus: the control name Q_C:bus<id> names the bus
+    shunt_buses = [sh.bus for sh in net.shunts]
+    for i, sh in enumerate(net.shunts):
         name = f"shunt at bus {sh.bus}"
         _require(sh.bus in bus_set, f"{name}: unknown bus")
+        j = shunt_buses.index(sh.bus)
+        _require(j == i, f"shunts[{i}]: bus {sh.bus} already has shunts[{j}]; "
+                         f"merge them into one shunt")
         if sh.q_min < sh.q_max:
             _require(sh.q_step > 0, f"{name}: range declared but step not positive")
             _require(_near_multiple(sh.q_max - sh.q_min, sh.q_step),

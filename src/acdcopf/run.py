@@ -98,9 +98,10 @@ class OpfProblem:
     """Problem adapter handed to :func:`acdcopf.evo.run`.
 
     Owns the evaluation context and, for ``workers > 1``, a pool of
-    ``workers - 1`` evaluator processes.  A batch goes entirely to the
-    pool while the coordinating process waits for its results, so only
-    ``workers - 1`` processes evaluate.  Use as a context manager.
+    ``workers`` evaluator processes: ``workers`` is the number of
+    processes that evaluate.  A batch goes entirely to the pool; the
+    coordinating process only reduces the records in task order.  Use as
+    a context manager.
     """
 
     def __init__(self, net: Network, model: screen.ScreeningModel | None,
@@ -113,7 +114,7 @@ class OpfProblem:
         self._pool = None
         if self.workers > 1:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers - 1,
+                max_workers=self.workers,
                 initializer=_worker_init, initargs=(self._ctx,))
 
     def _mid_dispatch_seed(self) -> np.ndarray:
@@ -155,7 +156,7 @@ class OpfProblem:
         if self._pool is None:
             return [self._ctx.evaluate(g) for g in genomes]
         payload = [np.asarray(g, dtype=float).tolist() for g in genomes]
-        chunk = max(1, math.ceil(len(payload) / (4 * (self.workers - 1))))
+        chunk = max(1, math.ceil(len(payload) / (4 * self.workers)))
         return list(self._pool.map(_worker_eval, payload, chunksize=chunk))
 
     def evaluate_one(self, genome) -> dict:

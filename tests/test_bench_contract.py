@@ -10,6 +10,7 @@ only show up when the benchmark runs, so the contract is checked here.
 import ast
 import importlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,3 +100,20 @@ def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
     assert len(calls) == 1
     assert calls[0]["L5"] == u[i]
     assert result.net.ybus is not acdc_net.ybus
+
+
+def _marker_eval(genome):
+    return {"marker": genome, "pid": os.getpid()}
+
+
+def test_pooled_batch_calls_patched_worker_eval(acdc_net, acdc_space,
+                                                monkeypatch):
+    """The traced benchmark patches ``run._worker_eval`` to send worker
+    statistics back with each record; the pool must call that attribute
+    and hand back its records unchanged, in task order."""
+    monkeypatch.setattr(run, "_worker_eval", _marker_eval)
+    genomes = [acdc_space.default_vector(), acdc_space.lo, acdc_space.hi]
+    with run.OpfProblem(acdc_net, None, workers=2) as pooled:
+        records = pooled.evaluate_batch(genomes)
+    assert [rec["marker"] for rec in records] == [g.tolist() for g in genomes]
+    assert os.getpid() not in {rec["pid"] for rec in records}

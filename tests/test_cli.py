@@ -2,11 +2,12 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
-from acdcopf import cli, evo
+from acdcopf import cli, evo, run
 from acdcopf.netmodel import ControlSpace, load_bundled_case
 
 from conftest import two_bus_case, write_case
@@ -14,6 +15,11 @@ from conftest import two_bus_case, write_case
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _die(genome):
+    """Stands in for ``run._worker_eval``: the evaluator process dies."""
+    os._exit(1)
 
 
 @pytest.fixture(scope="module")
@@ -306,26 +312,26 @@ class TestOptimizeAndDecideCmd:
         # the archive keeps its members in insertion order, not f1 order
         objectives = [(6400.0, 0.002), (5000.0, 0.050), (5600.0, 0.010),
                       (6000.0, 0.005), (5400.0, 0.020), (5200.0, 0.030)]
-        n_controls = len(ControlSpace(load_bundled_case("case14_acdc")))
+        space = ControlSpace(load_bundled_case("case14_acdc"))
         archive = evo.ParetoArchive(len(objectives))
         archive.members = [
-            evo.Individual(id=i, genome=np.full(n_controls, float(i)),
+            evo.Individual(id=i, genome=np.full(len(space), float(i)),
                            objectives=f, violation=0.0, meta={"cstar": []})
             for i, f in enumerate(objectives)]
 
+        archive.start = evo.Individual(
+            id=len(objectives), genome=space.default_vector(),
+            objectives=(12924.5, 0.0462), violation=0.0)
+
         class StubProblem:
             def __init__(self, net, model, corrective, workers=1):
-                self.space = ControlSpace(net)
+                pass
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc):
                 pass
-
-            def evaluate_one(self, genome):
-                return {"objectives": (12924.5, 0.0462), "violation": 0.0,
-                        "meta": {}}
 
         monkeypatch.setattr(cli, "OpfProblem", StubProblem)
         monkeypatch.setattr(evo, "run", lambda problem, config, progress=None:
@@ -338,12 +344,57 @@ class TestOptimizeAndDecideCmd:
         with (tmp_path / "summary.csv").open() as fh:
             fh.readline()
             rows = list(csv.DictReader(fh))
-        assert rows[0]["status"] == "before_optimization"
+        assert rows[0] == {"status": "before_optimization",
+                           "f1": "12924.50", "f2": "0.046200"}
         assert len(rows) == 1 + len(bcs) == 3
         for i, (row, entry) in enumerate(zip(rows[1:], bcs)):
             assert row["status"] == f"after_optimization_bcs{i + 1}"
             assert row["f1"] == f"{entry['f1']:.2f}"
             assert row["f2"] == f"{entry['f2']:.6f}"
+
+    def test_scheduled_point_evaluated_once(self, model_dir, tmp_path,
+                                            monkeypatch):
+        scheduled = ControlSpace(load_bundled_case("case14_acdc")) \
+            .default_vector()
+        seen = []
+        batch = run.OpfProblem.evaluate_batch
+        one = run.OpfProblem.evaluate_one
+
+        def evaluate_batch(problem, genomes):
+            seen.extend(genomes)
+            return batch(problem, genomes)
+
+        def evaluate_one(problem, genome):
+            seen.append(genome)
+            return one(problem, genome)
+
+        monkeypatch.setattr(run.OpfProblem, "evaluate_batch", evaluate_batch)
+        monkeypatch.setattr(run.OpfProblem, "evaluate_one", evaluate_one)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"screening": {
+            "model_path": str(model_dir / "screening_model.json")}}))
+        assert run_cli("optimize", "--config", str(cfg_path),
+                       "--case", "bundled:case14_acdc", "--seed", "11",
+                       "--population", "6", "--iterations", "1",
+                       "--workers", "1", "--out", str(tmp_path)) == 0
+        assert sum(np.array_equal(g, scheduled) for g in seen) == 1
+        with (tmp_path / "summary.csv").open() as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert rows[0] == {"status": "before_optimization",
+                           "f1": "12924.50", "f2": "0.046235"}
+
+    def test_dead_worker_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(run, "_worker_eval", _die)
+        assert run_cli("optimize", "--case", "bundled:case14_acdc",
+                       "--seed", "1", "--no-screening", "--population", "4",
+                       "--iterations", "1", "--workers", "2",
+                       "--out", str(tmp_path)) == cli.EXIT_WORKER
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "evaluator process died" in errors[0]
+        assert "Traceback" not in err
 
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),

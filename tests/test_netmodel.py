@@ -107,6 +107,20 @@ class TestLoadCase:
         with pytest.raises(CaseValidationError, match=name):
             load_case(write_case(tmp_path, case))
 
+    def test_second_shunt_on_a_bus_rejected(self, tmp_path):
+        # both would be the control Q_C:bus3
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        case["shunts"] = [
+            {"bus": 3, "q_c": 0.1, "q_min": 0.0, "q_max": 0.2, "q_step": 0.01},
+            {"bus": 9, "q_c": 0.19, "q_min": 0.0, "q_max": 0.5,
+             "q_step": 0.01},
+            {"bus": 3, "q_c": 0.05, "q_min": 0.0, "q_max": 0.1,
+             "q_step": 0.01}]
+        with pytest.raises(CaseValidationError,
+                           match=r"shunts\[2\]: bus 3 already has shunts\[0\]"):
+            load_case(write_case(tmp_path, case))
+
     def test_round_trip(self, acdc_net):
         doc = network_to_dict(acdc_net)
         again = network_from_dict(doc)

@@ -1,5 +1,8 @@
 """Full-evaluation pipeline and the coordinator/worker contract."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -62,7 +65,29 @@ class TestEvaluation:
                 assert mid[i] == pytest.approx(0.5 * (comp.lo + comp.hi))
 
 
+# set by a test before its pool forks; evaluator processes inherit it
+_BARRIER = None
+
+
+def _meet_eval(genome):
+    """Stands in for ``run._worker_eval``: returns only once a second
+    evaluator process is inside it too."""
+    _BARRIER.wait()
+    return {"pid": os.getpid()}
+
+
 class TestWorkerPool:
+    def test_two_workers_evaluate_at_once(self, acdc_net, acdc_space,
+                                          monkeypatch):
+        monkeypatch.setitem(globals(), "_BARRIER",
+                            multiprocessing.Barrier(2, timeout=5))
+        monkeypatch.setattr(run, "_worker_eval", _meet_eval)
+        u = acdc_space.default_vector()
+        with OpfProblem(acdc_net, None, workers=2) as pooled:
+            records = pooled.evaluate_batch([u, u])
+        pids = {rec["pid"] for rec in records}
+        assert len(pids) == 2 and os.getpid() not in pids
+
     def test_pool_matches_inline_bitwise(self, acdc_net, screening_model,
                                          acdc_space):
         genomes = [acdc_space.default_vector()]
