@@ -1,18 +1,31 @@
 """Grid data model for hybrid AC/DC networks.
 
 Loads and validates case files (JSON, schema ``acdc-case/1``), builds the
-derived AC admittance matrix, enumerates the N-1 contingency list and
-derives per-contingency network variants.  All quantities are per-unit on
-the case base MVA; angles are radians.
+derived solver structure, enumerates the N-1 contingency list and derives
+per-contingency network variants.  All quantities are per-unit on the case
+base MVA; angles are radians.
 
 A :class:`Network` is immutable after load and safe to share read-only
-across worker processes; :func:`apply_contingency` returns independent
-copies.
+across worker processes; no element is ever changed in place, so the
+variants :func:`apply_contingency` returns share every element they do
+not drop with the input network.
+
+Every network carries a :class:`SolverPlan`, the structure the solvers
+read and never rebuild: the bus-kind part (Newton unknowns and Jacobian
+index sets), the branch part (bus admittance matrix plus per-branch
+terms for vectorised branch flows, built in one pass) and the DC part
+(conductance matrix and branch indices).  Whatever builds a variant's
+admittance builds its plan: :func:`_finalize` at load,
+:func:`apply_contingency` (branch part for an AC outage, DC part for a DC
+outage) and :func:`acdcopf.opfcore.apply_taps` (branch part).  The
+bus-kind part never changes across variants and is shared by reference.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -186,13 +199,18 @@ class Network:
     bounds: ControlBounds
     contingencies: list[Contingency] = field(default_factory=list)
     excluded_contingencies: list[Contingency] = field(default_factory=list)
-    ybus: np.ndarray = field(default=None, repr=False)
+    plan: SolverPlan = field(default=None, repr=False)
     bus_index: dict[int, int] = field(default_factory=dict, repr=False)
     dc_bus_index: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def n_bus(self) -> int:
         return len(self.buses)
+
+    @property
+    def ybus(self) -> np.ndarray:
+        """Dense complex bus admittance matrix."""
+        return self.plan.branches.ybus
 
     @property
     def slack_index(self) -> int:
@@ -212,7 +230,66 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# Admittance matrix
+# Solver plan
+
+
+@dataclass(frozen=True, eq=False)
+class BusPlan:
+    """Bus-kind part of a :class:`SolverPlan`: the AC Newton unknowns."""
+
+    slack: int
+    pv: np.ndarray
+    pq: np.ndarray
+    pvpq: np.ndarray           # buses with an unknown angle
+    fixed: np.ndarray          # slack, then PV: buses with a set magnitude
+    # Newton unknowns are the angles at pvpq, then the magnitudes at pq;
+    # equations are P at pvpq, then Q at pq.  Flat positions, in the float
+    # view of the complex arrays, of the mismatch entries in S and of the
+    # Jacobian entries in the stacked (dS/dVa, dS/dVm)
+    mis_index: np.ndarray
+    jac_index: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class BranchPlan:
+    """Branch part of a :class:`SolverPlan`: the admittance matrix and the
+    from-side pi-model terms of every branch, split in real and imaginary
+    parts."""
+
+    ybus: np.ndarray
+    f: np.ndarray              # from-bus row per branch
+    t: np.ndarray              # to-bus row per branch
+    yff_r: np.ndarray
+    yff_i: np.ndarray
+    yft_r: np.ndarray
+    yft_i: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class DcPlan:
+    """DC part of a :class:`SolverPlan`: the conductance matrix and the
+    bus rows of every DC branch."""
+
+    index: dict[int, int]      # DC bus id -> row
+    ydc: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
+    y: np.ndarray              # branch conductance
+
+
+@dataclass(frozen=True, eq=False)
+class SolverPlan:
+    """Per-network solver structure, built once per (network,
+    contingency, taps) and immutable; its arrays are read-only."""
+
+    buses: BusPlan
+    branches: BranchPlan
+    dc: DcPlan
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def branch_admittance(br: AcBranch) -> tuple[complex, complex, complex]:
@@ -224,20 +301,70 @@ def branch_admittance(br: AcBranch) -> tuple[complex, complex, complex]:
     return (ys + ysh) / (tap * tap), -ys / tap, ys + ysh
 
 
-def build_ybus(buses: list[AcBus], branches: list[AcBranch],
-               bus_index: dict[int, int]) -> np.ndarray:
-    """Dense complex bus admittance matrix."""
+def bus_plan(buses: list[AcBus]) -> BusPlan:
+    """Bus-kind part of the plan of a network with these buses."""
+    kinds = [b.kind for b in buses]
+    pv = np.array([i for i, k in enumerate(kinds) if k == "pv"], dtype=int)
+    pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
+    pvpq = np.concatenate([pv, pq])
+    slack = kinds.index("slack")
+    fixed = np.concatenate([[slack], pv]).astype(int)
     n = len(buses)
-    ybus = np.zeros((n, n), dtype=complex)
-    for br in branches:
-        f = bus_index[br.from_bus]
-        t = bus_index[br.to_bus]
-        yff, yft, ytt = branch_admittance(br)
-        ybus[f, f] += yff
-        ybus[t, t] += ytt
-        ybus[f, t] += yft
-        ybus[t, f] += yft
-    return ybus
+    bus = np.concatenate([pvpq, pq])
+    # 0: P row (real part) or angle column (dS/dVa); 1: Q row (imaginary
+    # part) or magnitude column (dS/dVm)
+    part = np.repeat([0, 1], [len(pvpq), len(pq)])
+    mis_index = 2 * bus + part
+    jac_index = ((part * n + bus[:, None]) * n + bus) * 2 + part[:, None]
+    _read_only(pv, pq, pvpq, fixed, mis_index, jac_index)
+    return BusPlan(slack, pv, pq, pvpq, fixed, mis_index, jac_index)
+
+
+def branch_plan(n_bus: int, bus_index: dict[int, int],
+                branches: list[AcBranch]) -> BranchPlan:
+    """Branch part of the plan: the dense complex bus admittance matrix
+    and the per-branch terms, in one pass over the branches."""
+    m = len(branches)
+    f = np.fromiter((bus_index[br.from_bus] for br in branches), int, m)
+    t = np.fromiter((bus_index[br.to_bus] for br in branches), int, m)
+    terms = np.fromiter(itertools.chain.from_iterable(
+        map(branch_admittance, branches)), complex, 3 * m).reshape(m, 3)
+    ybus = np.zeros(n_bus * n_bus, dtype=complex)
+    # entries ff, tt, ft, tf of each branch in turn: every sum is formed
+    # in branch order
+    fn, tn = f * n_bus, t * n_bus
+    np.add.at(ybus, np.array([fn + f, tn + t, fn + t, tn + f]).T.ravel(),
+              terms[:, [0, 2, 1, 1]].ravel())
+    yff, yft = terms[:, 0], terms[:, 1]
+    parts = (ybus.reshape(n_bus, n_bus), f, t, yff.real.copy(),
+             yff.imag.copy(), yft.real.copy(), yft.imag.copy())
+    _read_only(*parts)
+    return BranchPlan(*parts)
+
+
+def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch]) -> DcPlan:
+    """DC part of the plan of a DC grid with these buses and branches."""
+    index = {b.id: i for i, b in enumerate(dc_buses)}
+    n = len(dc_buses)
+    ydc = np.zeros((n, n))
+    for br in dc_branches:
+        f, t = index[br.from_bus], index[br.to_bus]
+        ydc[f, f] += br.y
+        ydc[t, t] += br.y
+        ydc[f, t] -= br.y
+        ydc[t, f] -= br.y
+    f = np.array([index[br.from_bus] for br in dc_branches], dtype=int)
+    t = np.array([index[br.to_bus] for br in dc_branches], dtype=int)
+    y = np.array([br.y for br in dc_branches], dtype=float)
+    _read_only(ydc, f, t, y)
+    return DcPlan(index, ydc, f, t, y)
+
+
+def build_plan(net: Network) -> SolverPlan:
+    """A fresh plan of ``net``, built from its elements alone."""
+    return SolverPlan(bus_plan(net.buses),
+                      branch_plan(net.n_bus, net.bus_index, net.branches),
+                      dc_plan(net.dc_buses, net.dc_branches))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +582,7 @@ def _reachable(nodes: set[int], edges: list[tuple[int, int]], start: int) -> set
 
 
 def _finalize(net: Network) -> None:
-    """Assign outage ids, build the admittance matrix and contingency list."""
+    """Assign outage ids, build the solver plan and contingency list."""
     net.bus_index = {b.id: i for i, b in enumerate(net.buses)}
     net.dc_bus_index = {b.id: i for i, b in enumerate(net.dc_buses)}
     for i, br in enumerate(net.branches):
@@ -464,7 +591,7 @@ def _finalize(net: Network) -> None:
     for i, br in enumerate(net.dc_branches):
         br.outage_id = f"DC{i + 1}"
         br.label = f"DC{i + 1}({br.from_bus}-{br.to_bus})"
-    net.ybus = build_ybus(net.buses, net.branches, net.bus_index)
+    net.plan = build_plan(net)
 
     net.contingencies = []
     net.excluded_contingencies = []
@@ -514,9 +641,10 @@ def _dc_outage_islands(net: Network, out: DcBranch) -> bool:
 
 
 def apply_contingency(net: Network, k: Contingency) -> Network:
-    """Return a copy of ``net`` with the branch of ``k`` removed.
+    """Return a variant of ``net`` with the branch of ``k`` removed.
 
-    The input network is never mutated.  Raises :class:`IslandingError`
+    The input network is never mutated; the variant shares its other
+    elements.  Raises :class:`IslandingError`
     when the removal disconnects a load or generator bus from the slack
     (AC) or leaves an active DC island without voltage control (DC).
     """
@@ -528,9 +656,11 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
             raise IslandingError(
                 f"outage {k.label} disconnects a load or generator bus "
                 f"from the slack")
-        new = copy.deepcopy(net)
-        new.branches = [b for b in new.branches if b.outage_id != k.branch_id]
-        new.ybus = build_ybus(new.buses, new.branches, new.bus_index)
+        new = copy.copy(net)
+        new.branches = [b for b in net.branches if b.outage_id != k.branch_id]
+        new.plan = dataclasses.replace(
+            net.plan, branches=branch_plan(new.n_bus, new.bus_index,
+                                           new.branches))
         return new
     if k.kind == "dc_line":
         target = next((b for b in net.dc_branches if b.outage_id == k.branch_id),
@@ -540,9 +670,11 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
         if _dc_outage_islands(net, target):
             raise IslandingError(
                 f"outage {k.label} leaves a DC island without voltage control")
-        new = copy.deepcopy(net)
-        new.dc_branches = [b for b in new.dc_branches
+        new = copy.copy(net)
+        new.dc_branches = [b for b in net.dc_branches
                            if b.outage_id != k.branch_id]
+        new.plan = dataclasses.replace(
+            net.plan, dc=dc_plan(new.dc_buses, new.dc_branches))
         return new
     raise ValueError(f"unknown contingency kind {k.kind!r}")
 

@@ -1,7 +1,8 @@
 """Problem definition: objectives, constraints and corrective feasibility.
 
 A control vector is written into a network variant once
-(``apply_controls``; transformer taps rebuild the admittance matrix), the
+(``apply_controls``; transformer taps rebuild the branch part of the
+solver plan, every other control shares the plan of ``net``), the
 coupled power flow is run on that variant, and both objectives plus a
 full constraint report are produced.  Post-contingency corrective
 feasibility searches for an adjusted control vector inside the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
-                       apply_contingency, build_ybus)
+                       apply_contingency, branch_plan)
 from .powerflow import SystemState, solve_acdc
 
 PENALTY_UNCONVERGED = 1e3
@@ -36,7 +37,8 @@ _KIND_PRIORITY = {"p_s": 0, "q_s": 1, "u_dc0": 2, "p_g": 3, "u_g": 4,
 
 def apply_taps(net: Network, taps: dict[str, float]) -> Network:
     """Network variant with the taps (by branch outage id) applied; the
-    admittance matrix is rebuilt only when a tap changes."""
+    branch part of the solver plan (admittance matrix included) is rebuilt
+    only when a tap changes."""
     branches = [br if taps.get(br.outage_id, br.tap) == br.tap
                 else dataclasses.replace(br, tap=taps[br.outage_id])
                 for br in net.branches]
@@ -44,7 +46,8 @@ def apply_taps(net: Network, taps: dict[str, float]) -> Network:
         return net
     variant = copy.copy(net)
     variant.branches = branches
-    variant.ybus = build_ybus(variant.buses, branches, variant.bus_index)
+    variant.plan = dataclasses.replace(
+        net.plan, branches=branch_plan(net.n_bus, net.bus_index, branches))
     return variant
 
 
@@ -59,7 +62,7 @@ def apply_controls(net: Network, space: ControlSpace,
     taps: dict[str, float] = {}
     settings: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
     for comp, value in zip(space.components, u):
-        if comp.kind == "tap":      # through apply_taps, which rebuilds ybus
+        if comp.kind == "tap":      # apply_taps rebuilds the branch plan
             taps[comp.key] = float(value)
         else:
             _, elements, name = CONTROL_KINDS[comp.kind]

@@ -8,6 +8,17 @@ converter is below tolerance.
 
 The solvers read every setpoint from the network elements; a control
 vector arrives as the variant :func:`acdcopf.opfcore.apply_controls` builds.
+Everything structural comes from the network's
+:class:`~acdcopf.netmodel.SolverPlan`, built once per (network,
+contingency, taps): the AC Newton unknowns and the index sets that place
+the Jacobian blocks (following MATPOWER's ``dSbus_dV``), the per-branch
+terms of the vectorised from-side flows (MATPOWER's ``Yf``), and the DC
+conductance matrix.  No solve builds or repairs a plan.
+
+Floating-point results do not depend on how the structure is held: the
+Jacobian keeps the dense ``diag(v) @ ...`` products and the branch flows
+spell out the complex products in real arithmetic, because NumPy's
+elementwise complex kernels may fuse multiply-adds and round differently.
 
 Sign conventions
 ----------------
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import Network, branch_admittance
+from .netmodel import DcPlan, Network
 
 TOL_AC = 1e-8
 TOL_DC = 1e-8
@@ -141,12 +152,14 @@ def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
 
 
 def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
-                      p_s_guess: float) -> float:
+                      p_s_guess: float) -> float | None:
     """Invert the station model: PCC power that delivers ``p_dc_target``.
 
     Scalar Newton on ``h(p_s) = p_s - R_br*K - loss(sqrt(K)) - p_dc_target``
     with ``K = (p_s^2 + q_s^2) / |V_pcc|^2``; smooth and well conditioned
-    for realistic loss coefficients.
+    for realistic loss coefficients.  Returns None when ``|h|`` does not
+    fall below 1e-13, e.g. when the target exceeds what the station can
+    deliver at this PCC voltage.
     """
     u_s2 = abs(v_pcc) ** 2
     r_br = _series_resistance(conv)
@@ -156,14 +169,14 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
         i_c = math.sqrt(k)
         h = _net_dc_power(conv, r_br, p_s, k) - p_dc_target
         if abs(h) < 1e-13:
-            break
+            return p_s
         dk = 2.0 * p_s / u_s2
         di = 0.0 if i_c < 1e-12 else p_s / (u_s2 * i_c)
         dh = 1.0 - r_br * dk - conv.b_loss * di - conv.c_loss * dk
         if abs(dh) < 1e-12:
-            break
+            return None
         p_s -= h / dh
-    return p_s
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +196,20 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     a mismatch of ``TOL_AC`` or after ``MAX_NR`` iterations.
     """
     n = net.n_bus
-    ybus = net.ybus
-    slack = net.slack_index
-    kinds = [b.kind for b in net.buses]
-    pv = np.array([i for i, k in enumerate(kinds) if k == "pv"], dtype=int)
-    pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
-    pvpq = np.concatenate([pv, pq])
+    ybus = net.plan.branches.ybus
+    bp = net.plan.buses
+    pq, pvpq = bp.pq, bp.pvpq
 
     vm = np.ones(n) if vm0 is None else vm0.astype(float).copy()
     va = np.zeros(n) if va0 is None else va0.astype(float).copy()
-    fixed = np.concatenate([[slack], pv]).astype(int)
-    vm[fixed] = vm_setpoint[fixed]
-    va[slack] = 0.0
+    vm[bp.fixed] = vm_setpoint[bp.fixed]
+    va[bp.slack] = 0.0
 
-    npv, npq = len(pv), len(pq)
+    spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
+    na = len(pvpq)                 # angle unknowns, then magnitude unknowns
+    diag = np.diag_indices(n)
+    diag_v, diag_i, diag_vn = (np.zeros((n, n), dtype=complex)
+                               for _ in range(3))
     converged = False
     singular = False
     iterations = 0
@@ -204,11 +217,10 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
 
     for it in range(MAX_NR + 1):
         v = vm * np.exp(1j * va)
-        s_calc = v * np.conj(ybus @ v)
-        dp = p_inj[pvpq] - s_calc.real[pvpq]
-        dq = q_inj[pq] - s_calc.imag[pq]
-        mis = np.concatenate([dp, dq])
-        max_mismatch = float(np.max(np.abs(mis))) if mis.size else 0.0
+        i_bus = ybus @ v
+        s_calc = v * np.conj(i_bus)
+        mis = spec - s_calc.view(float).take(bp.mis_index)
+        max_mismatch = float(np.abs(mis).max()) if mis.size else 0.0
         iterations = it
         if max_mismatch <= TOL_AC:
             converged = True
@@ -216,29 +228,25 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
         if it == MAX_NR:
             break
 
-        diag_v = np.diag(v)
-        diag_i = np.diag(ybus @ v)
-        diag_vn = np.diag(v / np.abs(v))
+        diag_v[diag] = v
+        diag_i[diag] = i_bus
+        diag_vn[diag] = v / np.abs(v)
         ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
         ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-
-        j11 = ds_dva.real[np.ix_(pvpq, pvpq)]
-        j12 = ds_dvm.real[np.ix_(pvpq, pq)]
-        j21 = ds_dva.imag[np.ix_(pq, pvpq)]
-        j22 = ds_dvm.imag[np.ix_(pq, pq)]
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = np.concatenate((ds_dva, ds_dvm)).view(float).take(bp.jac_index)
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:
             singular = True
             break
-        va[pvpq] += dx[:npv + npq]
-        vm[pq] += dx[npv + npq:]
-        if not np.all(np.isfinite(vm)) or np.any(vm <= 0):
+        va[pvpq] += dx[:na]
+        vm[pq] += dx[na:]
+        if not ((vm > 0.0) & (vm < math.inf)).all():
+            # the only exit after the step: the injections are recomputed
+            v = vm * np.exp(1j * va)
+            s_calc = v * np.conj(ybus @ v)
             break
 
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(ybus @ v)
     p_br, q_br = branch_flows(net, vm, va)
     return AcState(vm=vm, va=va, p_branch=p_br, q_branch=q_br,
                    p_inj=s_calc.real, q_inj=s_calc.imag,
@@ -248,17 +256,16 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
 
 def branch_flows(net: Network, vm: np.ndarray,
                  va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """From-side complex power flow of every AC branch."""
+    """From-side complex power flow ``v_f * conj(y_ff*v_f + y_ft*v_t)`` of
+    every AC branch, in real arithmetic (bit-identical to the scalar
+    complex formula)."""
+    bp = net.plan.branches
     v = vm * np.exp(1j * va)
-    p = np.empty(len(net.branches))
-    q = np.empty(len(net.branches))
-    for i, br in enumerate(net.branches):
-        f = net.bus_index[br.from_bus]
-        t = net.bus_index[br.to_bus]
-        yff, yft, _ = branch_admittance(br)
-        s_f = v[f] * np.conj(yff * v[f] + yft * v[t])
-        p[i], q[i] = s_f.real, s_f.imag
-    return p, q
+    vr, vi = v.real, v.imag
+    fr, fi, tr, ti = vr[bp.f], vi[bp.f], vr[bp.t], vi[bp.t]
+    ir = (bp.yff_r * fr - bp.yff_i * fi) + (bp.yft_r * tr - bp.yft_i * ti)
+    ii = (bp.yff_r * fi + bp.yff_i * fr) + (bp.yft_r * ti + bp.yft_i * tr)
+    return fr * ir + fi * ii, fi * ir - fr * ii
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,7 @@ class DcControl:
     p0: float = 0.0            # droop reference / const_p fixed injection
 
 
-def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
+def solve_dc(plan: DcPlan, controls: list[DcControl], *,
              u_start: np.ndarray | None = None) -> DcState:
     """Newton solve of the DC network with droop characteristics.
 
@@ -285,20 +292,12 @@ def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
     converter must be present, otherwise the voltage profile is
     undetermined and :class:`PowerFlowConfigError` is raised.
     """
-    n = len(dc_buses)
-    index = {b.id: i for i, b in enumerate(dc_buses)}
-    by_bus = {index[c.bus]: c for c in controls}
+    n = len(plan.index)
+    ydc = plan.ydc
+    by_bus = {plan.index[c.bus]: c for c in controls}
     if not any(c.mode in ("droop", "const_vdc") for c in controls):
         raise PowerFlowConfigError(
             "DC grid has no droop or const_vdc converter; voltage undetermined")
-
-    ydc = np.zeros((n, n))
-    for br in dc_branches:
-        f, t = index[br.from_bus], index[br.to_bus]
-        ydc[f, f] += br.y
-        ydc[t, t] += br.y
-        ydc[f, t] -= br.y
-        ydc[t, f] -= br.y
 
     u = np.ones(n) if u_start is None else u_start.astype(float).copy()
     fixed = [i for i, c in by_bus.items() if c.mode == "const_vdc"]
@@ -347,12 +346,8 @@ def solve_dc(dc_buses, dc_branches, controls: list[DcControl], *,
 
     i_inj = ydc @ u
     p_inj = u * i_inj
-    branch_i = np.empty(len(dc_branches))
-    branch_p = np.empty(len(dc_branches))
-    for j, br in enumerate(dc_branches):
-        f, t = index[br.from_bus], index[br.to_bus]
-        branch_i[j] = br.y * (u[f] - u[t])
-        branch_p[j] = u[f] * branch_i[j]
+    branch_i = plan.y * (u[plan.f] - u[plan.t])
+    branch_p = u[plan.f] * branch_i
     return DcState(u=u, i_inj=i_inj, p_inj=p_inj, branch_i=branch_i,
                    branch_p=branch_p, iterations=iterations, converged=converged)
 
@@ -401,7 +396,8 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     """Alternating AC/DC solve at the setpoints the network carries.
 
     Failure of an inner stage is reported through ``converged=False``
-    plus ``failure_stage`` in {"ac", "dc", "coupling"}.
+    plus ``failure_stage`` in {"ac", "dc", "coupling"}; "coupling" also
+    covers a station whose model cannot deliver the DC-side power.
     """
     q_s = np.array([c.q_s for c in net.converters])
     p_dc0 = [derive_droop_schedule(c, c.p_s, c.q_s) for c in net.converters]
@@ -441,8 +437,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
                                  p0=station[j].p_dc if c.mode == "const_p"
                                  else p_dc0[j])
                        for j, c in enumerate(net.converters)]
-        dc = solve_dc(net.dc_buses, net.dc_branches, dc_controls,
-                      u_start=dc_u0)
+        dc = solve_dc(net.plan.dc, dc_controls, u_start=dc_u0)
         if not dc.converged:
             failure = "dc"
             break
@@ -459,12 +454,14 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
             break
 
         # back-substitute the DC solution into the AC-side schedules
-        for j, c in enumerate(net.converters):
-            if c.mode == "const_p":
-                continue
-            target = dc.p_inj[net.dc_bus_index[c.dc_bus]]
-            p_s_act[j] = _solve_ps_for_pdc(v_pcc[j], q_s[j], c, target,
-                                           p_s_act[j])
+        p_s_new = [p_s_act[j] if c.mode == "const_p"
+                   else _solve_ps_for_pdc(v_pcc[j], q_s[j], c,
+                                          dc.p_inj[net.dc_bus_index[c.dc_bus]],
+                                          p_s_act[j])
+                   for j, c in enumerate(net.converters)]
+        if None in p_s_new:            # a station cannot deliver its target
+            break
+        p_s_act[:] = p_s_new
     if not converged and not failure:
         failure = "coupling"
 

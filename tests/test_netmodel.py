@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from acdcopf import netmodel
+from acdcopf import netmodel, opfcore
 from acdcopf.netmodel import (CaseParseError, CaseValidationError,
                               ControlSpace, IslandingError, apply_contingency,
-                              load_case, network_from_dict, network_to_dict)
+                              build_plan, load_case, network_from_dict,
+                              network_to_dict)
 
 from conftest import radial_three_bus_case, two_bus_case, write_case
 
@@ -170,6 +171,63 @@ class TestContingencies:
     def test_unknown_outage_id(self, acdc_net):
         with pytest.raises(KeyError):
             acdc_net.contingency("L99")
+
+
+def same_plan_arrays(x, y) -> bool:
+    """Plan parts ``x`` and ``y`` hold equal arrays, indices and maps."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    if hasattr(x, "__dataclass_fields__"):
+        return all(same_plan_arrays(getattr(x, f), getattr(y, f))
+                   for f in x.__dataclass_fields__)
+    return x == y
+
+
+def scalar_ybus(net):
+    """Bus admittance matrix summed entry by entry in branch order."""
+    ybus = np.zeros((net.n_bus, net.n_bus), dtype=complex)
+    for br in net.branches:
+        f, t = net.bus_index[br.from_bus], net.bus_index[br.to_bus]
+        yff, yft, ytt = netmodel.branch_admittance(br)
+        ybus[f, f] += yff
+        ybus[t, t] += ytt
+        ybus[f, t] += yft
+        ybus[t, f] += yft
+    return ybus
+
+
+class TestSolverPlan:
+    def test_no_plan_is_stale(self, acdc_net, acdc_space):
+        base = acdc_net.plan
+        assert same_plan_arrays(base, build_plan(acdc_net))
+        for k in acdc_net.contingencies:
+            net_k = apply_contingency(acdc_net, k)
+            assert same_plan_arrays(net_k.plan, build_plan(net_k)), k.label
+            assert net_k.plan.buses is base.buses
+            kept = net_k.plan.dc if k.kind == "ac_line" else net_k.plan.branches
+            assert kept is (base.dc if k.kind == "ac_line" else base.branches)
+
+        space = acdc_space
+        u = space.base.copy()           # the case point, taps unmoved
+        unmoved = opfcore.apply_controls(acdc_net, space, u)
+        assert unmoved.plan is base
+
+        i = space.index["T:L5"]
+        u[i] = space.hi[i] if u[i] < space.hi[i] else space.lo[i]
+        moved = opfcore.apply_controls(acdc_net, space, u)
+        assert same_plan_arrays(moved.plan, build_plan(moved))
+        for net in (acdc_net, moved):
+            assert np.array_equal(net.ybus, scalar_ybus(net))
+        assert not np.array_equal(moved.plan.branches.yff_i,
+                                  base.branches.yff_i)
+        assert moved.plan.buses is base.buses
+        assert moved.plan.dc is base.dc
+
+    def test_plan_is_read_only(self, acdc_net):
+        with pytest.raises(ValueError):
+            acdc_net.plan.branches.ybus[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            acdc_net.plan.dc.ydc[0, 0] = 0.0
 
 
 class TestControlSpace:

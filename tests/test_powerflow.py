@@ -9,9 +9,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import ConverterStation, network_from_dict
+from acdcopf.netmodel import (ConverterStation, branch_admittance, dc_plan,
+                              network_from_dict)
 from acdcopf.powerflow import (DcControl, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
@@ -88,6 +90,28 @@ class TestSolveAc:
         assert injections == pytest.approx(s.real.sum(), abs=1e-9)
         assert injections >= -1e-9
         assert load > 0 and injections < load  # losses are a few percent
+
+    @pytest.mark.parametrize("case", ["acdc_net", "ac_net"])
+    def test_branch_flows_equal_branch_formula(self, case, request):
+        # the vectorised flows reproduce the per-branch complex formula
+        # bit for bit, which keeps every artifact byte-identical
+        net = request.getfixturevalue(case)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            vm = rng.uniform(0.85, 1.15, net.n_bus)
+            va = rng.uniform(-0.6, 0.6, net.n_bus)
+            v = vm * np.exp(1j * va)
+            p_ref = np.empty(len(net.branches))
+            q_ref = np.empty(len(net.branches))
+            for i, br in enumerate(net.branches):
+                f = net.bus_index[br.from_bus]
+                t = net.bus_index[br.to_bus]
+                yff, yft, _ = branch_admittance(br)
+                s_f = v[f] * np.conj(yff * v[f] + yft * v[t])
+                p_ref[i], q_ref[i] = s_f.real, s_f.imag
+            p, q = powerflow.branch_flows(net, vm, va)
+            assert np.array_equal(p, p_ref)
+            assert np.array_equal(q, q_ref)
 
 
 def station(g=0.0206, b=-3.6028, a_loss=0.011, b_loss=0.003,
@@ -174,6 +198,12 @@ class TestConverterPrimitives:
                                                    p_dc, 0.0)
             assert p_s_back == pytest.approx(p_s, abs=1e-12)
 
+    def test_inversion_reports_unreachable_target(self):
+        # with a quadratic loss coefficient of 1, at most about 0.24 p.u.
+        # reaches the DC side at nominal PCC voltage
+        assert powerflow._solve_ps_for_pdc(1.0 + 0j, 0.0, station(c_loss=1.0),
+                                           0.9, 0.5) is None
+
     def test_capability_center(self, acdc_net, base_eval):
         assert capability_margin(acdc_net, base_eval.state, 0.0, 0.0) <= 0.0
 
@@ -212,7 +242,7 @@ class TestSolveDc:
         branches = make_dc_branches([(1, 2), (2, 3), (1, 3)], y=50.0)
         controls = [DcControl(b, "droop", droop=0.02, u0=1.0, p0=0.0)
                     for b in (1, 2, 3)]
-        state = solve_dc(buses, branches, controls)
+        state = solve_dc(dc_plan(buses, branches), controls)
         assert state.converged
         np.testing.assert_allclose(state.u, 1.0, atol=1e-12)
         np.testing.assert_allclose(state.branch_i, 0.0, atol=1e-10)
@@ -222,7 +252,7 @@ class TestSolveDc:
         branches = make_dc_branches([(1, 2)], y=10.0)
         controls = [DcControl(1, "const_p", p0=0.101),
                     DcControl(2, "const_vdc", u0=1.0)]
-        state = solve_dc(buses, branches, controls)
+        state = solve_dc(dc_plan(buses, branches), controls)
         assert state.converged
         assert state.u[0] == pytest.approx(1.01, abs=1e-9)
         assert state.i_inj[0] == pytest.approx(0.1, abs=1e-9)
@@ -234,7 +264,7 @@ class TestSolveDc:
         controls = [DcControl(1, "droop", droop=0.05, u0=1.0, p0=0.0),
                     DcControl(2, "droop", droop=0.05, u0=1.0, p0=0.0),
                     DcControl(3, "const_p", p0=-0.4)]
-        state = solve_dc(buses, branches, controls)
+        state = solve_dc(dc_plan(buses, branches), controls)
         assert state.converged
         d1 = state.p_inj[0] - 0.0
         d2 = state.p_inj[1] - 0.0
@@ -245,7 +275,7 @@ class TestSolveDc:
         buses = make_dc_buses([1, 2])
         branches = make_dc_branches([(1, 2)])
         with pytest.raises(PowerFlowConfigError):
-            solve_dc(buses, branches, [DcControl(1, "const_p", p0=0.1),
+            solve_dc(dc_plan(buses, branches), [DcControl(1, "const_p", p0=0.1),
                                        DcControl(2, "const_p", p0=-0.1)])
 
     def test_power_balance_equals_line_losses(self):
@@ -254,7 +284,7 @@ class TestSolveDc:
         controls = [DcControl(1, "droop", droop=0.05, u0=1.0, p0=0.6),
                     DcControl(2, "droop", droop=0.05, u0=1.0, p0=-0.3),
                     DcControl(3, "droop", droop=0.05, u0=1.0, p0=-0.28)]
-        state = solve_dc(buses, branches, controls)
+        state = solve_dc(dc_plan(buses, branches), controls)
         assert state.converged
         losses = sum(i * i / br.y
                      for i, br in zip(state.branch_i, branches))
@@ -319,6 +349,39 @@ class TestSolveAcdc:
         np.testing.assert_array_equal(a.state.ac.vm, b.state.ac.vm)
         np.testing.assert_array_equal(a.state.ac.va, b.state.ac.va)
         np.testing.assert_array_equal(a.state.dc.u, b.state.dc.u)
+
+    def test_unservable_station_fails_coupling(self, acdc_net):
+        # VSC2 cannot deliver the DC power its droop asks for; the solve
+        # stops at the first failed inversion instead of iterating on
+        net = pickle.loads(pickle.dumps(acdc_net))
+        net.converters[1].c_loss = 1.0
+        state = solve_acdc(net)
+        assert not state.converged
+        assert state.failure_stage == "coupling"
+        assert state.outer_iterations == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_power_balance_at_convergence(self, acdc_net, acdc_space, data):
+        space = acdc_space
+        frac = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=len(space), max_size=len(space))))
+        u, _ = space.snap(space.lo + frac * (space.hi - space.lo))
+        net = opfcore.apply_controls(acdc_net, space, u)
+        state = solve_acdc(net)
+        if not state.converged:
+            return
+        spec = np.zeros(net.n_bus, dtype=complex)
+        for bus in net.buses:
+            spec[net.bus_index[bus.id]] -= complex(bus.p_d, bus.q_d)
+        for gen, p, q in zip(net.generators, state.gen_p, state.gen_q):
+            spec[net.bus_index[gen.bus]] += complex(p, q)
+        for sh in net.shunts:
+            spec[net.bus_index[sh.bus]] += 1j * sh.q_c
+        for conv, cs in zip(net.converters, state.converters):
+            spec[net.bus_index[conv.pcc_bus]] -= complex(cs.p_s, cs.q_s)
+        v = state.ac.vm * np.exp(1j * state.ac.va)
+        assert np.max(np.abs(v * np.conj(net.ybus @ v) - spec)) <= 1e-6
 
     def test_failure_stage_labelled(self, acdc_net, acdc_space):
         u = acdc_space.default_vector()
