@@ -58,9 +58,11 @@ DEFAULT_CONFIG = {
 # the type of a key whose default is None, once it is set
 NULLABLE = {"case": str, "seed": int, "optimizer.mutation_rate": float,
             "screening.model_path": str}
-# smallest value a run can use
+# smallest value a run can use, and the keys whose value must exceed 0
 MINIMUM = {"optimizer.population": 1, "decision.clusters": 1,
-           "corrective.fraction": 0}
+           "corrective.fraction": 0, "optimizer.eta_crossover": 0,
+           "optimizer.eta_mutation": 0}
+POSITIVE = ("optimizer.kappa",)
 # flag -> (config key it sets, subcommands that take it)
 FLAGS = {
     "--case": ("case", ("powerflow", "train-screen", "rank", "optimize")),
@@ -101,7 +103,7 @@ def _kind(where: str) -> type:
 def _set(cfg: dict, where: str, value, source: str) -> None:
     """Set the dotted config key ``where`` to ``value`` (an object key by
     key), checked against the type of its default (an int is taken where
-    a float is due) and against ``MINIMUM``."""
+    a float is due) and against ``MINIMUM`` and ``POSITIVE``."""
     *path, key = where.split(".")    # a section and its key, or a key
     section = cfg[path[0]] if path else cfg
     if key not in section:
@@ -116,6 +118,9 @@ def _set(cfg: dict, where: str, value, source: str) -> None:
     if where in MINIMUM and value < MINIMUM[where]:
         raise CliError(f"{source}: {where} must be >= {MINIMUM[where]}, "
                        f"not {value!r}", EXIT_VALIDATION)
+    if where in POSITIVE and not value > 0:
+        raise CliError(f"{source}: {where} must be > 0, not {value!r}",
+                       EXIT_VALIDATION)
     if kind is dict:
         for name, item in value.items():
             _set(cfg, f"{where}.{name}", item, source)

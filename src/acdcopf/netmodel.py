@@ -14,11 +14,12 @@ Every network carries a :class:`SolverPlan`, the structure the solvers
 read and never rebuild: the bus-kind part (Newton unknowns and Jacobian
 index sets), the branch part (bus admittance matrix plus per-branch
 terms for vectorised branch flows, built in one pass) and the DC part
-(conductance matrix and branch indices).  Whatever builds a variant's
-admittance builds its plan: :func:`_finalize` at load,
-:func:`apply_contingency` (branch part for an AC outage, DC part for a DC
-outage) and :func:`acdcopf.opfcore.apply_taps` (branch part).  The
-bus-kind part never changes across variants and is shared by reference.
+(conductance matrix, branch indices, and the rows that the converter
+modes fix).  Whatever builds a variant's admittance builds its plan:
+:func:`_finalize` at load, :func:`apply_contingency` (branch part for an
+AC outage, DC part for a DC outage) and
+:func:`acdcopf.opfcore.apply_taps` (branch part).  The bus-kind part
+never changes across variants and is shared by reference.
 """
 
 from __future__ import annotations
@@ -139,7 +140,6 @@ class ConverterStation:
     r_max: float = 99.0
     mode: str = "droop"        # droop | const_p | const_vdc
     droop: float = 0.005       # voltage-per-power slope
-    p_dc0: float = 0.0         # droop reference injection
     u_dc0: float = 1.0         # droop/const_vdc reference voltage
 
 
@@ -267,14 +267,18 @@ class BranchPlan:
 
 @dataclass(frozen=True, eq=False)
 class DcPlan:
-    """DC part of a :class:`SolverPlan`: the conductance matrix and the
-    bus rows of every DC branch."""
+    """DC part of a :class:`SolverPlan`: the conductance matrix, the bus
+    rows of every DC branch and the rows that the converter modes fix."""
 
     index: dict[int, int]      # DC bus id -> row
     ydc: np.ndarray
     f: np.ndarray
     t: np.ndarray
     y: np.ndarray              # branch conductance
+    conv_rows: np.ndarray      # DC row of each converter, in case order
+    vdc_rows: np.ndarray       # rows of const_vdc converters: set voltage
+    free_rows: np.ndarray      # every other row, ascending: Newton unknowns
+    droop_rows: np.ndarray     # rows whose equation is the droop law
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +346,10 @@ def branch_plan(n_bus: int, bus_index: dict[int, int],
     return BranchPlan(*parts)
 
 
-def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch]) -> DcPlan:
-    """DC part of the plan of a DC grid with these buses and branches."""
+def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],
+            converters: list[ConverterStation]) -> DcPlan:
+    """DC part of the plan of a DC grid with these buses, branches and
+    converters; a free row that is not a droop row is a power balance."""
     index = {b.id: i for i, b in enumerate(dc_buses)}
     n = len(dc_buses)
     ydc = np.zeros((n, n))
@@ -356,15 +362,19 @@ def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch]) -> DcPlan:
     f = np.array([index[br.from_bus] for br in dc_branches], dtype=int)
     t = np.array([index[br.to_bus] for br in dc_branches], dtype=int)
     y = np.array([br.y for br in dc_branches], dtype=float)
-    _read_only(ydc, f, t, y)
-    return DcPlan(index, ydc, f, t, y)
+    conv = np.array([index[c.dc_bus] for c in converters], dtype=int)
+    vdc = conv[[c.mode == "const_vdc" for c in converters]]
+    droop = conv[[c.mode == "droop" for c in converters]]
+    free = np.setdiff1d(np.arange(n), vdc)
+    _read_only(ydc, f, t, y, conv, vdc, free, droop)
+    return DcPlan(index, ydc, f, t, y, conv, vdc, free, droop)
 
 
 def build_plan(net: Network) -> SolverPlan:
     """A fresh plan of ``net``, built from its elements alone."""
     return SolverPlan(bus_plan(net.buses),
                       branch_plan(net.n_bus, net.bus_index, net.branches),
-                      dc_plan(net.dc_buses, net.dc_branches))
+                      dc_plan(net.dc_buses, net.dc_branches, net.converters))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +574,10 @@ def _validate(net: Network) -> None:
                           net.dc_buses[0].id)
         missing = sorted(dc_set - comp)
         _require(not missing, f"DC grid is disconnected: bus(es) {missing}")
+        # the rule _dc_outage_islands applies to post-outage islands
+        _require(any(c.mode != "const_p" for c in net.converters),
+                 "DC grid has no droop or const_vdc converter; its voltage "
+                 "is undetermined")
 
 
 def _reachable(nodes: set[int], edges: list[tuple[int, int]], start: int) -> set[int]:
@@ -674,7 +688,8 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
         new.dc_branches = [b for b in net.dc_branches
                            if b.outage_id != k.branch_id]
         new.plan = dataclasses.replace(
-            net.plan, dc=dc_plan(new.dc_buses, new.dc_branches))
+            net.plan, dc=dc_plan(new.dc_buses, new.dc_branches,
+                                 new.converters))
         return new
     raise ValueError(f"unknown contingency kind {k.kind!r}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -316,36 +317,29 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     box_lo = np.maximum(space.lo, u0 - lims.du_max)
     box_hi = np.minimum(space.hi, u0 + lims.du_max)
 
-    for scale in (1.0, 0.5, 0.25):
-        for idx in order:
-            if probes >= max_probes or best_v <= tol_feas:
-                break
-            for sign in (1.0, -1.0):
-                if probes >= max_probes:
-                    break
-                raw = best_u[idx] + sign * scale * lims.du_max[idx]
-                raw = min(max(raw, box_lo[idx]), box_hi[idx])
-                step = space.step[idx]
-                if step > 0:
-                    raw = space.lo[idx] + round((raw - space.lo[idx]) / step) * step
-                    if raw > box_hi[idx] + 1e-12:
-                        raw -= step
-                    if raw < box_lo[idx] - 1e-12:
-                        raw += step
-                    if not box_lo[idx] - 1e-12 <= raw <= box_hi[idx] + 1e-12:
-                        continue
-                cand = best_u.copy()
-                cand[idx] = raw
-                if cand[idx] == best_u[idx]:
-                    continue
-                v = post_violation(cand)
-                probes += 1
-                if v < best_v - 1e-12:
-                    best_v = v
-                    best_u = cand
-                    if best_v <= tol_feas:
-                        break
+    for scale, idx, sign in itertools.product((1.0, 0.5, 0.25), order,
+                                              (1.0, -1.0)):
         if probes >= max_probes or best_v <= tol_feas:
             break
+        raw = best_u[idx] + sign * scale * lims.du_max[idx]
+        raw = min(max(raw, box_lo[idx]), box_hi[idx])
+        step = space.step[idx]
+        if step > 0:
+            raw = space.lo[idx] + round((raw - space.lo[idx]) / step) * step
+            if raw > box_hi[idx] + 1e-12:
+                raw -= step
+            if raw < box_lo[idx] - 1e-12:
+                raw += step
+            if not box_lo[idx] - 1e-12 <= raw <= box_hi[idx] + 1e-12:
+                continue
+        cand = best_u.copy()
+        cand[idx] = raw
+        if cand[idx] == best_u[idx]:
+            continue
+        v = post_violation(cand)
+        probes += 1
+        if v < best_v - 1e-12:
+            best_v = v
+            best_u = cand
 
     return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)

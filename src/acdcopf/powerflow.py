@@ -13,7 +13,9 @@ Everything structural comes from the network's
 contingency, taps): the AC Newton unknowns and the index sets that place
 the Jacobian blocks (following MATPOWER's ``dSbus_dV``), the per-branch
 terms of the vectorised from-side flows (MATPOWER's ``Yf``), and the DC
-conductance matrix.  No solve builds or repairs a plan.
+conductance matrix with the DC rows that the converter modes fix.  No
+solve builds or repairs a plan, and :func:`solve_acdc` reads the network
+elements once per solve.
 
 Floating-point results do not depend on how the structure is held: the
 Jacobian keeps the dense ``diag(v) @ ...`` products and the branch flows
@@ -272,53 +274,37 @@ def branch_flows(net: Network, vm: np.ndarray,
 # DC grid Newton solve
 
 
-@dataclass(frozen=True)
-class DcControl:
-    """Per-converter DC-side control handed to :func:`solve_dc`."""
-
-    bus: int                   # DC bus id
-    mode: str                  # droop | const_p | const_vdc
-    droop: float = 0.0
-    u0: float = 1.0            # droop reference / const_vdc setpoint
-    p0: float = 0.0            # droop reference / const_p fixed injection
-
-
-def solve_dc(plan: DcPlan, controls: list[DcControl], *,
-             u_start: np.ndarray | None = None) -> DcState:
+def solve_dc(plan: DcPlan, droop: np.ndarray, u0: np.ndarray,
+             p0: np.ndarray, *, u_start: np.ndarray | None = None) -> DcState:
     """Newton solve of the DC network with droop characteristics.
 
-    Node current balance and the droop law are driven to ``TOL_DC`` in
-    at most ``MAX_DC`` iterations.  At least one droop or const_vdc
-    converter must be present, otherwise the voltage profile is
-    undetermined and :class:`PowerFlowConfigError` is raised.
+    ``droop``, ``u0`` (droop reference or const_vdc setpoint) and ``p0``
+    (droop reference or const_p injection, 0 at a bus without converter)
+    hold one entry per DC bus.  Node power balance and the droop law are
+    driven to ``TOL_DC`` in at most ``MAX_DC`` iterations.  Without a
+    droop or const_vdc converter the voltage profile is undetermined and
+    :class:`PowerFlowConfigError` is raised.
     """
     n = len(plan.index)
     ydc = plan.ydc
-    by_bus = {plan.index[c.bus]: c for c in controls}
-    if not any(c.mode in ("droop", "const_vdc") for c in controls):
+    free, dr = plan.free_rows, plan.droop_rows
+    if not (plan.vdc_rows.size or dr.size):
         raise PowerFlowConfigError(
             "DC grid has no droop or const_vdc converter; voltage undetermined")
 
     u = np.ones(n) if u_start is None else u_start.astype(float).copy()
-    fixed = [i for i, c in by_bus.items() if c.mode == "const_vdc"]
-    for i in fixed:
-        u[i] = by_bus[i].u0
-    free = np.array([i for i in range(n) if i not in fixed], dtype=int)
+    u[plan.vdc_rows] = u0[plan.vdc_rows]
+    row_scale = np.ones(n)            # a droop row's Jacobian is R * dP/dU
+    row_scale[dr] = droop[dr]
 
     converged = False
     iterations = 0
     for it in range(MAX_DC + 1):
         i_inj = ydc @ u
         p_inj = u * i_inj
-        f_res = np.empty(len(free))
-        for r, i in enumerate(free):
-            c = by_bus.get(i)
-            if c is None:
-                f_res[r] = p_inj[i]                       # passive bus
-            elif c.mode == "const_p":
-                f_res[r] = p_inj[i] - c.p0
-            else:                                          # droop
-                f_res[r] = u[i] - c.u0 - c.droop * (c.p0 - p_inj[i])
+        res = p_inj - p0                  # power balance
+        res[dr] = (u - u0 - droop * (p0 - p_inj))[dr]
+        f_res = res[free]
         iterations = it
         if free.size == 0 or np.max(np.abs(f_res)) <= TOL_DC:
             converged = True
@@ -327,17 +313,10 @@ def solve_dc(plan: DcPlan, controls: list[DcControl], *,
             break
 
         # dP_i/dU_j = delta_ij * I_i + U_i * Y_ij
-        jac_p = np.diag(i_inj) + u[:, None] * ydc
-        jac = np.empty((len(free), len(free)))
-        for r, i in enumerate(free):
-            c = by_bus.get(i)
-            if c is None or c.mode == "const_p":
-                jac[r, :] = jac_p[i, free]
-            else:
-                jac[r, :] = c.droop * jac_p[i, free]
-                jac[r, r] += 1.0
+        jac = (np.diag(i_inj) + u[:, None] * ydc) * row_scale[:, None]
+        jac[dr, dr] += 1.0
         try:
-            du = np.linalg.solve(jac, f_res)
+            du = np.linalg.solve(jac[free][:, free], f_res)
         except np.linalg.LinAlgError:
             break
         u[free] -= du
@@ -356,9 +335,10 @@ def solve_dc(plan: DcPlan, controls: list[DcControl], *,
 # Coupled AC/DC solve
 
 
-def assemble_ac_inputs(net: Network, p_s_act: np.ndarray,
-                       q_s_act: np.ndarray):
-    """Per-bus specified injections and magnitude setpoints."""
+def assemble_ac_inputs(net: Network):
+    """Per-bus specified injections of the loads, generators and shunts,
+    and the magnitude setpoints; :func:`solve_acdc` subtracts the
+    converter terms."""
     n = net.n_bus
     p_inj = np.zeros(n)
     q_inj = np.zeros(n)
@@ -374,10 +354,6 @@ def assemble_ac_inputs(net: Network, p_s_act: np.ndarray,
         vm_set[i] = gen.u_g
     for sh in net.shunts:
         q_inj[net.bus_index[sh.bus]] += sh.q_c
-    for j, conv in enumerate(net.converters):
-        i = net.bus_index[conv.pcc_bus]
-        p_inj[i] -= p_s_act[j]
-        q_inj[i] -= q_s_act[j]
     return p_inj, q_inj, vm_set
 
 
@@ -399,15 +375,25 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     plus ``failure_stage`` in {"ac", "dc", "coupling"}; "coupling" also
     covers a station whose model cannot deliver the DC-side power.
     """
-    q_s = np.array([c.q_s for c in net.converters])
-    p_dc0 = [derive_droop_schedule(c, c.p_s, c.q_s) for c in net.converters]
+    convs = net.converters
+    pcc = np.array([net.bus_index[c.pcc_bus] for c in convs], dtype=int)
+    rows = net.plan.dc.conv_rows
+    const_p = [j for j, c in enumerate(convs) if c.mode == "const_p"]
+    p_load, q_inj, vm_set = assemble_ac_inputs(net)
+    p_s_act = np.array([c.p_s for c in convs])
+    q_s = np.array([c.q_s for c in convs])
+    q_inj[pcc] -= q_s
+    # one entry per DC bus; a const_p station's p0 is set per iteration
+    droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
+    droop[rows] = [c.droop for c in convs]
+    u0[rows] = [c.u_dc0 for c in convs]
+    p0[rows] = [derive_droop_schedule(c, c.p_s, c.q_s) for c in convs]
 
     vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
     dc_u0 = warm.dc.u if (warm is not None and warm.dc is not None) else None
 
     ac = None
     dc = None
-    p_s_act = np.array([c.p_s for c in net.converters])
     station: list[ConverterState] = []
     outer = 0
     failure = ""
@@ -415,38 +401,34 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
 
     while outer < MAX_OUTER:
         outer += 1
-        p_inj, q_inj, vm_set = assemble_ac_inputs(net, p_s_act, q_s)
+        p_inj = p_load.copy()
+        p_inj[pcc] -= p_s_act
         ac = solve_ac(net, p_inj, q_inj, vm_set, vm0=vm0, va0=va0)
         if not ac.converged:
             failure = "ac"
             break
         vm0, va0 = ac.vm, ac.va
 
-        if not net.converters:
+        if not convs:
             converged = True
             break
 
-        v_pcc = [ac.vm[net.bus_index[c.pcc_bus]]
-                 * np.exp(1j * ac.va[net.bus_index[c.pcc_bus]])
-                 for c in net.converters]
+        v_pcc = [ac.vm[i] * np.exp(1j * ac.va[i]) for i in pcc]
         station = [_station_quantities(v_pcc[j], p_s_act[j], q_s[j], c)
-                   for j, c in enumerate(net.converters)]
+                   for j, c in enumerate(convs)]
 
         # a const_p station injects what its AC side delivers
-        dc_controls = [DcControl(c.dc_bus, c.mode, droop=c.droop, u0=c.u_dc0,
-                                 p0=station[j].p_dc if c.mode == "const_p"
-                                 else p_dc0[j])
-                       for j, c in enumerate(net.converters)]
-        dc = solve_dc(net.plan.dc, dc_controls, u_start=dc_u0)
+        for j in const_p:
+            p0[rows[j]] = station[j].p_dc
+        dc = solve_dc(net.plan.dc, droop, u0, p0, u_start=dc_u0)
         if not dc.converged:
             failure = "dc"
             break
         dc_u0 = dc.u
 
         # coupling residual: AC-side delivery vs DC-side absorption
-        residual = max(abs(station[j].p_dc
-                           - dc.p_inj[net.dc_bus_index[c.dc_bus]])
-                       for j, c in enumerate(net.converters))
+        residual = max(abs(st.p_dc - dc.p_inj[r])
+                       for st, r in zip(station, rows))
         if trace is not None:
             trace.append((outer, ac.iterations, dc.iterations, residual))
         if residual <= TOL_COUPLE:
@@ -456,9 +438,8 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         # back-substitute the DC solution into the AC-side schedules
         p_s_new = [p_s_act[j] if c.mode == "const_p"
                    else _solve_ps_for_pdc(v_pcc[j], q_s[j], c,
-                                          dc.p_inj[net.dc_bus_index[c.dc_bus]],
-                                          p_s_act[j])
-                   for j, c in enumerate(net.converters)]
+                                          dc.p_inj[rows[j]], p_s_act[j])
+                   for j, c in enumerate(convs)]
         if None in p_s_new:            # a station cannot deliver its target
             break
         p_s_act[:] = p_s_new
@@ -467,10 +448,10 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
 
     conv_states: list[ConverterState] = []
     if ac.converged and station:
-        for j, (c, st) in enumerate(zip(net.converters, station)):
+        for j, (c, st) in enumerate(zip(convs, station)):
             p_dc = st.p_dc
             if dc is not None and dc.converged and c.mode != "const_p":
-                p_dc = dc.p_inj[net.dc_bus_index[c.dc_bus]]
+                p_dc = dc.p_inj[rows[j]]
             conv_states.append(dataclasses.replace(
                 st, p_s=p_s_act[j], p_dc=p_dc,
                 residual=abs(st.p_c - p_dc - st.p_loss)))
@@ -479,31 +460,32 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
                         outer_iterations=outer, converged=converged,
                         failure_stage=failure)
     if converged:
-        _fill_generator_outputs(net, state)
+        _fill_generator_outputs(net, state, pcc)
     return state
 
 
-def _fill_generator_outputs(net: Network, state: SystemState) -> None:
-    """Recover generator P/Q from solved bus injections."""
+def _fill_generator_outputs(net: Network, state: SystemState,
+                            pcc: np.ndarray) -> None:
+    """Recover generator P/Q from solved bus injections; ``pcc`` holds the
+    bus row of each converter, and a bus has at most one converter and
+    one shunt."""
     ac = state.ac
     n_gen = len(net.generators)
     gen_p = np.zeros(n_gen)
     gen_q = np.zeros(n_gen)
-    slack_bus = net.buses[net.slack_index].id
-    p_s_by_bus: dict[int, float] = {}
-    q_s_by_bus: dict[int, float] = {}
-    for cs, conv in zip(state.converters, net.converters):
-        p_s_by_bus[conv.pcc_bus] = p_s_by_bus.get(conv.pcc_bus, 0.0) + cs.p_s
-        q_s_by_bus[conv.pcc_bus] = q_s_by_bus.get(conv.pcc_bus, 0.0) + cs.q_s
-    q_c_by_bus = {sh.bus: sh.q_c for sh in net.shunts}
+    p_s, q_s, q_c = (np.zeros(net.n_bus) for _ in range(3))
+    p_s[pcc] += [cs.p_s for cs in state.converters]
+    q_s[pcc] += [cs.q_s for cs in state.converters]
+    q_c[[net.bus_index[sh.bus] for sh in net.shunts]] = [
+        sh.q_c for sh in net.shunts]
+    slack = net.slack_index
     for gi, gen in enumerate(net.generators):
         i = net.bus_index[gen.bus]
         bus = net.buses[i]
-        if gen.bus == slack_bus:
-            gen_p[gi] = (ac.p_inj[i] + bus.p_d + p_s_by_bus.get(gen.bus, 0.0))
+        if i == slack:
+            gen_p[gi] = ac.p_inj[i] + bus.p_d + p_s[i]
         else:
             gen_p[gi] = gen.p_g
-        gen_q[gi] = (ac.q_inj[i] + bus.q_d + q_s_by_bus.get(gen.bus, 0.0)
-                     - q_c_by_bus.get(gen.bus, 0.0))
+        gen_q[gi] = ac.q_inj[i] + bus.q_d + q_s[i] - q_c[i]
     state.gen_p = gen_p
     state.gen_q = gen_q

@@ -147,3 +147,38 @@ def grp_oracle(points, weights, rho=0.5):
         den = num + (v0 - vp) ** 2
         d.append(num / den if den > 0 else 0.5)
     return d
+
+
+def dc_newton_by_rows(ydc, modes, droop, u0, p0, tol, max_iter):
+    """DC grid Newton solve formed row by row from a flat start: the set
+    voltage of a const_vdc bus, the droop law of a droop bus and the power
+    balance of a const_p bus or a bus without converter (mode None).
+    Returns the voltages and the iteration count at the stop."""
+    n = len(modes)
+    u = np.ones(n)
+    free = [i for i in range(n) if modes[i] != "const_vdc"]
+    for i in range(n):
+        if modes[i] == "const_vdc":
+            u[i] = u0[i]
+    for it in range(max_iter + 1):
+        i_inj = ydc @ u
+        p_inj = u * i_inj
+        f = np.empty(len(free))
+        for r, i in enumerate(free):
+            if modes[i] == "droop":
+                f[r] = u[i] - u0[i] - droop[i] * (p0[i] - p_inj[i])
+            elif modes[i] == "const_p":
+                f[r] = p_inj[i] - p0[i]
+            else:
+                f[r] = p_inj[i]
+        if not free or np.max(np.abs(f)) <= tol or it == max_iter:
+            return u, it
+        jac_p = np.diag(i_inj) + u[:, None] * ydc
+        jac = np.empty((len(free), len(free)))
+        for r, i in enumerate(free):
+            if modes[i] == "droop":
+                jac[r, :] = droop[i] * jac_p[i, free]
+                jac[r, r] += 1.0
+            else:
+                jac[r, :] = jac_p[i, free]
+        u[free] -= np.linalg.solve(jac, f)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from acdcopf import cli, opfcore, run
+from acdcopf import cli, opfcore, powerflow, run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -100,6 +100,31 @@ def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
     assert len(calls) == 1
     assert calls[0]["L5"] == u[i]
     assert result.net.ybus is not acdc_net.ybus
+
+
+def test_coupled_solve_calls_traced_inner_solvers(acdc_net, acdc_space,
+                                                  monkeypatch):
+    """The traced ``powerflow.solve_ac`` and ``powerflow.solve_dc`` layers
+    are reached through the module attributes, once per outer iteration
+    of the coupled solve."""
+    calls = {"solve_ac": 0, "solve_dc": 0}
+
+    def counting(name):
+        solver = getattr(powerflow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(powerflow, name, counting(name))
+    result = opfcore.evaluate(acdc_net, acdc_space,
+                              acdc_space.default_vector())
+    assert result.state.converged
+    outer = result.state.outer_iterations
+    assert outer > 1
+    assert calls == {"solve_ac": outer, "solve_dc": outer}
 
 
 def _marker_eval(genome):

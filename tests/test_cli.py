@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from acdcopf import cli, evo, run
-from acdcopf.netmodel import ControlSpace, load_bundled_case
+from acdcopf.netmodel import (ControlSpace, bundled_case_path,
+                              load_bundled_case)
 
 from conftest import two_bus_case, write_case
 
@@ -110,6 +111,24 @@ class TestPowerflowCmd:
         assert code == cli.EXIT_VALIDATION
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["powerflow"], ["train-screen", "--seed", "1"], ["rank", "--model", "m"],
+    ["optimize", "--seed", "1"]])
+def test_dc_grid_without_voltage_control_rejected(argv, tmp_path,
+                                                   monkeypatch, capsys):
+    # every station const_p: the DC voltages are undetermined
+    case = json.loads(bundled_case_path("case14_acdc").read_text())
+    for conv in case["converters"]:
+        conv["mode"] = "const_p"
+    path = write_case(tmp_path, case)
+    monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path / "out"))
+    assert run_cli(*argv, "--case", str(path)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no droop or const_vdc converter" in err
+    assert "Traceback" not in err
 
 
 class TestTrainScreenCmd:
@@ -275,6 +294,12 @@ class TestOptimizeAndDecideCmd:
         ({"decision": {"weights": [0.5, -0.5]}}, None, "decision.weights"),
         ({"decision": {"weights": [0.5, "a"]}}, None, "decision.weights"),
         ({"corrective": {"fraction": -0.1}}, None, "corrective.fraction"),
+        ({"optimizer": {"kappa": 0}}, None, "optimizer.kappa"),
+        ({"optimizer": {"kappa": -0.05}}, None, "optimizer.kappa"),
+        ({"optimizer": {"eta_crossover": -1.0}}, None,
+         "optimizer.eta_crossover"),
+        ({"optimizer": {"eta_mutation": -1.0}}, None,
+         "optimizer.eta_mutation"),
     ])
     def test_bad_setting_rejected_before_solving(self, doc, env, key, tmp_path,
                                                  monkeypatch, capsys):

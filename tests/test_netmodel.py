@@ -122,6 +122,26 @@ class TestLoadCase:
                            match=r"shunts\[2\]: bus 3 already has shunts\[0\]"):
             load_case(write_case(tmp_path, case))
 
+    def test_dc_grid_without_voltage_control_rejected(self, tmp_path):
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        for conv in case["converters"]:
+            conv["mode"] = "const_p"
+        with pytest.raises(CaseValidationError,
+                           match="no droop or const_vdc converter"):
+            load_case(write_case(tmp_path, case))
+        case["converters"][1]["mode"] = "const_vdc"
+        assert load_case(write_case(tmp_path, case)).plan.dc.vdc_rows.size
+
+    def test_removed_p_dc0_rejected(self, tmp_path):
+        # nothing read the field; a case naming it is rejected like any
+        # unknown key
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        case["converters"][0]["p_dc0"] = 0.0
+        with pytest.raises(CaseParseError, match=r"converters\[0\].*p_dc0"):
+            load_case(write_case(tmp_path, case))
+
     def test_round_trip(self, acdc_net):
         doc = network_to_dict(acdc_net)
         again = network_from_dict(doc)
@@ -222,6 +242,23 @@ class TestSolverPlan:
                                   base.branches.yff_i)
         assert moved.plan.buses is base.buses
         assert moved.plan.dc is base.dc
+
+    def test_dc_rows_follow_converter_modes(self, acdc_net):
+        doc = network_to_dict(acdc_net)
+        doc["converters"][0]["mode"] = "const_vdc"
+        doc["converters"][2]["mode"] = "const_p"
+        net = network_from_dict(doc)
+        for variant in [net] + [apply_contingency(net, k)
+                                for k in net.contingencies]:
+            dc = variant.plan.dc
+            assert same_plan_arrays(variant.plan, build_plan(variant))
+            assert dc.conv_rows.tolist() == [0, 1, 2]
+            assert dc.vdc_rows.tolist() == [0]
+            assert dc.free_rows.tolist() == [1, 2]
+            assert dc.droop_rows.tolist() == [1]
+        base = acdc_net.plan.dc
+        assert base.vdc_rows.size == 0
+        assert base.free_rows.tolist() == base.droop_rows.tolist() == [0, 1, 2]
 
     def test_plan_is_read_only(self, acdc_net):
         with pytest.raises(ValueError):

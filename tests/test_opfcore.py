@@ -218,6 +218,37 @@ class TestCorrectiveFeasibility:
         assert mine.feasible == oracle is True or mine.feasible == oracle
         assert mine.feasible
 
+    @pytest.mark.parametrize("budget,probed", [
+        (4, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02)]),
+        (30, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02),
+              (0.02, 0.98), (0.01, 0.98), (0.02, 0.99), (0.015, 0.98),
+              (0.02, 0.985)]),
+    ])
+    def test_probe_sequence(self, budget, probed, monkeypatch):
+        # an outage the box cannot correct: scales, then components in
+        # priority order, then signs; a probe that lands on the best point
+        # is skipped, and the budget stops the search
+        net = constrained_two_bus(p_limit=0.3)
+        space = ControlSpace(net)
+        du = np.zeros(len(space))
+        du[space.index["P_G:bus2"]] = du[space.index["U_G:bus2"]] = 0.02
+        calls = []
+        evaluate = opfcore.evaluate
+
+        def recording(net_k, space, u, **kwargs):
+            calls.append((round(float(u[space.index["P_G:bus2"]]), 6),
+                          round(float(u[space.index["U_G:bus2"]]), 6)))
+            return evaluate(net_k, space, u, **kwargs)
+
+        monkeypatch.setattr(opfcore, "evaluate", recording)
+        out = corrective_feasibility(net, space, space.default_vector(),
+                                     net.contingency("L1"),
+                                     CorrectiveLimits(du_max=du),
+                                     max_probes=budget)
+        assert not out.feasible
+        assert out.probes == len(calls)
+        assert calls == probed
+
     def test_monotone_in_box_size(self):
         net = constrained_two_bus(p_limit=0.3)
         space = ControlSpace(net)

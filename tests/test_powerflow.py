@@ -3,6 +3,7 @@
 import cmath
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 import time
@@ -12,19 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import (ConverterStation, branch_admittance, dc_plan,
-                              network_from_dict)
-from acdcopf.powerflow import (DcControl, PowerFlowConfigError, solve_ac,
-                               solve_acdc, solve_dc)
+from acdcopf.netmodel import (ControlSpace, ConverterStation,
+                              branch_admittance, dc_plan, load_bundled_case,
+                              network_from_dict, network_to_dict)
+from acdcopf.powerflow import (PowerFlowConfigError, solve_ac, solve_acdc,
+                               solve_dc)
 
 from conftest import two_bus_case
-from oracles import oracle_solve_ac, two_bus_closed_form
+from oracles import dc_newton_by_rows, oracle_solve_ac, two_bus_closed_form
 
 
 def ac_inputs(net):
-    p_s = np.zeros(len(net.converters))
-    q_s = np.zeros(len(net.converters))
-    return powerflow.assemble_ac_inputs(net, p_s, q_s)
+    return powerflow.assemble_ac_inputs(net)
 
 
 class TestSolveAc:
@@ -218,9 +218,6 @@ class TestConverterPrimitives:
                                  r_min=0.5) > 0.0
 
 
-DC_BUSES = [dict(id=1), dict(id=2)]
-
-
 def make_dc_buses(ids):
     from acdcopf.netmodel import DcBus
     return [DcBus(id=i) for i in ids]
@@ -236,35 +233,42 @@ def make_dc_branches(edges, y=10.0):
     return out
 
 
+def dc_grid(stations, branches):
+    """Plan and the per-bus ``droop``, ``u0``, ``p0`` arrays of a DC grid
+    with buses 1..n: ``stations`` holds one ``(mode, droop, u0, p0)`` per
+    bus, or None for a bus without a converter."""
+    n = len(stations)
+    convs = [ConverterStation(name=f"C{bus}", pcc_bus=bus, dc_bus=bus, g=0.0,
+                              b=-10.0, mode=st[0])
+             for bus, st in enumerate(stations, 1) if st is not None]
+    rows = [(0.0, 1.0, 0.0) if st is None else st[1:] for st in stations]
+    droop, u0, p0 = np.array(rows, dtype=float).T.copy()
+    return dc_plan(make_dc_buses(range(1, n + 1)), branches, convs), \
+        droop, u0, p0
+
+
 class TestSolveDc:
     def test_flat_no_disturbance(self):
-        buses = make_dc_buses([1, 2, 3])
         branches = make_dc_branches([(1, 2), (2, 3), (1, 3)], y=50.0)
-        controls = [DcControl(b, "droop", droop=0.02, u0=1.0, p0=0.0)
-                    for b in (1, 2, 3)]
-        state = solve_dc(dc_plan(buses, branches), controls)
+        state = solve_dc(*dc_grid([("droop", 0.02, 1.0, 0.0)] * 3, branches))
         assert state.converged
         np.testing.assert_allclose(state.u, 1.0, atol=1e-12)
         np.testing.assert_allclose(state.branch_i, 0.0, atol=1e-10)
 
     def test_two_bus_hand_solution(self):
-        buses = make_dc_buses([1, 2])
         branches = make_dc_branches([(1, 2)], y=10.0)
-        controls = [DcControl(1, "const_p", p0=0.101),
-                    DcControl(2, "const_vdc", u0=1.0)]
-        state = solve_dc(dc_plan(buses, branches), controls)
+        state = solve_dc(*dc_grid([("const_p", 0.0, 1.0, 0.101),
+                                   ("const_vdc", 0.0, 1.0, 0.0)], branches))
         assert state.converged
         assert state.u[0] == pytest.approx(1.01, abs=1e-9)
         assert state.i_inj[0] == pytest.approx(0.1, abs=1e-9)
         assert state.p_inj[0] == pytest.approx(0.101, abs=1e-9)
 
     def test_equal_droop_shares_equally(self):
-        buses = make_dc_buses([1, 2, 3])
         branches = make_dc_branches([(1, 2), (2, 3), (1, 3)], y=200.0)
-        controls = [DcControl(1, "droop", droop=0.05, u0=1.0, p0=0.0),
-                    DcControl(2, "droop", droop=0.05, u0=1.0, p0=0.0),
-                    DcControl(3, "const_p", p0=-0.4)]
-        state = solve_dc(dc_plan(buses, branches), controls)
+        state = solve_dc(*dc_grid([("droop", 0.05, 1.0, 0.0),
+                                   ("droop", 0.05, 1.0, 0.0),
+                                   ("const_p", 0.0, 1.0, -0.4)], branches))
         assert state.converged
         d1 = state.p_inj[0] - 0.0
         d2 = state.p_inj[1] - 0.0
@@ -272,23 +276,88 @@ class TestSolveDc:
         assert d1 > 0.19
 
     def test_all_const_p_rejected(self):
-        buses = make_dc_buses([1, 2])
         branches = make_dc_branches([(1, 2)])
         with pytest.raises(PowerFlowConfigError):
-            solve_dc(dc_plan(buses, branches), [DcControl(1, "const_p", p0=0.1),
-                                       DcControl(2, "const_p", p0=-0.1)])
+            solve_dc(*dc_grid([("const_p", 0.0, 1.0, 0.1),
+                               ("const_p", 0.0, 1.0, -0.1)], branches))
 
     def test_power_balance_equals_line_losses(self):
-        buses = make_dc_buses([1, 2, 3])
         branches = make_dc_branches([(1, 2), (2, 3), (1, 3)], y=100.0)
-        controls = [DcControl(1, "droop", droop=0.05, u0=1.0, p0=0.6),
-                    DcControl(2, "droop", droop=0.05, u0=1.0, p0=-0.3),
-                    DcControl(3, "droop", droop=0.05, u0=1.0, p0=-0.28)]
-        state = solve_dc(dc_plan(buses, branches), controls)
+        state = solve_dc(*dc_grid([("droop", 0.05, 1.0, 0.6),
+                                   ("droop", 0.05, 1.0, -0.3),
+                                   ("droop", 0.05, 1.0, -0.28)], branches))
         assert state.converged
         losses = sum(i * i / br.y
                      for i, br in zip(state.branch_i, branches))
         assert state.p_inj.sum() == pytest.approx(losses, abs=1e-6)
+
+    def test_bus_without_converter_passes_power_through(self):
+        # 1 (const_vdc) - 2 (no converter) - 3 (const_p): bus 2 injects
+        # nothing and the set voltage holds
+        branches = make_dc_branches([(1, 2), (2, 3)], y=20.0)
+        state = solve_dc(*dc_grid([("const_vdc", 0.0, 1.02, 0.0), None,
+                                   ("const_p", 0.0, 1.0, 0.3)], branches))
+        assert state.converged
+        assert state.u[0] == 1.02
+        assert abs(state.p_inj[1]) <= 1e-8
+        assert state.p_inj[2] == pytest.approx(0.3, abs=1e-8)
+        assert state.branch_i[0] == pytest.approx(state.branch_i[1],
+                                                  abs=1e-9)
+
+    def test_rows_from_plan_equal_row_by_row_solve(self):
+        # the plan's rows give every voltage and iteration count of a
+        # solve formed bus by bus, bit for bit, in every mode mix
+        rng = np.random.default_rng(5)
+        branches = make_dc_branches([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)],
+                                    y=30.0)
+        modes = ["droop", "const_p", "const_vdc", None]
+        for _ in range(40):
+            mix = list(rng.choice(modes, size=4))
+            if not {"droop", "const_vdc"} & set(mix):
+                continue
+            stations = [None if m is None else
+                        (m, rng.uniform(0.01, 0.1), rng.uniform(0.97, 1.03),
+                         rng.uniform(-0.4, 0.4)) for m in mix]
+            plan, droop, u0, p0 = dc_grid(stations, branches)
+            state = solve_dc(plan, droop, u0, p0)
+            u, iterations = dc_newton_by_rows(plan.ydc, mix, droop, u0, p0,
+                                              powerflow.TOL_DC,
+                                              powerflow.MAX_DC)
+            assert np.array_equal(state.u, u), mix
+            assert state.iterations == iterations
+
+
+@functools.cache
+def case_variant(name):
+    """The bundled case with VSC1 const_vdc and VSC3 const_p
+    (``mixed_modes``), or with its shunt on generator bus 3
+    (``shunt_on_gen_bus``), and its control space.  The bundled case has
+    only droop stations and no shunt on a generator bus."""
+    doc = network_to_dict(load_bundled_case("case14_acdc"))
+    if name == "mixed_modes":
+        doc["converters"][0]["mode"] = "const_vdc"
+        doc["converters"][2]["mode"] = "const_p"
+    else:
+        doc["shunts"][0]["bus"] = 3
+    net = network_from_dict(doc)
+    return net, ControlSpace(net)
+
+
+def bus_mismatch(net, state):
+    """Largest bus mismatch of a converged solve against the variant's
+    ``ybus``, the injections rebuilt from the elements and the solved
+    converter and generator outputs."""
+    spec = np.zeros(net.n_bus, dtype=complex)
+    for bus in net.buses:
+        spec[net.bus_index[bus.id]] -= complex(bus.p_d, bus.q_d)
+    for gen, p, q in zip(net.generators, state.gen_p, state.gen_q):
+        spec[net.bus_index[gen.bus]] += complex(p, q)
+    for sh in net.shunts:
+        spec[net.bus_index[sh.bus]] += 1j * sh.q_c
+    for conv, cs in zip(net.converters, state.converters):
+        spec[net.bus_index[conv.pcc_bus]] -= complex(cs.p_s, cs.q_s)
+    v = state.ac.vm * np.exp(1j * state.ac.va)
+    return np.max(np.abs(v * np.conj(net.ybus @ v) - spec))
 
 
 class TestSolveAcdc:
@@ -363,25 +432,33 @@ class TestSolveAcdc:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_power_balance_at_convergence(self, acdc_net, acdc_space, data):
-        space = acdc_space
-        frac = np.array(data.draw(st.lists(
-            st.floats(0.0, 1.0), min_size=len(space), max_size=len(space))))
-        u, _ = space.snap(space.lo + frac * (space.hi - space.lo))
-        net = opfcore.apply_controls(acdc_net, space, u)
-        state = solve_acdc(net)
-        if not state.converged:
-            return
-        spec = np.zeros(net.n_bus, dtype=complex)
-        for bus in net.buses:
-            spec[net.bus_index[bus.id]] -= complex(bus.p_d, bus.q_d)
-        for gen, p, q in zip(net.generators, state.gen_p, state.gen_q):
-            spec[net.bus_index[gen.bus]] += complex(p, q)
-        for sh in net.shunts:
-            spec[net.bus_index[sh.bus]] += 1j * sh.q_c
-        for conv, cs in zip(net.converters, state.converters):
-            spec[net.bus_index[conv.pcc_bus]] -= complex(cs.p_s, cs.q_s)
-        v = state.ac.vm * np.exp(1j * state.ac.va)
-        assert np.max(np.abs(v * np.conj(net.ybus @ v) - spec)) <= 1e-6
+        for net, space in ((acdc_net, acdc_space),
+                           case_variant("mixed_modes"),
+                           case_variant("shunt_on_gen_bus")):
+            frac = np.array(data.draw(st.lists(
+                st.floats(0.0, 1.0), min_size=len(space),
+                max_size=len(space))))
+            u, _ = space.snap(space.lo + frac * (space.hi - space.lo))
+            net_u = opfcore.apply_controls(net, space, u)
+            state = solve_acdc(net_u)
+            if state.converged:
+                assert bus_mismatch(net_u, state) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["mixed_modes", "shunt_on_gen_bus"])
+    def test_variant_case_point_balanced(self, name):
+        net, space = case_variant(name)
+        result = opfcore.evaluate(net, space, space.default_vector())
+        assert result.state.converged
+        assert bus_mismatch(result.net, result.state) <= 1e-8
+        if name == "mixed_modes":
+            vdc = net.converters[0]
+            assert result.state.dc.u[net.dc_bus_index[vdc.dc_bus]] == \
+                vdc.u_dc0
+            # a const_p station delivers its AC side's power to the DC grid
+            cs = result.state.converters[2]
+            assert cs.p_s == net.converters[2].p_s
+            assert abs(cs.p_c - cs.p_loss - result.state.dc.p_inj[
+                net.dc_bus_index[net.converters[2].dc_bus]]) <= 1e-6
 
     def test_failure_stage_labelled(self, acdc_net, acdc_space):
         u = acdc_space.default_vector()
