@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from . import decide, evo, netmodel, opfcore, screen
+from . import decide, evo, opfcore, screen
 from .netmodel import (CaseError, ControlSpace, Network, bundled_case_path,
                        load_case)
 from .run import CorrectiveConfig, OpfProblem
@@ -58,11 +59,14 @@ DEFAULT_CONFIG = {
 # the type of a key whose default is None, once it is set
 NULLABLE = {"case": str, "seed": int, "optimizer.mutation_rate": float,
             "screening.model_path": str}
-# smallest value a run can use, and the keys whose value must exceed 0
+# smallest value a run can use, the keys whose value must exceed 0, and
+# the probabilities (at most 1); every float setting must be finite
 MINIMUM = {"optimizer.population": 1, "decision.clusters": 1,
            "corrective.fraction": 0, "optimizer.eta_crossover": 0,
-           "optimizer.eta_mutation": 0}
+           "optimizer.eta_mutation": 0, "screening.width": 0,
+           "optimizer.crossover_rate": 0, "optimizer.mutation_rate": 0}
 POSITIVE = ("optimizer.kappa",)
+PROBABILITY = ("optimizer.crossover_rate", "optimizer.mutation_rate")
 # flag -> (config key it sets, subcommands that take it)
 FLAGS = {
     "--case": ("case", ("powerflow", "train-screen", "rank", "optimize")),
@@ -103,7 +107,8 @@ def _kind(where: str) -> type:
 def _set(cfg: dict, where: str, value, source: str) -> None:
     """Set the dotted config key ``where`` to ``value`` (an object key by
     key), checked against the type of its default (an int is taken where
-    a float is due) and against ``MINIMUM`` and ``POSITIVE``."""
+    a float is due, a float must be finite) and against ``MINIMUM``,
+    ``POSITIVE`` and ``PROBABILITY``."""
     *path, key = where.split(".")    # a section and its key, or a key
     section = cfg[path[0]] if path else cfg
     if key not in section:
@@ -115,11 +120,17 @@ def _set(cfg: dict, where: str, value, source: str) -> None:
     if type(value) is not kind and not (value is None and where in NULLABLE):
         raise CliError(f"{source}: {where} must be {kind.__name__}, "
                        f"not {value!r}", EXIT_VALIDATION)
-    if where in MINIMUM and value < MINIMUM[where]:
+    if kind is float and value is not None and not math.isfinite(value):
+        raise CliError(f"{source}: {where} must be finite, not {value!r}",
+                       EXIT_VALIDATION)
+    if where in MINIMUM and value is not None and value < MINIMUM[where]:
         raise CliError(f"{source}: {where} must be >= {MINIMUM[where]}, "
                        f"not {value!r}", EXIT_VALIDATION)
     if where in POSITIVE and not value > 0:
         raise CliError(f"{source}: {where} must be > 0, not {value!r}",
+                       EXIT_VALIDATION)
+    if where in PROBABILITY and value is not None and value > 1:
+        raise CliError(f"{source}: {where} must be <= 1, not {value!r}",
                        EXIT_VALIDATION)
     if kind is dict:
         for name, item in value.items():
@@ -160,9 +171,9 @@ def load_config(path: str | None, flags: dict) -> dict:
         _set(cfg, where, value, "command line")
     weights = cfg["decision"]["weights"]
     if len(weights) != 2 or not all(type(w) in (int, float) and w > 0
-                                    for w in weights):
-        raise CliError(f"decision.weights must be two positive numbers, "
-                       f"not {weights!r}", EXIT_VALIDATION)
+                                    and math.isfinite(w) for w in weights):
+        raise CliError(f"decision.weights must be two finite positive "
+                       f"numbers, not {weights!r}", EXIT_VALIDATION)
     return cfg
 
 
@@ -300,6 +311,11 @@ def _fmt(value: float, digits: int = 6) -> str:
     return f"{value:.{digits}f}"
 
 
+def _fmt_error(err: float | None) -> str:
+    """A prediction error in percent, or ``n/a`` where it is undefined."""
+    return "n/a" if err is None else _fmt(err, 4)
+
+
 # ---------------------------------------------------------------------------
 # powerflow
 
@@ -396,46 +412,32 @@ def train_screening_model(net: Network, cfg: dict):
             f"{n_samples * len(ac_outages)} rows, need >= {min_rows}",
             EXIT_VALIDATION)
 
-    sampler = screen.SamplerConfig(width=cfg["screening"]["width"], seed=seed)
-    train = screen.build_training_set(net, sampler, n_samples)
+    controls = screen.sample_controls(space, n_samples,
+                                      cfg["screening"]["width"], seed)
+    train = screen.build_training_set(net, controls)
 
     rng = np.random.default_rng(seed + 1)
     n_hold = max(1, int(round(HOLDOUT_FRACTION * n_samples)))
     holdout = set(rng.choice(n_samples, size=n_hold, replace=False).tolist())
     train_rows = np.array([s not in holdout for s in train.row_sample])
+    model = screen.fit_screening_model(net, train.rows(train_rows), seed=seed)
 
-    fit_set = screen.TrainingSet(
-        x=train.x[train_rows], y=train.y[train_rows],
-        feature_names=train.feature_names,
-        row_outage=[o for o, keep in zip(train.row_outage, train_rows) if keep],
-        row_sample=train.row_sample[train_rows],
-        controls=train.controls, flagged=train.flagged[train_rows])
-    model = screen.fit_screening_model(net, fit_set, seed=seed)
-
-    # held-out validation: relative errors and per-sample rank correlation
-    errors: list[float] = []
-    rhos: list[float] = []
-    hold_rows = ~train_rows
+    # held-out validation: relative errors (not of diverged rows) and the
+    # rank correlation per control sample
+    hold = train.rows(~train_rows)
+    preds = np.array([model.predict_row(row) for row in hold.x])
+    scored = hold.y >= 0.05
+    sound = scored & ~hold.flagged
+    errors = [screen.prediction_error(pred, exact)
+              for pred, exact in zip(preds[sound], hold.y[sound])]
+    rhos = []
     for si in sorted(holdout):
-        sel = hold_rows & (train.row_sample == si)
-        preds, exacts = [], []
-        for ri in np.flatnonzero(sel):
-            pred = model.predict_row(train.x[ri])
-            exact = train.y[ri]
-            flagged = train.flagged[ri]
-            preds.append(pred)
-            exacts.append(exact)
-            if not flagged and exact >= 0.05:
-                errors.append(screen.prediction_error(pred, exact))
-        exacts = np.array(exacts)
-        preds = np.array(preds)
-        keep = exacts >= 0.05
+        keep = scored & (hold.row_sample == si)
         if keep.sum() >= 3:
-            rho = spearmanr(preds[keep], exacts[keep]).statistic
-            rhos.append(float(rho))
+            rhos.append(float(spearmanr(preds[keep], hold.y[keep]).statistic))
     validation = {
         "holdout_samples": sorted(holdout),
-        "n_holdout_rows": int(hold_rows.sum()),
+        "n_holdout_rows": len(hold.y),
         "n_errors_scored": len(errors),
         "max_abs_error_percent": max((abs(e) for e in errors), default=0.0),
         "mean_abs_error_percent": (float(np.mean([abs(e) for e in errors]))
@@ -447,25 +449,17 @@ def train_screening_model(net: Network, cfg: dict):
     }
 
     # severity table at the case's default operating point (held out of
-    # training by construction); divergent outages carry the sentinel and
-    # are excluded from the error statistics
+    # training by construction), in rank order; divergent outages carry
+    # the sentinel and no error, and are excluded from the statistics
     u0 = space.default_vector()
-    table = []
-    table_errors: list[float] = []
-    preds, exacts = [], []
-    for k in ac_outages:
-        exact, diverged = screen.exact_index(
-            netmodel.apply_contingency(net, k), space, u0)
-        pred = model.predict(net, space, u0, k)
-        err = None if diverged else screen.prediction_error(pred, exact)
-        table.append([k.label, pred, exact,
-                      err if err is not None else "",
-                      screen.classify(pred)])
-        if not diverged and exact >= 0.05:
+    table, table_errors, preds, exacts = [], [], [], []
+    for k, pred, cls in screen.rank_contingencies(model, net, u0):
+        exact, err = screen.exact_error(net, space, u0, k, pred)
+        table.append([k.label, pred, exact, err, cls])
+        if err is not None and exact >= 0.05:
             table_errors.append(abs(err))
             preds.append(pred)
             exacts.append(exact)
-    table.sort(key=lambda row: -row[1])
     validation["table_max_abs_error_percent"] = max(table_errors, default=0.0)
     validation["table_rows_scored"] = len(table_errors)
     validation["table_spearman"] = (
@@ -488,9 +482,8 @@ def cmd_train_screen(args) -> int:
                stamp)
     write_csv(out / "screen_error_table.csv",
               ["branch", "predicted", "exact", "error_percent", "class"],
-              [[r[0], _fmt(r[1], 4), _fmt(r[2], 4),
-                _fmt(r[3], 4) if r[3] != "" else "n/a", r[4]]
-               for r in table], stamp)
+              [[label, _fmt(pred, 4), _fmt(exact, 4), _fmt_error(err), cls]
+               for label, pred, exact, err, cls in table], stamp)
     if args.dump_training:
         rows = [[o] + [f"{v:.6g}" for v in row] + [f"{y:.6g}"]
                 for o, row, y in zip(train.row_outage, train.x, train.y)]
@@ -514,27 +507,22 @@ def cmd_rank(args) -> int:
     u = load_control_overrides(space, args.controls)
     out = _ensure_outdir(cfg)
 
-    ranked = screen.rank_contingencies(model, net, space, u)
+    ranked = screen.rank_contingencies(model, net, u)
+    critical = [k.label for k in screen.filter_contingencies(model, net, u)]
     header = ["branch", "predicted", "class"]
-    rows = []
-    for k, pred, cls in ranked.entries:
-        row = [k.label, _fmt(pred, 4), cls]
-        if args.exact:
-            exact, diverged = screen.exact_index(
-                netmodel.apply_contingency(net, k), space, u)
-            err = (None if diverged
-                   else screen.prediction_error(pred, exact))
-            row += [_fmt(exact, 4), _fmt(err, 4) if err is not None else "n/a"]
-        rows.append(row)
+    rows = [[k.label, _fmt(pred, 4), cls] for k, pred, cls in ranked]
     if args.exact:
         header += ["exact", "error_percent"]
+        for row, (k, pred, _) in zip(rows, ranked):
+            exact, err = screen.exact_error(net, space, u, k, pred)
+            row += [_fmt(exact, 4), _fmt_error(err)]
     write_csv(out / "rank.csv", header, rows, stamp)
     write_json(out / "rank.json", {
-        "critical_set": ranked.labels(),
+        "critical_set": critical,
         "entries": [{"branch": k.label, "predicted": pred, "class": cls}
-                    for k, pred, cls in ranked.entries],
+                    for k, pred, cls in ranked],
     }, stamp)
-    print(f"critical set: {ranked.labels()}")
+    print(f"critical set: {critical}")
     return EXIT_OK
 
 

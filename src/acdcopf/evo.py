@@ -218,13 +218,17 @@ def polynomial_mutation(genome: np.ndarray, rate: float, eta: float,
     return child
 
 
+def mutation_rate(config: EvoConfig, space) -> float:
+    """Per-gene mutation probability; 1/n when the config leaves it unset."""
+    rate = config.mutation_rate
+    return 1.0 / max(1, len(space)) if rate is None else rate
+
+
 def variation(pool: list[Individual], space, config: EvoConfig,
               rng: np.random.Generator) -> list[np.ndarray]:
     """Offspring genomes from a mating pool: SBX pairs, then mutation,
     then clamping and discrete snapping."""
-    rate = config.mutation_rate
-    if rate is None:
-        rate = 1.0 / max(1, len(space))
+    rate = mutation_rate(config, space)
     genomes = []
     for j in range(0, len(pool) - 1, 2):
         p1, p2 = pool[j].genome, pool[j + 1].genome
@@ -347,7 +351,7 @@ def exploration_probes(archive: ParetoArchive, npc: list[Individual],
     arch_n, npc_n = norm[:na], norm[na:]
     radius = 1.0 / config.population
     probes = []
-    rate = config.mutation_rate or (1.0 / max(1, len(space)))
+    rate = mutation_rate(config, space)
     for i, member in enumerate(archive.members):
         dist = np.min(np.linalg.norm(npc_n - arch_n[i], axis=1))
         if dist > radius:

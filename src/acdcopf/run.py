@@ -61,8 +61,8 @@ class _EvalContext:
             violation += SKIP_SURCHARGE
         if res.state.converged and violation <= self.corrective.tol_feas:
             if self.model is not None:
-                cstar = screen.filter_contingencies(
-                    self.model, self.net, self.space, res.u)
+                cstar = screen.filter_contingencies(self.model, self.net,
+                                                    res.u)
             else:
                 cstar = list(self.net.contingencies)
             for k in cstar:

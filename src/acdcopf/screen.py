@@ -3,17 +3,22 @@
 The composite index aggregates voltage and flow crossings of the security
 limits, scaled by the alarm bands, into one scalar: 0 is secure, values
 in (0, 1] are an alarm state, values above 1 are insecure.  A Lasso
-regression trained on simulated outage data predicts the index from the
-outage identity (one-hot) and the control vector, so the critical
-contingency set can be re-filtered cheaply for every candidate operating
-point: insecure AC lines plus, always, all DC lines.
+regression predicts the index from the outage identity (one-hot) and the
+control vector, so the critical contingency set can be re-filtered
+cheaply for every candidate operating point: insecure AC lines plus,
+always, all DC lines.
+
+The caller supplies the training control points (:func:`sample_controls`
+draws a Latin-hypercube box around the case point).  ``rank`` and the
+``train-screen`` error table share :func:`rank_contingencies` and
+:func:`exact_error`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +31,11 @@ from .powerflow import SystemState
 log = logging.getLogger(__name__)
 
 PI_MAX = 10.0                  # severity sentinel for divergent flows
+INDEX_EXPONENT = 2             # the index is a 2n-th power mean, n = 2
+# training-box half-width of the droop slopes, as a fraction of their
+# range: their declared range is far wider than their useful scale, so
+# they do not take the ``screening.width`` of the other controls
+DROOP_WIDTH = 0.0005
 MODEL_SCHEMA_VERSION = "screening-model/1"
 # penalty cross-validation: folds, and a log grid of penalties from
 # LAMBDA_MIN_FACTOR times the all-zero penalty up to it
@@ -36,9 +46,8 @@ LAMBDA_MIN_FACTOR = 1e-4
 
 @dataclass
 class SecurityIndexParams:
-    """Voltage/flow security and alarm limits with the severity exponent."""
+    """Voltage/flow security and alarm limits."""
 
-    n: int = 2
     h_min: np.ndarray = None   # per-bus voltage security limits
     h_max: np.ndarray = None
     a_min: np.ndarray = None   # per-bus voltage alarm limits
@@ -68,7 +77,7 @@ def composite_index(state: SystemState, params: SecurityIndexParams) -> float:
     """
     if not state.converged:
         return PI_MAX
-    n2 = 2 * params.n
+    n2 = 2 * INDEX_EXPONENT
     vm = state.ac.vm
     over = vm > params.h_max
     under = vm < params.h_min
@@ -93,6 +102,15 @@ def exact_index(net_k: Network, space: ControlSpace,
     return composite_index(res.state, params), not res.state.converged
 
 
+def exact_error(net: Network, space: ControlSpace, u: np.ndarray,
+                k: Contingency, pred: float) -> tuple[float, float | None]:
+    """Exact composite index of outage ``k`` at control vector ``u``, and
+    the relative error of the prediction ``pred`` in percent (None when
+    the flow diverged or the exact index is 0)."""
+    exact, diverged = exact_index(apply_contingency(net, k), space, u)
+    return exact, None if diverged else prediction_error(pred, exact)
+
+
 def classify(pi_value: float) -> str:
     if pi_value > 1.0:
         return "insecure"
@@ -113,53 +131,38 @@ def prediction_error(pi_pred: float, pi_exact: float) -> float | None:
 
 
 @dataclass
-class SamplerConfig:
-    """Latin-hypercube sampling box for training controls.
-
-    ``width`` is the per-component half-width as a fraction of the full
-    control range, centred on the case defaults; ``per_kind`` overrides
-    it for a control kind (droop slopes in particular have a declared
-    range far wider than their useful scale).
-    """
-
-    width: float = 0.005
-    per_kind: dict = field(default_factory=lambda: {"droop": 0.0005})
-    seed: int = 0
-
-
-@dataclass
 class TrainingSet:
     x: np.ndarray                       # one row per (sample, AC outage)
     y: np.ndarray                       # exact composite index per row
     feature_names: list[str]
-    row_outage: list[str]               # outage id per row
+    row_outage: np.ndarray              # outage id per row
     row_sample: np.ndarray              # control-sample index per row
-    controls: np.ndarray                # the sampled control vectors
     flagged: np.ndarray                 # rows whose flow diverged (sentinel)
 
+    def rows(self, keep: np.ndarray) -> "TrainingSet":
+        """The rows where the boolean mask ``keep`` is true."""
+        return replace(self, x=self.x[keep], y=self.y[keep],
+                       row_outage=self.row_outage[keep],
+                       row_sample=self.row_sample[keep],
+                       flagged=self.flagged[keep])
 
-def sample_controls(space: ControlSpace, cfg: SamplerConfig,
-                    n_samples: int) -> np.ndarray:
-    """Latin-hypercube control samples snapped onto discrete grids."""
-    sampler = qmc.LatinHypercube(d=len(space), seed=cfg.seed)
-    unit = sampler.random(n=n_samples)
+
+def sample_controls(space: ControlSpace, n_samples: int, width: float,
+                    seed: int) -> np.ndarray:
+    """Latin-hypercube control samples snapped onto discrete grids, in a
+    box centred on the case point whose half-width is ``width`` of each
+    control's range (``DROOP_WIDTH`` for droop slopes)."""
+    unit = qmc.LatinHypercube(d=len(space), seed=seed).random(n=n_samples)
     centre = space.default_vector()
-    width = np.array([cfg.per_kind.get(kind, cfg.width)
-                      for kind in space.kinds])
-    half = width * (space.hi - space.lo)
+    half = (np.where(np.array(space.kinds) == "droop", DROOP_WIDTH, width)
+            * (space.hi - space.lo))
     lo = np.maximum(space.lo, centre - half)
     hi = np.minimum(space.hi, centre + half)
     raw = lo + unit * (hi - lo)
     return np.vstack([space.snap(row)[0] for row in raw])
 
 
-def feature_names_for(net: Network, space: ControlSpace) -> list[str]:
-    return ([f"outage:{k.branch_id}" for k in net.contingencies]
-            + list(space.names))
-
-
-def encode_row(net: Network, space: ControlSpace, u: np.ndarray,
-               outage_id: str) -> np.ndarray:
+def encode_row(net: Network, u: np.ndarray, outage_id: str) -> np.ndarray:
     one_hot = np.zeros(len(net.contingencies))
     for i, k in enumerate(net.contingencies):
         if k.branch_id == outage_id:
@@ -170,32 +173,30 @@ def encode_row(net: Network, space: ControlSpace, u: np.ndarray,
     return np.concatenate([one_hot, u])
 
 
-def build_training_set(net: Network, sampler: SamplerConfig,
-                       n_samples: int) -> TrainingSet:
-    """Simulate every AC-line outage at LHS-sampled control points.
+def build_training_set(net: Network, controls: np.ndarray) -> TrainingSet:
+    """Simulate every AC-line outage at each control point (row) of
+    ``controls``.
 
     Each row pairs an outage one-hot with the control vector; the
     response is the exact post-contingency composite index (divergent
     flows get the severity sentinel and are flagged).
     """
     space = ControlSpace(net)
-    controls = sample_controls(space, sampler, n_samples)
     ac_outages = [k for k in net.contingencies if k.kind == "ac_line"]
     nets_k = {k.branch_id: apply_contingency(net, k) for k in ac_outages}
 
-    tasks = [(si, k.branch_id) for si in range(n_samples) for k in ac_outages]
-
+    tasks = [(si, k.branch_id) for si in range(len(controls))
+             for k in ac_outages]
     results = [exact_index(nets_k[kid], space, controls[si])
                for si, kid in tasks]
-    rows = np.vstack([encode_row(net, space, controls[si], kid)
-                      for si, kid in tasks])
-    y = np.array([r[0] for r in results])
-    flagged = np.array([r[1] for r in results], dtype=bool)
+    y, flagged = map(np.array, zip(*results))   # index, diverged per row
     return TrainingSet(
-        x=rows, y=y, feature_names=feature_names_for(net, space),
-        row_outage=[kid for _, kid in tasks],
-        row_sample=np.array([si for si, _ in tasks]),
-        controls=controls, flagged=flagged)
+        x=np.vstack([encode_row(net, controls[si], kid) for si, kid in tasks]),
+        y=y,
+        feature_names=([f"outage:{k.branch_id}" for k in net.contingencies]
+                       + list(space.names)),
+        row_outage=np.array([kid for _, kid in tasks]),
+        row_sample=np.array([si for si, _ in tasks]), flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +258,10 @@ def lasso_objective(x, y, sigma, lam) -> float:
 
 def lasso_kkt_violation(x, y, sigma, lam) -> float:
     """Largest violation of the subgradient optimality conditions."""
-    n = len(y)
-    grad = 2.0 / n * (x.T @ (x @ sigma - y))
-    worst = 0.0
-    for j in range(len(sigma)):
-        if sigma[j] > 0:
-            worst = max(worst, abs(grad[j] + lam))
-        elif sigma[j] < 0:
-            worst = max(worst, abs(grad[j] - lam))
-        else:
-            worst = max(worst, max(0.0, abs(grad[j]) - lam))
-    return worst
+    grad = 2.0 / len(y) * (x.T @ (x @ sigma - y))
+    violation = np.where(sigma == 0, np.abs(grad) - lam,
+                         np.abs(grad + lam * np.sign(sigma)))
+    return float(np.max(violation, initial=0.0))
 
 
 def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -299,10 +293,8 @@ class ScreeningModel:
         value = self.y_mean + float(z[self.active] @ self.sigma[self.active])
         return max(value, 0.0)
 
-    def predict(self, net: Network, space: ControlSpace, u: np.ndarray,
-                k: Contingency) -> float:
-        row = encode_row(net, space, u, k.branch_id)
-        return self.predict_row(row)
+    def predict(self, net: Network, u: np.ndarray, k: Contingency) -> float:
+        return self.predict_row(encode_row(net, u, k.branch_id))
 
     def to_dict(self) -> dict:
         return {
@@ -382,9 +374,8 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
         grid = np.geomspace(LAMBDA_MIN_FACTOR * lmax, lmax, GRID_SIZE)[::-1]
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(y_c))
-        fold_ids = np.array_split(order, CV_FOLDS)
         scores = np.zeros(GRID_SIZE)
-        for fi, test_idx in enumerate(fold_ids):
+        for test_idx in np.array_split(order, CV_FOLDS):
             mask = np.ones(len(y_c), dtype=bool)
             mask[test_idx] = False
             sigma_warm = None
@@ -395,56 +386,41 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
                 scores[gi] += float(np.mean((pred - y_c[test_idx]) ** 2))
         scores /= CV_FOLDS
         cv_table = [(float(l), float(s)) for l, s in zip(grid, scores)]
-        best = int(np.argmin(scores))
-        # prefer the largest penalty within half a percent of the best score
-        for gi in range(best + 1):
-            if scores[gi] <= scores[best] * 1.005:
-                best = gi
-                break
-        lam = float(grid[best])
+        # the largest penalty (the grid descends) within half a percent of
+        # the best score
+        lam = float(grid[np.argmax(scores <= scores.min() * 1.005)])
 
     sigma_a = lasso_fit(za, y_c, lam)
     sigma = np.zeros(train.x.shape[1])
     sigma[active] = sigma_a
-    space = ControlSpace(net)
     return ScreeningModel(
         feature_names=train.feature_names, sigma=sigma, lam=float(lam),
         x_mean=mean, x_scale=scale, active=active, y_mean=y_mean,
         n_obs=len(train.y), cv_table=cv_table,
-        fingerprint=model_fingerprint(net, space))
+        fingerprint=model_fingerprint(net, ControlSpace(net)))
 
 
 # ---------------------------------------------------------------------------
 # Ranking and filtering
 
 
-@dataclass
-class RankedContingencies:
-    entries: list[tuple[Contingency, float, str]]   # sorted desc by index
-    critical: list[Contingency]                     # the filtered set
-
-    def labels(self) -> list[str]:
-        return [k.label for k in self.critical]
-
-
-def rank_contingencies(model: ScreeningModel, net: Network,
-                       space: ControlSpace, u: np.ndarray
-                       ) -> RankedContingencies:
-    """Predict severity per AC outage, sort descending, classify, filter."""
+def rank_contingencies(model: ScreeningModel, net: Network, u: np.ndarray
+                       ) -> list[tuple[Contingency, float, str]]:
+    """``(outage, predicted index, class)`` per AC outage at ``u``, by
+    descending prediction, ties by outage id."""
     entries = []
     for k in net.contingencies:
-        if k.kind != "ac_line":
-            continue
-        pred = model.predict(net, space, u, k)
-        entries.append((k, pred, classify(pred)))
+        if k.kind == "ac_line":
+            pred = model.predict(net, u, k)
+            entries.append((k, pred, classify(pred)))
     entries.sort(key=lambda e: (-e[1], e[0].branch_id))
-    critical = [k for k, pred, cls in entries if cls == "insecure"]
-    critical += [k for k in net.contingencies if k.kind == "dc_line"]
-    return RankedContingencies(entries=entries, critical=critical)
+    return entries
 
 
 def filter_contingencies(model: ScreeningModel, net: Network,
-                         space: ControlSpace, u: np.ndarray
-                         ) -> list[Contingency]:
-    """Critical set: predicted-insecure AC lines plus all DC lines."""
-    return rank_contingencies(model, net, space, u).critical
+                         u: np.ndarray) -> list[Contingency]:
+    """Critical set: predicted-insecure AC lines, in rank order, plus all
+    DC lines."""
+    critical = [k for k, _, cls in rank_contingencies(model, net, u)
+                if cls == "insecure"]
+    return critical + [k for k in net.contingencies if k.kind == "dc_line"]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from acdcopf import netmodel, opfcore, screen
+from acdcopf import cli, netmodel, opfcore, screen
 from acdcopf.netmodel import ControlSpace, load_bundled_case, network_from_dict
 
 
@@ -30,10 +30,17 @@ def base_eval(acdc_net, acdc_space):
     return opfcore.evaluate(acdc_net, acdc_space, acdc_space.default_vector())
 
 
+def training_set(net, n_samples, seed,
+                 width=cli.DEFAULT_CONFIG["screening"]["width"]):
+    """Training rows at ``n_samples`` points of the Latin-hypercube box."""
+    controls = screen.sample_controls(ControlSpace(net), n_samples, width,
+                                      seed)
+    return screen.build_training_set(net, controls)
+
+
 @pytest.fixture(scope="session")
 def screening_model(acdc_net):
-    sampler = screen.SamplerConfig(seed=1)
-    train = screen.build_training_set(acdc_net, sampler, 60)
+    train = training_set(acdc_net, 60, seed=1)
     return screen.fit_screening_model(acdc_net, train, seed=1)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from acdcopf import cli, opfcore, powerflow, run
+from acdcopf import cli, opfcore, powerflow, run, screen
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -125,6 +125,39 @@ def test_coupled_solve_calls_traced_inner_solvers(acdc_net, acdc_space,
     outer = result.state.outer_iterations
     assert outer > 1
     assert calls == {"solve_ac": outer, "solve_dc": outer}
+
+
+def test_train_screen_calls_traced_screening_layers(tmp_path, monkeypatch):
+    """``train-screen`` reaches the traced set-up layers through the module
+    attributes, and ``fit_screening_model`` receives exactly the training
+    rows: the benchmark's Lasso optimality check reads them there."""
+    calls = {"build_training_set": 0, "fit_screening_model": 0,
+             "lasso_fit": 0}
+    fitted = []
+
+    def counting(name):
+        function = getattr(screen, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "fit_screening_model":
+                fitted.append(args[1])
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(screen, name, counting(name))
+    assert cli.main(["train-screen", "--case", "bundled:case14_acdc",
+                     "--seed", "1", "--samples", "30",
+                     "--out", str(tmp_path)]) == 0
+    assert calls["build_training_set"] == 1
+    assert calls["fit_screening_model"] == 1
+    assert calls["lasso_fit"] > 1
+    validation = json.loads(
+        (tmp_path / "screen_validation.json").read_text())["validation"]
+    train = fitted[0]
+    assert len(train.y) == train.x.shape[0] == validation["n_training_rows"]
+    assert not set(train.row_sample) & set(validation["holdout_samples"])
 
 
 def _marker_eval(genome):

@@ -188,6 +188,26 @@ class TestRankCmd:
             rows = list(csv.DictReader(fh))
         assert "exact" in rows[0] and "error_percent" in rows[0]
 
+    def test_exact_column_matches_training_table(self, model_dir, tmp_path,
+                                                 monkeypatch):
+        """``rank --exact`` at the case point and the error table of
+        ``train-screen`` give the same rows in the same order."""
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
+        assert run_cli("rank", "--model",
+                       str(model_dir / "screening_model.json"),
+                       "--case", "bundled:case14_acdc", "--exact") == 0
+
+        def rows(path):
+            with path.open() as fh:
+                fh.readline()
+                return [{key: row[key] for key in
+                         ("branch", "predicted", "exact", "error_percent",
+                          "class")} for row in csv.DictReader(fh)]
+
+        table = rows(model_dir / "screen_error_table.csv")
+        assert len(table) == 17
+        assert rows(tmp_path / "rank.csv") == table
+
     def test_model_case_mismatch(self, model_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
         other = write_case(tmp_path, two_bus_case())
@@ -300,6 +320,15 @@ class TestOptimizeAndDecideCmd:
          "optimizer.eta_crossover"),
         ({"optimizer": {"eta_mutation": -1.0}}, None,
          "optimizer.eta_mutation"),
+        ({"corrective": {"fraction": float("nan")}}, None,
+         "corrective.fraction"),
+        ({"optimizer": {"crossover_rate": 7.5}}, None,
+         "optimizer.crossover_rate"),
+        ({"optimizer": {"mutation_rate": -2.0}}, None,
+         "optimizer.mutation_rate"),
+        ({"optimizer": {"eta_mutation": float("inf")}}, None,
+         "optimizer.eta_mutation"),
+        ({"screening": {"width": -0.3}}, None, "screening.width"),
     ])
     def test_bad_setting_rejected_before_solving(self, doc, env, key, tmp_path,
                                                  monkeypatch, capsys):
@@ -316,7 +345,10 @@ class TestOptimizeAndDecideCmd:
         assert run_cli("optimize", "--config", str(cfg_path), "--out",
                        str(tmp_path)) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert key in err and "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["train-screen"], ["optimize"], ["decide", "--archive", "a.json"]])

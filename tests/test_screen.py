@@ -1,14 +1,18 @@
 """Composite security index, Lasso training and contingency filtering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from acdcopf import opfcore, screen
 from acdcopf.netmodel import ControlSpace, apply_contingency
-from acdcopf.screen import (SamplerConfig, SecurityIndexParams, classify,
+from acdcopf.screen import (DROOP_WIDTH, SecurityIndexParams, classify,
                             composite_index, filter_contingencies,
                             lambda_max, lasso_fit, lasso_kkt_violation,
                             lasso_objective, prediction_error)
+
+from conftest import training_set
 
 from oracles import lasso_objective as oracle_objective
 from oracles import lasso_subgradient_oracle
@@ -16,7 +20,6 @@ from oracles import lasso_subgradient_oracle
 
 def index_params(n_bus=1, n_branch=1):
     return SecurityIndexParams(
-        n=2,
         h_min=np.full(n_bus, 0.90), h_max=np.full(n_bus, 1.10),
         a_min=np.full(n_bus, 0.85), a_max=np.full(n_bus, 1.15),
         p_secure=np.full(n_branch, 1.0), p_alarm=np.full(n_branch, 1.5))
@@ -104,24 +107,31 @@ class TestPredictionError:
 
 class TestTrainingSet:
     def test_row_count(self, acdc_net):
-        train = screen.build_training_set(acdc_net, SamplerConfig(seed=3), 5)
+        train = training_set(acdc_net, 5, seed=3)
         n_ac = sum(1 for k in acdc_net.contingencies if k.kind == "ac_line")
         assert train.x.shape == (5 * n_ac,
                                  len(acdc_net.contingencies) + 24)
         assert len(train.row_outage) == 5 * n_ac
 
-    def test_zero_width_box_constant_controls(self, acdc_net):
-        train = screen.build_training_set(
-            acdc_net, SamplerConfig(width=0.0, per_kind={}, seed=3), 4)
+    def test_zero_width_box_constant_controls(self, acdc_net, acdc_space):
+        # at width 0 only the droop slopes vary, within DROOP_WIDTH of
+        # their range around the case point
+        train = training_set(acdc_net, 4, seed=3, width=0.0)
         controls = train.x[:, len(acdc_net.contingencies):]
-        assert np.all(controls.std(axis=0) < 1e-12)
+        droop = np.array(acdc_space.kinds) == "droop"
+        assert droop.any()
+        assert np.all(controls[:, ~droop].std(axis=0) < 1e-12)
+        assert np.all(controls[:, droop].std(axis=0) > 0.0)
+        reach = np.abs(controls - acdc_space.default_vector())[:, droop]
+        span = (acdc_space.hi - acdc_space.lo)[droop]
+        assert np.all(reach <= DROOP_WIDTH * span + 1e-12)
 
     def test_responses_nonnegative(self, acdc_net):
-        train = screen.build_training_set(acdc_net, SamplerConfig(seed=3), 4)
+        train = training_set(acdc_net, 4, seed=3)
         assert np.all(train.y >= 0.0)
 
     def test_dc_columns_stay_zero(self, acdc_net):
-        train = screen.build_training_set(acdc_net, SamplerConfig(seed=3), 3)
+        train = training_set(acdc_net, 3, seed=3)
         dc_cols = [i for i, k in enumerate(acdc_net.contingencies)
                    if k.kind == "dc_line"]
         assert np.all(train.x[:, dc_cols] == 0.0)
@@ -197,34 +207,30 @@ class TestModel:
     def test_interpolation_when_unpenalised(self, acdc_net, acdc_space):
         # exactly-fitting synthetic responses are reproduced on training rows
         rng = np.random.default_rng(14)
-        train = screen.build_training_set(acdc_net, SamplerConfig(seed=4), 4)
+        train = training_set(acdc_net, 4, seed=4)
         z, mean, scale, active = screen.standardize(train.x)
         true_sigma = rng.normal(size=int(active.sum()))
         y = 1.7 + z[:, active] @ true_sigma
-        synthetic = screen.TrainingSet(
-            x=train.x, y=y, feature_names=train.feature_names,
-            row_outage=train.row_outage, row_sample=train.row_sample,
-            controls=train.controls, flagged=np.zeros(len(y), dtype=bool))
+        synthetic = dataclasses.replace(train, y=y)
         model = screen.fit_screening_model(acdc_net, synthetic, lam=0.0)
         preds = np.array([model.predict_row(r) for r in train.x])
         np.testing.assert_allclose(preds, np.maximum(y, 0.0), atol=1e-6)
 
     def test_zero_sigma_predicts_mean(self, acdc_net, acdc_space,
                                       screening_model):
-        import dataclasses
         model = dataclasses.replace(
             screening_model, sigma=np.zeros_like(screening_model.sigma))
         u = acdc_space.default_vector()
         for k in acdc_net.contingencies[:3]:
-            assert model.predict(acdc_net, acdc_space, u, k) == \
+            assert model.predict(acdc_net, u, k) == \
                 pytest.approx(max(model.y_mean, 0.0))
 
     def test_unknown_contingency(self, acdc_net, acdc_space, screening_model):
         from acdcopf.netmodel import Contingency
         ghost = Contingency("ac_line", "L99", "L99(0-0)")
         with pytest.raises(KeyError):
-            screening_model.predict(acdc_net, acdc_space,
-                                    acdc_space.default_vector(), ghost)
+            screening_model.predict(acdc_net, acdc_space.default_vector(),
+                                    ghost)
 
     def test_save_load_round_trip(self, screening_model, tmp_path):
         path = tmp_path / "model.json"
@@ -237,8 +243,7 @@ class TestModel:
     def test_byte_identical_retrain(self, acdc_net, tmp_path):
         paths = []
         for tag in ("a", "b"):
-            train = screen.build_training_set(acdc_net,
-                                              SamplerConfig(seed=9), 12)
+            train = training_set(acdc_net, 12, seed=9)
             model = screen.fit_screening_model(acdc_net, train, seed=9)
             path = tmp_path / f"model_{tag}.json"
             model.save(path)
@@ -250,18 +255,16 @@ class TestFiltering:
     def test_dc_lines_always_included(self, acdc_net, acdc_space,
                                       screening_model):
         u = acdc_space.default_vector()
-        critical = filter_contingencies(screening_model, acdc_net,
-                                        acdc_space, u)
+        critical = filter_contingencies(screening_model, acdc_net, u)
         dc = [k for k in critical if k.kind == "dc_line"]
         assert len(dc) == 3
 
     def test_secure_predictions_leave_dc_only(self, acdc_net, acdc_space,
                                               screening_model):
-        import dataclasses
         tame = dataclasses.replace(
             screening_model, sigma=np.zeros_like(screening_model.sigma),
             y_mean=0.0)
-        critical = filter_contingencies(tame, acdc_net, acdc_space,
+        critical = filter_contingencies(tame, acdc_net,
                                         acdc_space.default_vector())
         assert all(k.kind == "dc_line" for k in critical)
 
@@ -269,15 +272,14 @@ class TestFiltering:
                                                     acdc_space,
                                                     screening_model):
         u = acdc_space.default_vector()
-        ranked = screen.rank_contingencies(screening_model, acdc_net,
-                                           acdc_space, u)
-        insecure = [k.branch_id for k, pred, cls in ranked.entries
+        ranked = screen.rank_contingencies(screening_model, acdc_net, u)
+        insecure = [k.branch_id for k, pred, cls in ranked
                     if cls == "insecure"]
         assert "L1" in insecure and "L3" in insecure
-        labels = [k.branch_id for k in ranked.critical]
-        assert set(insecure) <= set(labels)
+        critical = filter_contingencies(screening_model, acdc_net, u)
+        assert [k.branch_id for k in critical[:len(insecure)]] == insecure
         # sorted descending by prediction
-        preds = [pred for _, pred, _ in ranked.entries]
+        preds = [pred for _, pred, _ in ranked]
         assert preds == sorted(preds, reverse=True)
 
     def test_enlarging_flow_limit_never_raises_exact_index(self, acdc_net,
