@@ -26,7 +26,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import decide, evo, opfcore, screen
 from .netmodel import (CaseError, ControlSpace, Network, bundled_case_path,
@@ -266,7 +265,7 @@ def load_control_overrides(space: ControlSpace,
             raise CliError(f"control {name} must be a finite number, "
                            f"not {value!r}", EXIT_VALIDATION)
         u[space.index[name]] = value
-    return space.snap(u)[0]
+    return space.snap(u)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +400,7 @@ def train_screening_model(net: Network, cfg: dict):
     held-out control samples.  Returns (model, validation dict, table rows,
     training set).
     """
+    from scipy.stats import spearmanr     # slow to import; only used here
     seed = cfg["seed"]
     space = ControlSpace(net)
     n_samples = cfg["screening"]["samples"]
@@ -422,17 +422,17 @@ def train_screening_model(net: Network, cfg: dict):
     train_rows = np.array([s not in holdout for s in train.row_sample])
     model = screen.fit_screening_model(net, train.rows(train_rows), seed=seed)
 
-    # held-out validation: relative errors (not of diverged rows) and the
-    # rank correlation per control sample
+    # held-out validation: relative errors and the rank correlation per
+    # control sample, both over the rows the default-point table scores
+    # too (not diverged, exact index at least 0.05)
     hold = train.rows(~train_rows)
     preds = np.array([model.predict_row(row) for row in hold.x])
-    scored = hold.y >= 0.05
-    sound = scored & ~hold.flagged
+    sound = (hold.y >= 0.05) & ~hold.flagged
     errors = [screen.prediction_error(pred, exact)
               for pred, exact in zip(preds[sound], hold.y[sound])]
     rhos = []
     for si in sorted(holdout):
-        keep = scored & (hold.row_sample == si)
+        keep = sound & (hold.row_sample == si)
         if keep.sum() >= 3:
             rhos.append(float(spearmanr(preds[keep], hold.y[keep]).statistic))
     validation = {

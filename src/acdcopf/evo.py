@@ -244,7 +244,7 @@ def variation(pool: list[Individual], space, config: EvoConfig,
     for g in genomes:
         g = polynomial_mutation(g, rate, config.eta_mutation,
                                 space.lo, space.hi, rng)
-        out.append(space.snap(g)[0])
+        out.append(space.snap(g))
     return out
 
 
@@ -342,7 +342,7 @@ def exploration_probes(archive: ParetoArchive, npc: list[Individual],
                                         2.0, space.lo, space.hi, rng)
             else:
                 g = rng.uniform(space.lo, space.hi)
-            probes.append(space.snap(g)[0])
+            probes.append(space.snap(g))
         return probes
     all_objs = np.array([m.objectives for m in archive.members]
                         + [m.objectives for m in npc])
@@ -358,7 +358,7 @@ def exploration_probes(archive: ParetoArchive, npc: list[Individual],
             g = polynomial_mutation(member.genome, max(rate, 2.0 / len(space)),
                                     config.eta_mutation, space.lo, space.hi,
                                     rng)
-            probes.append(space.snap(g)[0])
+            probes.append(space.snap(g))
     return probes
 
 
@@ -406,8 +406,8 @@ def run(problem, config: EvoConfig,
     archive (flagged infeasible-run if no feasible point was ever found),
     with the evaluated first initial genome as ``archive.start``.
 
-    ``problem`` supplies the control space, a batch evaluator and an
-    optional seed genome (see :class:`acdcopf.run.OpfProblem`)."""
+    ``problem`` supplies the control space, a batch evaluator and the
+    initial genomes (see :class:`acdcopf.run.OpfProblem`)."""
     space = problem.space
     rng = np.random.default_rng(config.seed)
     counter = iter(range(10 ** 9))
@@ -415,7 +415,7 @@ def run(problem, config: EvoConfig,
     def next_id() -> int:
         return next(counter)
 
-    genomes = [space.snap(g)[0] for g in problem.initial_genomes(config, rng)]
+    genomes = [space.snap(g) for g in problem.initial_genomes(config, rng)]
     evaluated = problem.evaluate_batch(genomes)
     npc = [Individual(id=next_id(), genome=g, objectives=rec["objectives"],
                       violation=rec["violation"], meta=rec.get("meta", {}))

@@ -8,7 +8,8 @@ base MVA; angles are radians.
 A :class:`Network` is immutable after load and safe to share read-only
 across worker processes; no element is ever changed in place, so the
 variants :func:`apply_contingency` returns share every element they do
-not drop with the input network.
+not drop with the input network (an N-1 check takes the variant of the
+network that carries the evaluated point's controls).
 
 Every network carries a :class:`SolverPlan`, the structure the solvers
 read and never rebuild: the bus-kind part (Newton unknowns and Jacobian
@@ -773,28 +774,23 @@ class ControlSpace:
         return len(self.components)
 
     def default_vector(self) -> np.ndarray:
-        u, _ = self.snap(self.base)
-        return u
+        return self.snap(self.base)
 
-    def snap(self, u_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def snap(self, u_raw: np.ndarray) -> np.ndarray:
         """Clamp to bounds and round stepped components to their grids.
-
-        Returns ``(u, clamped)`` where ``clamped`` flags components that
-        fell outside their declared bounds.  Idempotent.
-        """
+        Idempotent."""
         u_raw = np.asarray(u_raw, dtype=float)
         if u_raw.shape != self.lo.shape:
             raise ValueError(
                 f"control vector has {u_raw.shape[0]} components, "
                 f"expected {len(self)}")
-        clamped = (u_raw < self.lo - 1e-12) | (u_raw > self.hi + 1e-12)
         u = np.clip(u_raw, self.lo, self.hi)
         stepped = self.step > 0
         if np.any(stepped):
             k = np.round((u[stepped] - self.lo[stepped]) / self.step[stepped])
             u[stepped] = self.lo[stepped] + k * self.step[stepped]
             u[stepped] = np.minimum(u[stepped], self.hi[stepped])
-        return u, clamped
+        return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Problem definition: objectives, constraints and corrective feasibility.
 
 A control vector is written into a network variant once
-(``apply_controls``; transformer taps rebuild the branch part of the
-solver plan, every other control shares the plan of ``net``), the
-coupled power flow is run on that variant, and both objectives plus a
-full constraint report are produced.  Post-contingency corrective
-feasibility searches for an adjusted control vector inside the
-per-component corrective box.
+(``apply_controls`` copies only the elements whose values it changes; a
+changed tap rebuilds the branch part of the solver plan), the coupled
+power flow is run on that variant, and both objectives plus a full
+constraint report are produced.  Post-contingency corrective feasibility
+searches for an adjusted control vector inside the per-component
+corrective box.
 
 ``evaluate`` and ``corrective_feasibility`` are pure and reentrant; they
 are designed to be fanned out across worker processes.
@@ -14,7 +14,6 @@ are designed to be fanned out across worker processes.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import math
@@ -40,15 +39,11 @@ def apply_taps(net: Network, taps: dict[str, float]) -> Network:
     """Network variant with the taps (by branch outage id) applied; the
     branch part of the solver plan (admittance matrix included) is rebuilt
     only when a tap changes."""
-    branches = [br if taps.get(br.outage_id, br.tap) == br.tap
-                else dataclasses.replace(br, tap=taps[br.outage_id])
-                for br in net.branches]
-    if all(new is old for new, old in zip(branches, net.branches)):
-        return net
-    variant = copy.copy(net)
-    variant.branches = branches
-    variant.plan = dataclasses.replace(
-        net.plan, branches=branch_plan(net.n_bus, net.bus_index, branches))
+    variant = _with_fields(net, "branches", "outage_id",
+                           {key: {"tap": tap} for key, tap in taps.items()})
+    if variant is not net:
+        variant.plan = dataclasses.replace(net.plan, branches=branch_plan(
+            net.n_bus, net.bus_index, variant.branches))
     return variant
 
 
@@ -56,9 +51,10 @@ def apply_controls(net: Network, space: ControlSpace,
                    u: np.ndarray) -> Network:
     """Network variant whose elements carry the control vector ``u``.
 
-    ``net`` is never mutated; only the elements that a control sets are
-    copied.  A control of an absent element (the outaged branch of a
-    contingency variant) is ignored.
+    ``net`` is never mutated; only the elements whose values a control
+    changes are copied, and ``net`` itself is returned when none is.  A
+    control of an absent element (the outaged branch of a contingency
+    variant) is ignored.
     """
     taps: dict[str, float] = {}
     settings: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
@@ -69,15 +65,26 @@ def apply_controls(net: Network, space: ControlSpace,
             _, elements, name = CONTROL_KINDS[comp.kind]
             settings.setdefault((elements, name), {}).setdefault(
                 comp.key, {})[comp.kind] = float(value)
-    variant = copy.copy(apply_taps(net, taps))
+    variant = apply_taps(net, taps)
     for (elements, name), by_key in settings.items():
-        updated = []
-        for el in getattr(net, elements):
-            values = by_key.get(str(getattr(el, name)))
-            updated.append(el if values is None
-                           else dataclasses.replace(el, **values))
-        setattr(variant, elements, updated)
+        variant = _with_fields(variant, elements, name, by_key)
     return variant
+
+
+def _with_fields(net: Network, elements: str, name: str,
+                 by_key: dict[str, dict[str, float]]) -> Network:
+    """``net`` whose ``elements`` named ``key`` (their ``name`` attribute)
+    carry the fields ``by_key[key]``; ``net`` and an element are copied
+    only when one of their values changes."""
+    old = getattr(net, elements)
+    new = []
+    for el in old:
+        values = by_key.get(str(getattr(el, name)), {})
+        changed = {f: v for f, v in values.items() if getattr(el, f) != v}
+        new.append(dataclasses.replace(el, **changed) if changed else el)
+    if all(a is b for a, b in zip(new, old)):
+        return net
+    return dataclasses.replace(net, **{elements: new})
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +230,6 @@ class EvalResult:
     u: np.ndarray
     net: Network               # the variant carrying ``u`` that was solved
 
-    @property
-    def feasible(self) -> bool:
-        return self.report.total_violation <= TOL_FEAS
-
 
 def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
              warm: SystemState | None = None,
@@ -237,7 +240,7 @@ def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
     An unconverged flow yields invalid (infinite) objectives and a report
     whose total violation is the divergence penalty.
     """
-    u, _ = space.snap(np.asarray(u, dtype=float))
+    u = space.snap(u)
     net_v = apply_controls(net, space, u)
     state = solve_acdc(net_v, warm=warm, trace=trace)
     if not state.converged:
@@ -296,7 +299,7 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     """
     if net_k is None:
         net_k = apply_contingency(net, k)
-    u0, _ = space.snap(np.asarray(u0, dtype=float))
+    u0 = space.snap(u0)
 
     def post_violation(u):
         res = evaluate(net_k, space, u, warm=base_state)

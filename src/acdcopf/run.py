@@ -3,7 +3,8 @@
 One individual's evaluation is: coupled power flow, objectives, base
 constraint report, screening of the critical contingency set, then a
 corrective-feasibility check per critical contingency whose residual is
-folded into the violation total.  Evaluations are pure, so the
+folded into the violation total; each check runs on the outage variant
+of the individual's own network.  Evaluations are pure, so the
 coordinator fans them out over a process pool; results are reduced in
 task order, which keeps runs bit-reproducible for any worker count.
 """
@@ -47,8 +48,6 @@ class _EvalContext:
         self.corrective = corrective
         self.lims = CorrectiveLimits.from_fraction(self.space,
                                                    corrective.fraction)
-        self.net_k = {k.branch_id: apply_contingency(net, k)
-                      for k in net.contingencies}
 
     def evaluate(self, genome) -> dict:
         u = np.asarray(genome, dtype=float)
@@ -68,8 +67,8 @@ class _EvalContext:
             for k in cstar:
                 cstar_labels.append(k.label)
                 check = opfcore.corrective_feasibility(
-                    self.net, self.space, res.u, k, self.lims,
-                    net_k=self.net_k[k.branch_id], base_state=res.state,
+                    res.net, self.space, res.u, k, self.lims,
+                    net_k=apply_contingency(res.net, k), base_state=res.state,
                     max_probes=self.corrective.max_probes,
                     tol_feas=self.corrective.tol_feas,
                     include_discrete=self.corrective.include_discrete)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import opfcore
 from .netmodel import Contingency, ControlSpace, Network, apply_contingency
@@ -152,6 +151,7 @@ def sample_controls(space: ControlSpace, n_samples: int, width: float,
     """Latin-hypercube control samples snapped onto discrete grids, in a
     box centred on the case point whose half-width is ``width`` of each
     control's range (``DROOP_WIDTH`` for droop slopes)."""
+    from scipy.stats import qmc           # slow to import; only used here
     unit = qmc.LatinHypercube(d=len(space), seed=seed).random(n=n_samples)
     centre = space.default_vector()
     half = (np.where(np.array(space.kinds) == "droop", DROOP_WIDTH, width)
@@ -159,7 +159,7 @@ def sample_controls(space: ControlSpace, n_samples: int, width: float,
     lo = np.maximum(space.lo, centre - half)
     hi = np.minimum(space.hi, centre + half)
     raw = lo + unit * (hi - lo)
-    return np.vstack([space.snap(row)[0] for row in raw])
+    return np.vstack([space.snap(row) for row in raw])
 
 
 def encode_row(net: Network, u: np.ndarray, outage_id: str) -> np.ndarray:

@@ -9,6 +9,7 @@ only show up when the benchmark runs, so the contract is checked here.
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import sys
@@ -80,6 +81,25 @@ def test_bench_corrective_config_builds():
     corrective = bench_settings()["CORRECTIVE"]
     config = run.CorrectiveConfig(**corrective)
     assert {key: getattr(config, key) for key in corrective} == corrective
+
+
+def test_bench_corrective_calls_bind():
+    """Every ``corrective_feasibility`` call in ``perfbench/run.py`` binds
+    to the signature, and the contingency is the 4th positional
+    parameter: ``bench_trace._count_corrective`` reads it as
+    ``args[3]``."""
+    signature = inspect.signature(opfcore.corrective_feasibility)
+    assert list(signature.parameters)[3] == "k"
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "corrective_feasibility"]
+    assert calls
+    for call in calls:
+        keywords = {kw.arg for kw in call.keywords}
+        assert keywords == {"net_k", "base_state", "max_probes", "tol_feas",
+                            "include_discrete"}
+        signature.bind(*call.args, **dict.fromkeys(keywords))
 
 
 def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):

@@ -1,13 +1,18 @@
 """Command-line workflows, artifact contracts and exit codes."""
 
+import copy
 import csv
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from acdcopf import cli, evo, run
+from acdcopf import cli, evo, run, screen
 from acdcopf.netmodel import (ControlSpace, bundled_case_path,
                               load_bundled_case)
 
@@ -162,6 +167,55 @@ class TestTrainScreenCmd:
                            "--out", str(out)) == 0
             outs.append((out / "screening_model.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_holdout_spearman_skips_diverged_rows(monkeypatch):
+    """The held-out rank correlation scores the rows that the
+    default-point table scores: the index of a diverged (flagged) row
+    does not move it."""
+    net = load_bundled_case("case14_acdc")
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["seed"] = 3
+    cfg["screening"]["samples"] = 30
+    build = screen.build_training_set
+    built = []
+
+    def training(value, samples):
+        def flagged_holdout(net, controls):
+            if not built:
+                built.append(build(net, controls))
+            train = built[0]
+            # three outages diverge at every held-out control sample
+            outages = sorted(set(train.row_outage))[:3]
+            mark = (np.isin(train.row_sample, samples)
+                    & np.isin(train.row_outage, outages))
+            return dataclasses.replace(train,
+                                       y=np.where(mark, value, train.y),
+                                       flagged=train.flagged | mark)
+        return flagged_holdout
+
+    monkeypatch.setattr(screen, "build_training_set", training(0.0, []))
+    _, plain, _, _ = cli.train_screening_model(net, cfg)
+    holdout = plain["holdout_samples"]
+    runs = []
+    for value in (screen.PI_MAX, 0.05):
+        monkeypatch.setattr(screen, "build_training_set",
+                            training(value, holdout))
+        runs.append(cli.train_screening_model(net, cfg)[1])
+    assert runs[0]["spearman_per_sample"]
+    for key in ("spearman_per_sample", "n_errors_scored", "lambda"):
+        assert runs[0][key] == runs[1][key]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Only ``train-screen`` uses ``scipy.stats``, which is slow to
+    import; importing the command line must not load it."""
+    probe = "import sys, acdcopf.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestRankCmd:

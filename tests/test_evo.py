@@ -40,7 +40,7 @@ class SyntheticSpace:
             k = np.round((u[mask] - self.lo[mask]) / self.step[mask])
             u[mask] = np.minimum(self.lo[mask] + k * self.step[mask],
                                  self.hi[mask])
-        return u, np.zeros(len(u), dtype=bool)
+        return u
 
 
 class TestEpsilonIndicator:

@@ -280,23 +280,22 @@ class TestControlSpace:
         i = acdc_space.index["T:L5"]
         u = acdc_space.default_vector()
         u[i] = 1.0061
-        snapped, clamped = acdc_space.snap(u)
+        snapped = acdc_space.snap(u)
         assert snapped[i] == pytest.approx(1.0, abs=1e-12)
-        assert not clamped[i]
 
     def test_snap_identity_on_grid(self, acdc_space):
         u = acdc_space.default_vector()
         i = acdc_space.index["Q_C:bus9"]
         u[i] = 0.25                     # exactly on the 0.01 grid
-        snapped, _ = acdc_space.snap(u)
+        snapped = acdc_space.snap(u)
         assert snapped[i] == pytest.approx(0.25, abs=1e-15)
 
     def test_snap_idempotent(self, acdc_space):
         rng = np.random.default_rng(3)
         for _ in range(50):
             u = rng.uniform(acdc_space.lo - 0.5, acdc_space.hi + 0.5)
-            once, _ = acdc_space.snap(u)
-            twice, _ = acdc_space.snap(once)
+            once = acdc_space.snap(u)
+            twice = acdc_space.snap(once)
             np.testing.assert_array_equal(once, twice)
 
     def test_snap_grid_distance(self, acdc_space):
@@ -304,18 +303,16 @@ class TestControlSpace:
         stepped = acdc_space.step > 0
         for _ in range(100):
             u = rng.uniform(acdc_space.lo, acdc_space.hi)
-            snapped, _ = acdc_space.snap(u)
+            snapped = acdc_space.snap(u)
             err = np.abs(snapped - u)[stepped]
             assert np.all(err <= acdc_space.step[stepped] / 2 + 1e-12)
             k = (snapped[stepped] - acdc_space.lo[stepped]) \
                 / acdc_space.step[stepped]
             assert np.all(np.abs(k - np.round(k)) < 1e-9)
 
-    def test_out_of_bounds_clamped_and_flagged(self, acdc_space):
+    def test_out_of_bounds_clamped(self, acdc_space):
         u = acdc_space.default_vector()
         i = acdc_space.index["P_s:VSC1"]
         u[i] = 5.0
-        snapped, clamped = acdc_space.snap(u)
+        snapped = acdc_space.snap(u)
         assert snapped[i] == acdc_space.hi[i]
-        assert clamped[i]
-        assert clamped.sum() == 1

@@ -16,6 +16,9 @@ from acdcopf.powerflow import solve_acdc
 from conftest import two_bus_case
 
 
+ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
+
+
 def element_of(net, comp):
     """The element of ``net`` that control component ``comp`` sets."""
     if comp.kind in ("p_g", "u_g"):
@@ -25,6 +28,14 @@ def element_of(net, comp):
     if comp.kind == "tap":
         return next(br for br in net.branches if br.outage_id == comp.key)
     return next(c for c in net.converters if c.name == comp.key)
+
+
+def halfway_to_far_bounds(space):
+    """Every control component halfway to its farther bound, taps
+    included."""
+    far = np.where(space.hi - space.base > space.base - space.lo,
+                   space.hi, space.lo)
+    return space.snap(space.base + 0.5 * (far - space.base))
 
 
 def diverging_controls(space):
@@ -134,11 +145,8 @@ class TestEvaluate:
         assert a.report.total_violation == b.report.total_violation
 
     def test_input_network_untouched(self, acdc_net, acdc_space):
-        # every component halfway to its farther bound, taps included
         space = acdc_space
-        far = np.where(space.hi - space.base > space.base - space.lo,
-                       space.hi, space.lo)
-        u, _ = space.snap(space.base + 0.5 * (far - space.base))
+        u = halfway_to_far_bounds(space)
         assert np.all(u != space.base)
         before = pickle.dumps(acdc_net)
         res = opfcore.evaluate(acdc_net, space, u)
@@ -156,6 +164,30 @@ class TestEvaluate:
         again = opfcore.evaluate(res.net, space, v)
         assert pickle.dumps(res.net) == variant
         assert again.net.ybus is res.net.ybus
+
+    def test_only_changed_elements_copied(self, acdc_net, acdc_space):
+        space = acdc_space
+        u = halfway_to_far_bounds(space)
+        first = opfcore.apply_controls(acdc_net, space, u)
+        # the variant's own controls again: nothing is copied
+        again = opfcore.apply_controls(first, space, u)
+        for elements in ELEMENT_LISTS:
+            assert all(a is b for a, b in zip(getattr(again, elements),
+                                              getattr(first, elements)))
+        assert again.plan is first.plan
+
+        # one setpoint moved: one element copied, the plan shared
+        i = space.index["P_s:VSC1"]
+        v = u.copy()
+        v[i] = 0.5 * (u[i] + space.base[i])
+        probe = opfcore.apply_controls(first, space, v)
+        copied = [new for elements in ELEMENT_LISTS
+                  for new, old in zip(getattr(probe, elements),
+                                      getattr(first, elements))
+                  if new is not old]
+        assert copied == [element_of(probe, space.components[i])]
+        assert copied[0].p_s == v[i]
+        assert probe.plan is first.plan
 
 
 def constrained_two_bus(p_limit):
@@ -186,7 +218,7 @@ class TestCorrectiveFeasibility:
         k = acdc_net.contingency("DC1")
         out = corrective_feasibility(acdc_net, acdc_space, u, k, lims)
         assert out.feasible
-        np.testing.assert_array_equal(out.u_k, acdc_space.snap(u)[0])
+        np.testing.assert_array_equal(out.u_k, acdc_space.snap(u))
         assert out.probes == 1
 
     def test_degenerate_box_returns_residual(self):
@@ -271,7 +303,7 @@ def bruteforce_box(net, space, u0, k, lims, resolution):
     """Grid-search oracle over the corrective box (free dims only)."""
     from acdcopf.netmodel import apply_contingency
     net_k = apply_contingency(net, k)
-    u0 = space.snap(np.asarray(u0, float))[0]
+    u0 = space.snap(u0)
     free = [i for i in range(len(space)) if lims.du_max[i] > 0]
     axes = []
     for i in free:

@@ -438,7 +438,7 @@ class TestSolveAcdc:
             frac = np.array(data.draw(st.lists(
                 st.floats(0.0, 1.0), min_size=len(space),
                 max_size=len(space))))
-            u, _ = space.snap(space.lo + frac * (space.hi - space.lo))
+            u = space.snap(space.lo + frac * (space.hi - space.lo))
             net_u = opfcore.apply_controls(net, space, u)
             state = solve_acdc(net_u)
             if state.converged:

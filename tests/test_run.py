@@ -96,7 +96,7 @@ class TestWorkerPool:
             g = acdc_space.default_vector() \
                 + rng.normal(0, 0.05, len(acdc_space)) \
                 * (acdc_space.hi - acdc_space.lo)
-            genomes.append(acdc_space.snap(g)[0])
+            genomes.append(acdc_space.snap(g))
         with OpfProblem(acdc_net, screening_model, CorrectiveConfig(),
                         workers=1) as serial:
             inline = serial.evaluate_batch(genomes)
