@@ -778,7 +778,9 @@ class ControlSpace:
 
     def snap(self, u_raw: np.ndarray) -> np.ndarray:
         """Clamp to bounds and round stepped components to their grids.
-        Idempotent."""
+        Idempotent.  A grid point is ``lo + k * step`` rounded to 12
+        decimals, so the case value of a stepped control (a tap of 0.975
+        on a 0.9 + k * 0.0125 grid) is its own grid point."""
         u_raw = np.asarray(u_raw, dtype=float)
         if u_raw.shape != self.lo.shape:
             raise ValueError(
@@ -788,7 +790,8 @@ class ControlSpace:
         stepped = self.step > 0
         if np.any(stepped):
             k = np.round((u[stepped] - self.lo[stepped]) / self.step[stepped])
-            u[stepped] = self.lo[stepped] + k * self.step[stepped]
+            u[stepped] = np.round(self.lo[stepped] + k * self.step[stepped],
+                                  12)
             u[stepped] = np.minimum(u[stepped], self.hi[stepped])
         return u
 

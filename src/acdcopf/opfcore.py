@@ -134,8 +134,7 @@ class ConstraintReport:
     def total_violation(self) -> float:
         total = self.penalty
         for _, values in self.groups.values():
-            if values.size:
-                total += float(np.sum(np.clip(values, 0.0, None)))
+            total += float(np.maximum(values, 0.0).sum())
         return total
 
     def violations(self) -> list[tuple[str, str, float]]:
@@ -295,18 +294,24 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     Greedy coordinate pattern search from ``u0``: converter setpoints are
     probed first, then generator controls, then discrete controls.  The
     probe budget bounds the cost per contingency; the search is
-    deterministic.
+    deterministic.  Each probe's coupled solve is warm-started from the
+    solved post-contingency state of the best probe so far: from
+    ``base_state`` (the pre-contingency state) until a probe converges,
+    then from the ``u0`` probe and from each accepted improvement.
     """
     if net_k is None:
         net_k = apply_contingency(net, k)
     u0 = space.snap(u0)
+    warm = base_state
 
     def post_violation(u):
-        res = evaluate(net_k, space, u, warm=base_state)
-        return res.report.total_violation
+        res = evaluate(net_k, space, u, warm=warm)
+        return res.report.total_violation, res.state
 
     best_u = u0.copy()
-    best_v = post_violation(u0)
+    best_v, state = post_violation(u0)
+    if state.converged:
+        warm = state
     probes = 1
     if best_v <= tol_feas:
         return CorrectiveResult(True, best_u, best_v, probes)
@@ -337,12 +342,15 @@ def corrective_feasibility(net: Network, space: ControlSpace,
                 continue
         cand = best_u.copy()
         cand[idx] = raw
+        cand = space.snap(cand)    # the grid value that ``evaluate`` solves
         if cand[idx] == best_u[idx]:
             continue
-        v = post_violation(cand)
+        v, state = post_violation(cand)
         probes += 1
         if v < best_v - 1e-12:
             best_v = v
             best_u = cand
+            if state.converged:
+                warm = state
 
     return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)

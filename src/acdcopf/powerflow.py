@@ -371,6 +371,13 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
                trace: list | None = None) -> SystemState:
     """Alternating AC/DC solve at the setpoints the network carries.
 
+    A ``warm`` state seeds the AC voltages and the DC voltages; when it
+    converged with the same converters, it also seeds the PCC power of
+    every droop and const_vdc station with the power that station
+    settled at.  The DC references still come from the scheduled
+    ``p_s``, so a warm start moves only the starting guess, not the
+    solution.
+
     Failure of an inner stage is reported through ``converged=False``
     plus ``failure_stage`` in {"ac", "dc", "coupling"}; "coupling" also
     covers a station whose model cannot deliver the DC-side power.
@@ -391,6 +398,11 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
 
     vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
     dc_u0 = warm.dc.u if (warm is not None and warm.dc is not None) else None
+    if (warm is not None and warm.converged
+            and [cs.name for cs in warm.converters] == [c.name for c in convs]):
+        for j, c in enumerate(convs):
+            if c.mode != "const_p":
+                p_s_act[j] = warm.converters[j].p_s
 
     ac = None
     dc = None

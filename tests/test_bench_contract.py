@@ -116,6 +116,7 @@ def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
     u = acdc_space.default_vector()
     i = acdc_space.index["T:L5"]
     u[i] += acdc_space.step[i]
+    u = acdc_space.snap(u)         # the next grid point, 0.9875
     result = opfcore.evaluate(acdc_net, acdc_space, u)
     assert len(calls) == 1
     assert calls[0]["L5"] == u[i]

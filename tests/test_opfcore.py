@@ -7,8 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from acdcopf import opfcore
-from acdcopf.netmodel import ControlSpace, network_from_dict
+from acdcopf import opfcore, powerflow
+from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
                              generation_cost, voltage_deviation)
 from acdcopf.powerflow import solve_acdc
@@ -45,6 +45,18 @@ def diverging_controls(space):
     for name in ("P_s:VSC1", "P_s:VSC2", "P_s:VSC3",
                  "Q_s:VSC1", "Q_s:VSC2", "Q_s:VSC3"):
         u[space.index[name]] = 1.0
+    return u
+
+
+def spread_point(space):
+    """A sound dispatch of ``case14_acdc`` away from the schedule whose 20
+    outages are all correctable in the 0.15 box."""
+    u = space.default_vector()
+    for name, val in (("P_G:bus2", 0.7), ("P_G:bus3", 0.7),
+                      ("P_G:bus6", 0.5), ("P_G:bus8", 0.45),
+                      ("P_s:VSC1", -0.3), ("P_s:VSC2", 0.35),
+                      ("P_s:VSC3", -0.05)):
+        u[space.index[name]] = val
     return u
 
 
@@ -165,6 +177,13 @@ class TestEvaluate:
         assert pickle.dumps(res.net) == variant
         assert again.net.ybus is res.net.ybus
 
+    def test_case_point_is_the_network(self, acdc_net, acdc_space):
+        # every stepped case value (the T:L5 tap 0.975 included) is its
+        # own grid point, so the scheduled point copies nothing
+        u = acdc_space.default_vector()
+        np.testing.assert_array_equal(u, acdc_space.base)
+        assert opfcore.apply_controls(acdc_net, acdc_space, u) is acdc_net
+
     def test_only_changed_elements_copied(self, acdc_net, acdc_space):
         space = acdc_space
         u = halfway_to_far_bounds(space)
@@ -209,12 +228,7 @@ def constrained_two_bus(p_limit):
 class TestCorrectiveFeasibility:
     def test_zero_adjustment_feasible(self, acdc_net, acdc_space):
         lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
-        u = acdc_space.default_vector()
-        for name, val in (("P_G:bus2", 0.7), ("P_G:bus3", 0.7),
-                          ("P_G:bus6", 0.5), ("P_G:bus8", 0.45),
-                          ("P_s:VSC1", -0.3), ("P_s:VSC2", 0.35),
-                          ("P_s:VSC3", -0.05)):
-            u[acdc_space.index[name]] = val
+        u = spread_point(acdc_space)
         k = acdc_net.contingency("DC1")
         out = corrective_feasibility(acdc_net, acdc_space, u, k, lims)
         assert out.feasible
@@ -253,13 +267,15 @@ class TestCorrectiveFeasibility:
     @pytest.mark.parametrize("budget,probed", [
         (4, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02)]),
         (30, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02),
-              (0.02, 0.98), (0.01, 0.98), (0.02, 0.99), (0.015, 0.98),
-              (0.02, 0.985)]),
+              (0.02, 0.98), (0.01, 1.0), (0.02, 1.01), (0.02, 0.99),
+              (0.015, 1.0), (0.02, 1.005), (0.02, 0.995)]),
     ])
     def test_probe_sequence(self, budget, probed, monkeypatch):
         # an outage the box cannot correct: scales, then components in
         # priority order, then signs; a probe that lands on the best point
-        # is skipped, and the budget stops the search
+        # is skipped, and the budget stops the search.  The flow over the
+        # lossless line does not depend on U_G:bus2; warm-started probes
+        # see that tie to round-off, so no U_G move is accepted
         net = constrained_two_bus(p_limit=0.3)
         space = ControlSpace(net)
         du = np.zeros(len(space))
@@ -280,6 +296,60 @@ class TestCorrectiveFeasibility:
         assert not out.feasible
         assert out.probes == len(calls)
         assert calls == probed
+
+    def test_probes_warm_start_from_best_probe(self, monkeypatch):
+        # the first probe starts from the pre-contingency state; every
+        # later one from the state of the best probe so far
+        net = constrained_two_bus(p_limit=0.3)
+        space = ControlSpace(net)
+        du = np.zeros(len(space))
+        du[space.index["P_G:bus2"]] = 0.02
+        base = opfcore.evaluate(net, space, space.default_vector())
+        calls = []
+        evaluate = opfcore.evaluate
+
+        def recording(net_k, space, u, **kwargs):
+            res = evaluate(net_k, space, u, **kwargs)
+            calls.append((kwargs["warm"], res))
+            return res
+
+        monkeypatch.setattr(opfcore, "evaluate", recording)
+        out = corrective_feasibility(net, space, space.default_vector(),
+                                     net.contingency("L1"),
+                                     CorrectiveLimits(du_max=du),
+                                     base_state=base.state)
+        # u0, then P_G:bus2 +0.02 (accepted), then the rejected moves
+        # -0.02, -0.01 and -0.005 (the + moves clip to the best point)
+        assert [float(res.u[space.index["P_G:bus2"]])
+                for _, res in calls] == [0.0, 0.02, 0.0, 0.01, 0.015]
+        assert calls[0][0] is base.state
+        assert calls[1][0] is calls[0][1].state
+        assert all(warm is calls[1][1].state for warm, _ in calls[2:])
+        assert out.probes == len(calls)
+
+    def test_warm_probes_save_newton_iterations(self, acdc_net, acdc_space,
+                                                monkeypatch):
+        # the 20 checks of the spread point: 467 AC Newton iterations
+        # when every probe started from the pre-contingency state, 272
+        # with warm-started probes and converter powers
+        base = opfcore.evaluate(acdc_net, acdc_space,
+                                spread_point(acdc_space))
+        lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
+        iterations = []
+        solve_ac = powerflow.solve_ac
+
+        def counting(*args, **kwargs):
+            ac = solve_ac(*args, **kwargs)
+            iterations.append(ac.iterations)
+            return ac
+
+        monkeypatch.setattr(powerflow, "solve_ac", counting)
+        for k in acdc_net.contingencies:
+            out = corrective_feasibility(
+                base.net, acdc_space, base.u, k, lims,
+                net_k=apply_contingency(base.net, k), base_state=base.state)
+            assert out.feasible
+        assert sum(iterations) < 0.8 * 467
 
     def test_monotone_in_box_size(self):
         net = constrained_two_bus(p_limit=0.3)

@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from acdcopf import opfcore, powerflow
 from acdcopf.netmodel import (ControlSpace, ConverterStation,
-                              branch_admittance, dc_plan, load_bundled_case,
-                              network_from_dict, network_to_dict)
-from acdcopf.powerflow import (PowerFlowConfigError, solve_ac, solve_acdc,
-                               solve_dc)
+                              apply_contingency, branch_admittance, dc_plan,
+                              load_bundled_case, network_from_dict,
+                              network_to_dict)
+from acdcopf.powerflow import (TOL_COUPLE, PowerFlowConfigError, solve_ac,
+                               solve_acdc, solve_dc)
 
 from conftest import two_bus_case
 from oracles import dc_newton_by_rows, oracle_solve_ac, two_bus_closed_form
@@ -418,6 +419,28 @@ class TestSolveAcdc:
         np.testing.assert_array_equal(a.state.ac.vm, b.state.ac.vm)
         np.testing.assert_array_equal(a.state.ac.va, b.state.ac.va)
         np.testing.assert_array_equal(a.state.dc.u, b.state.dc.u)
+
+    def test_warm_start_agrees_with_cold_start(self, acdc_net, base_eval):
+        # each outage of the scheduled point, solved from the
+        # pre-contingency state and from a flat start: the same verdict,
+        # the same solution to the coupling tolerance, and no more outer
+        # iterations from the warm state
+        for k in acdc_net.contingencies:
+            net_k = apply_contingency(base_eval.net, k)
+            warm = solve_acdc(net_k, warm=base_eval.state)
+            cold = solve_acdc(net_k)
+            assert warm.converged == cold.converged, k.label
+            assert warm.failure_stage == cold.failure_stage, k.label
+            if not cold.converged:
+                continue
+            np.testing.assert_allclose(warm.ac.vm, cold.ac.vm, rtol=0,
+                                       atol=1e-7)
+            np.testing.assert_allclose(warm.ac.va, cold.ac.va, rtol=0,
+                                       atol=TOL_COUPLE)
+            np.testing.assert_allclose(
+                [cs.p_s for cs in warm.converters],
+                [cs.p_s for cs in cold.converters], rtol=0, atol=TOL_COUPLE)
+            assert warm.outer_iterations <= cold.outer_iterations, k.label
 
     def test_unservable_station_fails_coupling(self, acdc_net):
         # VSC2 cannot deliver the DC power its droop asks for; the solve
