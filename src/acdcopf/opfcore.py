@@ -6,7 +6,13 @@ changed tap rebuilds the branch part of the solver plan), the coupled
 power flow is run on that variant, and both objectives plus a full
 constraint report are produced.  Post-contingency corrective feasibility
 searches for an adjusted control vector inside the per-component
-corrective box.
+corrective box, trying first the moves that a first-order sensitivity
+says lower the violation most: one adjoint solve with the AC Newton
+Jacobian at the uncorrected post-contingency state
+(:func:`violation_gradient`).  That gradient sees the AC-side limits
+and the controls in the AC equations (``p_g``, ``u_g``, ``q_s``,
+``q_c``); every other kind scores 0 and, with a check whose uncorrected
+state does not converge, keeps the fixed kind order.
 
 ``evaluate`` and ``corrective_feasibility`` are pure and reentrant; they
 are designed to be fanned out across worker processes.
@@ -23,14 +29,14 @@ import numpy as np
 
 from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
                        apply_contingency, branch_plan)
-from .powerflow import SystemState, solve_acdc
+from .powerflow import SystemState, diag_work, ds_dv, solve_acdc
 
 PENALTY_UNCONVERGED = 1e3
 TOL_FEAS = 1e-6
 MAX_PROBES = 30
 
-# pattern-search priority: converter setpoints first, then generators,
-# then discrete controls and droop slopes
+# pattern-search priority among moves of equal sensitivity: converter
+# setpoints first, then generators, then discrete controls and droop slopes
 _KIND_PRIORITY = {"p_s": 0, "q_s": 1, "u_dc0": 2, "p_g": 3, "u_g": 4,
                   "tap": 5, "q_c": 6, "droop": 7}
 
@@ -150,43 +156,50 @@ def _bound_violation(value, lo, hi):
     return np.maximum(value - hi, lo - value)
 
 
+def _ac_limits(net: Network, state: SystemState
+               ) -> dict[str, tuple[list[str], np.ndarray, np.ndarray,
+                                    np.ndarray]]:
+    """Names, solved values and bounds of the AC-side limits of a
+    converged state, by group: the groups :func:`violation_gradient`
+    linearises."""
+    ac = state.ac
+    groups = {}
+    groups["ac_voltage"] = (
+        [f"U:bus{b.id}" for b in net.buses], ac.vm,
+        np.array([b.u_min for b in net.buses]),
+        np.array([b.u_max for b in net.buses]))
+    groups["ac_angle"] = (
+        [f"delta:bus{b.id}" for b in net.buses], ac.va,
+        np.array([b.delta_min for b in net.buses]),
+        np.array([b.delta_max for b in net.buses]))
+    if net.generators:
+        groups["gen_q"] = (
+            [f"Q_G:bus{g.bus}" for g in net.generators], state.gen_q,
+            np.array([g.q_min for g in net.generators]),
+            np.array([g.q_max for g in net.generators]))
+        slack_bus = net.buses[net.slack_index].id
+        slack = [j for j, g in enumerate(net.generators)
+                 if g.bus == slack_bus]
+        groups["gen_p_slack"] = (
+            [f"P_G:bus{slack_bus}" for _ in slack], state.gen_p[slack],
+            np.array([net.generators[j].p_min for j in slack]),
+            np.array([net.generators[j].p_max for j in slack]))
+    if net.branches:
+        groups["ac_flow"] = (
+            [f"P_L:{br.outage_id}" for br in net.branches], ac.p_branch,
+            np.array([br.p_min for br in net.branches]),
+            np.array([br.p_max for br in net.branches]))
+    return groups
+
+
 def constraint_report(net: Network, state: SystemState) -> ConstraintReport:
     """Evaluate all operating constraints on a solved system state."""
     if not state.converged:
         return ConstraintReport(groups={}, converged=False,
                                 penalty=PENALTY_UNCONVERGED)
-    groups: dict[str, tuple[list[str], np.ndarray]] = {}
-    ac = state.ac
-
-    names = [f"U:bus{b.id}" for b in net.buses]
-    lo = np.array([b.u_min for b in net.buses])
-    hi = np.array([b.u_max for b in net.buses])
-    groups["ac_voltage"] = (names, _bound_violation(ac.vm, lo, hi))
-
-    names = [f"delta:bus{b.id}" for b in net.buses]
-    lo = np.array([b.delta_min for b in net.buses])
-    hi = np.array([b.delta_max for b in net.buses])
-    groups["ac_angle"] = (names, _bound_violation(ac.va, lo, hi))
-
-    if net.generators:
-        names = [f"Q_G:bus{g.bus}" for g in net.generators]
-        lo = np.array([g.q_min for g in net.generators])
-        hi = np.array([g.q_max for g in net.generators])
-        groups["gen_q"] = (names, _bound_violation(state.gen_q, lo, hi))
-
-        slack_bus = net.buses[net.slack_index].id
-        names, vals = [], []
-        for gen, p in zip(net.generators, state.gen_p):
-            if gen.bus == slack_bus:
-                names.append(f"P_G:bus{gen.bus}")
-                vals.append(max(p - gen.p_max, gen.p_min - p))
-        groups["gen_p_slack"] = (names, np.array(vals))
-
-    if net.branches:
-        names = [f"P_L:{br.outage_id}" for br in net.branches]
-        lo = np.array([br.p_min for br in net.branches])
-        hi = np.array([br.p_max for br in net.branches])
-        groups["ac_flow"] = (names, _bound_violation(ac.p_branch, lo, hi))
+    groups = {group: (names, _bound_violation(value, lo, hi))
+              for group, (names, value, lo, hi)
+              in _ac_limits(net, state).items()}
 
     if net.dc_buses and state.dc is not None:
         dc = state.dc
@@ -257,6 +270,84 @@ def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
 # Corrective feasibility
 
 
+def violation_gradient(net: Network, space: ControlSpace,
+                       state: SystemState) -> np.ndarray | None:
+    """First-order sensitivity ``dV/du`` of the total violation ``V`` at
+    the converged ``state`` of ``net``, the variant that carries ``u``.
+
+    One adjoint solve with the AC Newton Jacobian at ``state``
+    (``J^T lam = dV/dx`` for the Newton unknowns ``x``).  Only the AC
+    side is linearised, with the converter powers held where ``state``
+    has them: the positive entries of the ``ac_voltage``, ``ac_angle``,
+    ``gen_q``, ``gen_p_slack`` and ``ac_flow`` groups, and the controls
+    that enter the AC equations directly (``p_g``, ``u_g``, ``q_s``,
+    ``q_c``).  Every other control kind, and every DC-side or
+    capability violation, gets 0.  None when the Jacobian is singular or
+    the gradient is not finite.
+    """
+    n = net.n_bus
+    bp, br = net.plan.buses, net.plan.branches
+    v = state.ac.vm * np.exp(1j * state.ac.va)
+    ds_dva, ds_dvm = ds_dv(br.ybus, v, br.ybus @ v, diag_work(n))
+    ds = np.hstack((ds_dva, ds_dvm))       # dS_bus / d(va, vm), n x 2n
+    # +1 above the upper bound, -1 below the lower one, 0 inside
+    side = {group: (value > hi).astype(float) - (value < lo)
+            for group, (_, value, lo, hi) in _ac_limits(net, state).items()}
+    gen_bus = np.array([net.bus_index[g.bus] for g in net.generators],
+                       dtype=int)
+    w = np.zeros(2 * n)                    # dV / d(va, vm) of every bus
+    w[:n] += side["ac_angle"]
+    w[n:] += side["ac_voltage"]
+    w_q = np.zeros(n)                      # dV / d(generator Q) by bus
+    if net.generators:
+        w += side["gen_q"] @ ds[gen_bus].imag
+        np.add.at(w_q, gen_bus, side["gen_q"])
+        w += side["gen_p_slack"] @ ds[gen_bus[gen_bus == bp.slack]].real
+    if net.branches:
+        w += side["ac_flow"] @ _flow_derivative(net, v)
+
+    jac = np.concatenate((ds_dva, ds_dvm)).view(float).take(bp.jac_index)
+    try:
+        lam = np.linalg.solve(jac.T, np.concatenate((w[bp.pvpq],
+                                                     w[n + bp.pq])))
+    except np.linalg.LinAlgError:
+        return None
+    # adjoint of the P equation (pvpq) and the Q equation (pq) of each bus
+    lam_p, lam_q = np.zeros(n), np.zeros(n)
+    lam_p[bp.pvpq] = lam[:len(bp.pvpq)]
+    lam_q[bp.pq] = lam[len(bp.pvpq):]
+    # a set magnitude moves V directly and through the mismatch it leaves
+    d_vm_set = np.zeros(n)
+    d_vm_set[bp.fixed] = (w[n:] - lam_p @ ds_dvm.real
+                          - lam_q @ ds_dvm.imag)[bp.fixed]
+    by_kind = {"p_g": lam_p, "u_g": d_vm_set, "q_c": lam_q - w_q,
+               "q_s": w_q - lam_q}
+    pcc = {c.name: net.bus_index[c.pcc_bus] for c in net.converters}
+    grad = np.zeros(len(space))
+    for i, comp in enumerate(space.components):
+        if comp.kind in by_kind:
+            bus = (pcc[comp.key] if comp.kind == "q_s"
+                   else net.bus_index[int(comp.key)])
+            grad[i] = by_kind[comp.kind][bus]
+    return grad if np.all(np.isfinite(grad)) else None
+
+
+def _flow_derivative(net: Network, v: np.ndarray) -> np.ndarray:
+    """``d p_branch / d(va, vm)``: the from-side active flow of every
+    branch against every bus angle and magnitude."""
+    br = net.plan.branches
+    n, rows = len(v), np.arange(len(br.f))
+    vm = np.abs(v)
+    # the transfer term v_f * conj(y_ft * v_t) of the from-side power
+    c = v[br.f] * np.conj((br.yft_r + 1j * br.yft_i) * v[br.t])
+    d = np.zeros((len(rows), 2 * n))
+    d[rows, br.f] = -c.imag
+    d[rows, br.t] = c.imag
+    d[rows, n + br.f] = 2.0 * vm[br.f] * br.yff_r + c.real / vm[br.f]
+    d[rows, n + br.t] = c.real / vm[br.t]
+    return d
+
+
 @dataclass
 class CorrectiveLimits:
     """Maximal per-component corrective adjustment (control-vector units)."""
@@ -281,6 +372,29 @@ class CorrectiveResult:
     probes: int
 
 
+def probe_moves(space: ControlSpace, lims: CorrectiveLimits,
+                grad: np.ndarray | None,
+                include_discrete: bool) -> list[tuple[int, float]]:
+    """``(component, sign)`` of each move of the corrective search, in the
+    order tried at every scale.
+
+    The components are those with a corrective width (continuous ones
+    only unless ``include_discrete``), in kind order, then stably sorted
+    by ``|grad_i| * du_max_i``, descending; each is tried first in the
+    descent direction of ``grad``, ``+`` first where ``grad_i`` is 0.
+    ``grad`` None keeps the kind order.
+    """
+    grad = np.zeros(len(space)) if grad is None else grad
+    order = sorted(range(len(space)),
+                   key=lambda i: (_KIND_PRIORITY.get(space.kinds[i], 9), i))
+    if not include_discrete:
+        order = [i for i in order if space.step[i] == 0]
+    order = [i for i in order if lims.du_max[i] > 0]
+    order.sort(key=lambda i: -abs(grad[i]) * lims.du_max[i])   # stable
+    return [(i, sign) for i in order
+            for sign in ((-1.0, 1.0) if grad[i] > 0 else (1.0, -1.0))]
+
+
 def corrective_feasibility(net: Network, space: ControlSpace,
                            u0: np.ndarray, k: Contingency,
                            lims: CorrectiveLimits, *,
@@ -291,10 +405,21 @@ def corrective_feasibility(net: Network, space: ControlSpace,
                            include_discrete: bool = True) -> CorrectiveResult:
     """Search the corrective box for a feasible post-contingency setting.
 
-    Greedy coordinate pattern search from ``u0``: converter setpoints are
-    probed first, then generator controls, then discrete controls.  The
-    probe budget bounds the cost per contingency; the search is
-    deterministic.  Each probe's coupled solve is warm-started from the
+    Greedy coordinate pattern search from ``u0``, at the scales 1, 1/2
+    and 1/4 of each component's corrective width.  The moves are ranked
+    by the first-order sensitivity of the total violation at the ``u0``
+    probe (:func:`violation_gradient`): components by ``|dV/du_i| *
+    du_max_i``, descending, each tried first in the descent direction.
+    That gradient sees only the AC side, so components of equal score
+    (every kind but ``p_g``, ``u_g``, ``q_s`` and ``q_c``, and every
+    component when only DC-side or capability limits are violated) keep
+    the kind order: converter setpoints, then generator controls, then
+    discrete controls and droop slopes, ``+`` before ``-``.  When the
+    ``u0`` probe does not converge, the kind order alone is used.
+
+    The probe budget bounds the cost per contingency; a candidate within
+    1e-12 of a point already solved in this check (in every component) is
+    skipped and not counted; the search is deterministic.  Each probe's coupled solve is warm-started from the
     solved post-contingency state of the best probe so far: from
     ``base_state`` (the pre-contingency state) until a probe converges,
     then from the ``u0`` probe and from each accepted improvement.
@@ -304,29 +429,23 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     u0 = space.snap(u0)
     warm = base_state
 
-    def post_violation(u):
-        res = evaluate(net_k, space, u, warm=warm)
-        return res.report.total_violation, res.state
-
+    first = evaluate(net_k, space, u0, warm=warm)
     best_u = u0.copy()
-    best_v, state = post_violation(u0)
-    if state.converged:
-        warm = state
+    best_v = first.report.total_violation
     probes = 1
     if best_v <= tol_feas:
         return CorrectiveResult(True, best_u, best_v, probes)
-
-    order = sorted(range(len(space)),
-                   key=lambda i: (_KIND_PRIORITY.get(space.kinds[i], 9), i))
-    if not include_discrete:
-        order = [i for i in order if space.step[i] == 0]
-    order = [i for i in order if lims.du_max[i] > 0]
+    grad = None
+    if first.state.converged:
+        warm = first.state
+        grad = violation_gradient(first.net, space, first.state)
+    moves = probe_moves(space, lims, grad, include_discrete)
 
     box_lo = np.maximum(space.lo, u0 - lims.du_max)
     box_hi = np.minimum(space.hi, u0 + lims.du_max)
+    solved = u0[None, :]           # every point solved in this check
 
-    for scale, idx, sign in itertools.product((1.0, 0.5, 0.25), order,
-                                              (1.0, -1.0)):
+    for scale, (idx, sign) in itertools.product((1.0, 0.5, 0.25), moves):
         if probes >= max_probes or best_v <= tol_feas:
             break
         raw = best_u[idx] + sign * scale * lims.du_max[idx]
@@ -343,14 +462,17 @@ def corrective_feasibility(net: Network, space: ControlSpace,
         cand = best_u.copy()
         cand[idx] = raw
         cand = space.snap(cand)    # the grid value that ``evaluate`` solves
-        if cand[idx] == best_u[idx]:
+        # a move back by the step just taken lands on a solved point, or
+        # within rounding of it (best + du - du)
+        if np.abs(solved - cand).max(axis=1).min() <= 1e-12:
             continue
-        v, state = post_violation(cand)
+        solved = np.vstack((solved, cand))
+        res = evaluate(net_k, space, cand, warm=warm)
         probes += 1
-        if v < best_v - 1e-12:
-            best_v = v
+        if res.report.total_violation < best_v - 1e-12:
+            best_v = res.report.total_violation
             best_u = cand
-            if state.converged:
-                warm = state
+            if res.state.converged:
+                warm = res.state
 
     return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)

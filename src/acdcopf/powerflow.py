@@ -185,6 +185,27 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
 # AC Newton-Raphson
 
 
+def diag_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three zeroed ``n x n`` complex work matrices for :func:`ds_dv`."""
+    return tuple(np.zeros((n, n), dtype=complex) for _ in range(3))
+
+
+def ds_dv(ybus: np.ndarray, v: np.ndarray, i_bus: np.ndarray,
+          work: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """Bus power derivatives ``(dS/dVa, dS/dVm)`` at voltages ``v`` with
+    ``i_bus = ybus @ v`` (MATPOWER's ``dSbus_dV``), every bus in every
+    row and column.  ``work`` comes from :func:`diag_work`; only its
+    diagonals are written, so it may be reused at the same size."""
+    diag_v, diag_i, diag_vn = work
+    diag = np.diag_indices(len(v))
+    diag_v[diag] = v
+    diag_i[diag] = i_bus
+    diag_vn[diag] = v / np.abs(v)
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    return ds_dva, ds_dvm
+
+
 def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
              vm_setpoint: np.ndarray, *,
              vm0: np.ndarray | None = None,
@@ -209,9 +230,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
 
     spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
     na = len(pvpq)                 # angle unknowns, then magnitude unknowns
-    diag = np.diag_indices(n)
-    diag_v, diag_i, diag_vn = (np.zeros((n, n), dtype=complex)
-                               for _ in range(3))
+    work = diag_work(n)
     converged = False
     singular = False
     iterations = 0
@@ -230,11 +249,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
         if it == MAX_NR:
             break
 
-        diag_v[diag] = v
-        diag_i[diag] = i_bus
-        diag_vn[diag] = v / np.abs(v)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+        ds_dva, ds_dvm = ds_dv(ybus, v, i_bus, work)
         jac = np.concatenate((ds_dva, ds_dvm)).view(float).take(bp.jac_index)
         try:
             dx = np.linalg.solve(jac, mis)

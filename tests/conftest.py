@@ -1,13 +1,30 @@
 """Shared fixtures: bundled networks, a trained screening model and small
 hand-built cases."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acdcopf import cli, netmodel, opfcore, screen
 from acdcopf.netmodel import ControlSpace, load_bundled_case, network_from_dict
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bench_literal(name):
+    """The literal top-level setting ``name`` of ``perfbench/run.py``, read
+    without importing it (importing it edits the environment)."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == name):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,14 @@ import inspect
 import json
 import os
 import sys
-from pathlib import Path
 
 import pytest
 
 from acdcopf import cli, opfcore, powerflow, run, screen
+from acdcopf.netmodel import apply_contingency
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, bench_literal
+
 sys.path.insert(0, str(PERFBENCH))
 
 import bench_trace  # noqa: E402
@@ -50,15 +51,9 @@ def test_traced_name_exists_and_is_callable(name, owner, attr):
 
 
 def bench_settings() -> dict:
-    """The literal settings of ``perfbench/run.py``, read without importing
-    it (importing it edits the environment)."""
-    tree = ast.parse((PERFBENCH / "run.py").read_text())
-    return {node.targets[0].id: ast.literal_eval(node.value)
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id in ("CASE", "CORRECTIVE", "POPULATION",
-                                       "GENERATIONS", "CLUSTERS")}
+    """The literal settings of ``perfbench/run.py``."""
+    return {name: bench_literal(name) for name in
+            ("CASE", "CORRECTIVE", "POPULATION", "GENERATIONS", "CLUSTERS")}
 
 
 def test_bench_config_accepted(tmp_path):
@@ -196,3 +191,38 @@ def test_pooled_batch_calls_patched_worker_eval(acdc_net, acdc_space,
         records = pooled.evaluate_batch(genomes)
     assert [rec["marker"] for rec in records] == [g.tolist() for g in genomes]
     assert os.getpid() not in {rec["pid"] for rec in records}
+
+
+def test_corrective_probes_are_evaluate_calls(acdc_net, acdc_space,
+                                              monkeypatch):
+    """The traced benchmark checks that probes plus individuals equal the
+    ``opfcore.evaluate`` calls: a corrective check makes exactly one
+    evaluation, and one coupled solve, per probe it counts, and none to
+    rank its moves.  All 20 checks of the N-1 probe point, which include
+    checks that spend the whole budget."""
+    calls = {"evaluate": 0, "solve_acdc": 0}
+
+    def counting(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(opfcore, "evaluate", counting(opfcore, "evaluate"))
+    monkeypatch.setattr(opfcore, "solve_acdc",
+                        counting(opfcore, "solve_acdc"))
+    u0 = acdc_space.snap(bench_literal("PROBE_GENOME"))
+    base = opfcore.evaluate(acdc_net, acdc_space, u0)
+    lims = opfcore.CorrectiveLimits.from_fraction(acdc_space, 0.15)
+    budgets = []
+    for k in acdc_net.contingencies:
+        before = dict(calls)
+        out = opfcore.corrective_feasibility(
+            base.net, acdc_space, u0, k, lims,
+            net_k=apply_contingency(base.net, k), base_state=base.state)
+        assert calls["evaluate"] - before["evaluate"] == out.probes
+        assert calls["solve_acdc"] - before["solve_acdc"] == out.probes
+        budgets.append(out.probes)
+    assert max(budgets) == opfcore.MAX_PROBES

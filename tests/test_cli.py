@@ -209,8 +209,11 @@ def test_holdout_spearman_skips_diverged_rows(monkeypatch):
 
 def test_import_leaves_scipy_stats_unloaded():
     """Only ``train-screen`` uses ``scipy.stats``, which is slow to
-    import; importing the command line must not load it."""
-    probe = "import sys, acdcopf.cli; print('scipy.stats' in sys.modules)"
+    import, and no command uses ``scipy.linalg`` or ``scipy.optimize``
+    (the corrective search solves its adjoint system with numpy);
+    importing the command line must load none of them."""
+    probe = ("import sys, acdcopf.cli; print(any(m in sys.modules for m in "
+             "('scipy.stats', 'scipy.linalg', 'scipy.optimize')))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

@@ -1,5 +1,6 @@
 """Objectives, constraint reports and corrective feasibility."""
 
+import copy
 import itertools
 import math
 import pickle
@@ -10,10 +11,11 @@ import pytest
 from acdcopf import opfcore, powerflow
 from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
-                             generation_cost, voltage_deviation)
+                             generation_cost, probe_moves, violation_gradient,
+                             voltage_deviation)
 from acdcopf.powerflow import solve_acdc
 
-from conftest import two_bus_case
+from conftest import bench_literal, two_bus_case
 
 
 ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
@@ -58,6 +60,12 @@ def spread_point(space):
                       ("P_s:VSC3", -0.05)):
         u[space.index[name]] = val
     return u
+
+
+def probe_point(space):
+    """The benchmark's N-1 probe point: L10(7-8) and L12(8-9) cannot be
+    corrected at it, and the outage of L5(4-7) overloads P_L:L12 (8-9)."""
+    return space.snap(bench_literal("PROBE_GENOME"))
 
 
 class TestObjectives:
@@ -265,17 +273,20 @@ class TestCorrectiveFeasibility:
         assert mine.feasible
 
     @pytest.mark.parametrize("budget,probed", [
-        (4, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02)]),
-        (30, [(0.0, 1.0), (0.02, 1.0), (0.0, 1.0), (0.02, 1.02),
-              (0.02, 0.98), (0.01, 1.0), (0.02, 1.01), (0.02, 0.99),
-              (0.015, 1.0), (0.02, 1.005), (0.02, 0.995)]),
+        (4, [(0.0, 1.0), (0.02, 1.0), (0.02, 1.02), (0.02, 0.98)]),
+        (30, [(0.0, 1.0), (0.02, 1.0), (0.02, 1.02), (0.02, 0.98),
+              (0.01, 1.0), (0.02, 1.01), (0.02, 0.99), (0.015, 1.0),
+              (0.02, 1.005), (0.02, 0.995)]),
     ])
     def test_probe_sequence(self, budget, probed, monkeypatch):
-        # an outage the box cannot correct: scales, then components in
-        # priority order, then signs; a probe that lands on the best point
-        # is skipped, and the budget stops the search.  The flow over the
-        # lossless line does not depend on U_G:bus2; warm-started probes
-        # see that tie to round-off, so no U_G move is accepted
+        # an outage the box cannot correct: scales, then components by
+        # sensitivity, then signs, descent first.  Raising P_G:bus2 (dV/du
+        # = -1) relieves the overloaded line; the flow over the lossless
+        # line does not depend on U_G:bus2 (dV/du at round-off), so U_G
+        # keeps + before -, and warm-started probes see that tie to
+        # round-off, so no U_G move is accepted.  A candidate solved
+        # before (the - move back to u0 after the accepted + move) is
+        # skipped, and the budget stops the search
         net = constrained_two_bus(p_limit=0.3)
         space = ControlSpace(net)
         du = np.zeros(len(space))
@@ -319,9 +330,10 @@ class TestCorrectiveFeasibility:
                                      CorrectiveLimits(du_max=du),
                                      base_state=base.state)
         # u0, then P_G:bus2 +0.02 (accepted), then the rejected moves
-        # -0.02, -0.01 and -0.005 (the + moves clip to the best point)
+        # -0.01 and -0.005 (the + moves clip to the best point, and -0.02
+        # lands back on u0, which was solved)
         assert [float(res.u[space.index["P_G:bus2"]])
-                for _, res in calls] == [0.0, 0.02, 0.0, 0.01, 0.015]
+                for _, res in calls] == [0.0, 0.02, 0.01, 0.015]
         assert calls[0][0] is base.state
         assert calls[1][0] is calls[0][1].state
         assert all(warm is calls[1][1].state for warm, _ in calls[2:])
@@ -367,6 +379,182 @@ class TestCorrectiveFeasibility:
         # once feasible, larger boxes stay feasible
         first = verdicts.index(True) if True in verdicts else len(verdicts)
         assert all(verdicts[first:])
+
+
+# the control kinds that enter the AC equations directly
+AC_KINDS = ("p_g", "u_g", "q_s", "q_c")
+
+
+def post_contingency(net, space, u, outage):
+    """``(net_k, result)``: the outage variant of the network carrying
+    ``u``, and the ``u0`` probe of its corrective check."""
+    base = opfcore.evaluate(net, space, u)
+    net_k = apply_contingency(base.net, net.contingency(outage))
+    return net_k, opfcore.evaluate(net_k, space, u, warm=base.state)
+
+
+class TestViolationGradient:
+    @pytest.mark.parametrize("point,outage", [
+        ("probe", "L5"),        # ac_flow
+        ("default", "L2"),      # ac_angle, gen_q, ac_flow
+        ("default", "L3"),      # ac_voltage, ac_angle, gen_q, ac_flow
+    ])
+    def test_matches_central_differences(self, acdc_net, acdc_space, point,
+                                         outage):
+        # central differences of the total violation at h = 1e-6, in a
+        # copy of the space without grids so that the shunt Q_C:bus9
+        # moves continuously; a component at a bound is left out (its
+        # difference is one-sided).  The agreement seen is 2e-8 or
+        # better: the AC-only gradient misses only the small pull of the
+        # AC voltages on the droop stations' losses
+        space = acdc_space
+        u = probe_point(space) if point == "probe" else space.default_vector()
+        net_k, res = post_contingency(acdc_net, space, u, outage)
+        assert res.report.total_violation > 0
+        grad = violation_gradient(res.net, space, res.state)
+        continuous = copy.copy(space)
+        continuous.step = np.zeros(len(space))
+        h = 1e-6
+        checked = 0
+        for i, kind in enumerate(space.kinds):
+            if kind not in AC_KINDS:
+                assert grad[i] == 0.0, space.names[i]
+            elif space.lo[i] + h < u[i] < space.hi[i] - h:
+                step = h * np.eye(len(space))[i]
+                up, down = (opfcore.evaluate(net_k, continuous, u + d,
+                                             warm=res.state)
+                            .report.total_violation for d in (step, -step))
+                assert grad[i] == pytest.approx((up - down) / (2 * h),
+                                                rel=1e-6, abs=1e-7), \
+                    space.names[i]
+                checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("slack_p_max,gen_q_max,violated,expected", [
+        # over the lossless lines every unit of P_G:bus2 is a unit less
+        # at the slack, and neither the shunt nor the set magnitudes move
+        # the slack's output
+        (0.3, 2.0, ("gen_p_slack", "P_G:bus1"),
+         {"P_G:bus2": -1.0, "U_G:bus1": 0.0, "U_G:bus2": 0.0,
+          "Q_C:bus2": 0.0}),
+        # with both magnitudes set, every unit of the shunt at bus 2 is a
+        # unit less that the generator there gives
+        (10.0, -1.0, ("gen_q", "Q_G:bus2"), {"Q_C:bus2": -1.0}),
+    ])
+    def test_generator_limits_hand_values(self, slack_p_max, gen_q_max,
+                                          violated, expected):
+        # slack bus 1 and PV bus 2 with a generator and a shunt, joined by
+        # two lossless lines; the 0.5 load at bus 2
+        case = two_bus_case(p_d=0.5, x=0.1)
+        case["ac_branches"].append(dict(case["ac_branches"][0]))
+        case["ac_buses"][1]["kind"] = "pv"
+        case["generators"][0]["p_max"] = slack_p_max
+        case["generators"].append(
+            {"bus": 2, "p_g": 0.0, "p_min": 0.0, "p_max": 0.6,
+             "q_min": -2.0, "q_max": gen_q_max, "u_g": 1.0, "alpha": 1.0,
+             "beta": 0.0, "gamma": 0.0})
+        case["shunts"].append({"bus": 2, "q_c": 0.1, "q_min": 0.0,
+                               "q_max": 0.5, "q_step": 0.1})
+        net = network_from_dict(case)
+        space = ControlSpace(net)
+        res = opfcore.evaluate(net, space, space.default_vector())
+        assert [(group, name) for group, name, _ in
+                res.report.violations()] == [violated]
+        grad = violation_gradient(res.net, space, res.state)
+        for name, value in expected.items():
+            assert grad[space.index[name]] == pytest.approx(value, abs=1e-9)
+
+    def test_descent_move_tried_first(self, acdc_net, acdc_space,
+                                      monkeypatch):
+        # L5(4-7) at the probe point overloads P_L:L12 (8-9), which
+        # lowering P_G:bus8 relieves most: the probe after u0 makes that
+        # move, where the kind order started with the converter setpoints
+        u0 = probe_point(acdc_space)
+        net_k, res = post_contingency(acdc_net, acdc_space, u0, "L5")
+        assert [name for _, name, _ in res.report.violations()] == \
+            ["P_L:L12"]
+        lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
+        i = acdc_space.index["P_G:bus8"]
+        grad = violation_gradient(res.net, acdc_space, res.state)
+        assert probe_moves(acdc_space, lims, grad, True)[0] == (i, -1.0)
+        assert acdc_space.kinds[probe_moves(acdc_space, lims, None,
+                                            True)[0][0]] == "p_s"
+        probed = []
+        evaluate = opfcore.evaluate
+
+        def recording(net_k, space, u, **kwargs):
+            probed.append(space.snap(u))
+            return evaluate(net_k, space, u, **kwargs)
+
+        monkeypatch.setattr(opfcore, "evaluate", recording)
+        corrective_feasibility(acdc_net, acdc_space, u0,
+                               acdc_net.contingency("L5"), lims, net_k=net_k)
+        move = probed[1] - u0
+        assert np.flatnonzero(move).tolist() == [i]
+        assert move[i] == pytest.approx(-lims.du_max[i])
+
+
+class TestProbeOrder:
+    @pytest.mark.parametrize("include_discrete", [True, False])
+    def test_ranking_permutes_the_kind_order(self, acdc_space,
+                                             include_discrete):
+        # the same (component, sign) moves as the kind order: a width of
+        # 0 drops a component, ``include_discrete=False`` drops the
+        # stepped ones; the ranking only reorders them
+        space = acdc_space
+        lims = CorrectiveLimits.from_fraction(space, 0.15)
+        lims.du_max[space.index["P_G:bus3"]] = 0.0
+        grad = np.random.default_rng(1).normal(size=len(space))
+        grad[[space.kinds[i] not in AC_KINDS for i in range(len(space))]] = 0
+        kind_order = probe_moves(space, lims, None, include_discrete)
+        ranked = probe_moves(space, lims, grad, include_discrete)
+        assert sorted(ranked) == sorted(kind_order)
+        moved = {i for i, _ in kind_order}
+        assert space.index["P_G:bus3"] not in moved
+        assert (space.index["T:L5"] in moved) == include_discrete
+        scores = [abs(grad[i]) * lims.du_max[i] for i, _ in ranked[::2]]
+        assert scores == sorted(scores, reverse=True)
+        # descent first; the zero-gradient kinds keep their order and +, -
+        assert all(sign == (-1.0 if grad[i] > 0 else 1.0)
+                   for i, sign in ranked[::2])
+        tail = [move for move in ranked if grad[move[0]] == 0]
+        assert tail == [move for move in kind_order if grad[move[0]] == 0]
+        assert probe_moves(space, lims, np.zeros(len(space)),
+                           include_discrete) == kind_order
+
+    @pytest.mark.parametrize("include_discrete", [True, False])
+    def test_probes_stay_in_box_and_budget(self, acdc_net, acdc_space,
+                                           monkeypatch, include_discrete):
+        # every probe of the 20 checks at the probe point: inside the
+        # corrective box and the control bounds, stepped components kept
+        # unless included, no point solved twice (or again within
+        # rounding) in a check, and at most the budget
+        space = acdc_space
+        u0 = probe_point(space)
+        base = opfcore.evaluate(acdc_net, space, u0)
+        lims = CorrectiveLimits.from_fraction(space, 0.15)
+        probed = []
+        evaluate = opfcore.evaluate
+
+        def recording(net_k, space, u, **kwargs):
+            probed.append(space.snap(u))
+            return evaluate(net_k, space, u, **kwargs)
+
+        monkeypatch.setattr(opfcore, "evaluate", recording)
+        stepped = space.step > 0
+        for k in acdc_net.contingencies:
+            probed.clear()
+            out = corrective_feasibility(
+                base.net, space, u0, k, lims, base_state=base.state,
+                max_probes=12, include_discrete=include_discrete)
+            assert out.probes == len(probed) <= 12
+            for i, u in enumerate(probed):
+                assert all(np.abs(u - v).max() > 1e-12 for v in probed[:i])
+            for u in probed:
+                assert np.all(np.abs(u - u0) <= lims.du_max + 1e-12)
+                assert np.all((space.lo <= u) & (u <= space.hi))
+                if not include_discrete:
+                    assert np.array_equal(u[stepped], u0[stepped])
 
 
 def bruteforce_box(net, space, u0, k, lims, resolution):
