@@ -5,7 +5,12 @@ Every subcommand reads its settings through :func:`configure`: the
 defaults, then a declarative JSON config (``--config``), then the
 environment (``ACDCOPF_OUTPUT_DIR``, ``ACDCOPF_WORKERS``), then the
 flags, each overriding the ones before and each key checked against the
-type of its default.  Subcommands write CSV + JSON artifacts stamped with
+type of its default.  The config sets only what a run varies; the
+optimizer's variation settings and the corrective defaults live in
+:class:`acdcopf.evo.EvoConfig` and :class:`acdcopf.run.CorrectiveConfig`.
+``train-screen`` is the one producer of the screening model: ``optimize``
+and ``rank`` load the model it wrote, or ``optimize --no-screening`` checks
+every contingency.  Subcommands write CSV + JSON artifacts stamped with
 the config hash and seed, and use a fixed exit-code taxonomy: 0 success,
 2 validation, 3 solver divergence, 4 infeasible run, 5 I/O, 6 an
 evaluator process died.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -45,27 +51,16 @@ DEFAULT_CONFIG = {
     "case": None,
     "seed": None,
     "output_dir": "out",
-    "optimizer": {
-        "population": 100, "iterations": 50, "kappa": 0.05,
-        "crossover_rate": 0.9, "mutation_rate": None,
-        "eta_crossover": 20.0, "eta_mutation": 20.0, "workers": 1,
-    },
+    "optimizer": {"population": 100, "iterations": 50, "workers": 1},
     "screening": {"samples": 90, "width": 0.005, "model_path": None},
-    "corrective": {"fraction": 0.15, "max_probes": 30, "tol_feas": 1e-6,
-                   "include_discrete": True},
+    "corrective": dataclasses.asdict(CorrectiveConfig()),
     "decision": {"clusters": 2, "weights": [0.5, 0.5]},
 }
 # the type of a key whose default is None, once it is set
-NULLABLE = {"case": str, "seed": int, "optimizer.mutation_rate": float,
-            "screening.model_path": str}
-# smallest value a run can use, the keys whose value must exceed 0, and
-# the probabilities (at most 1); every float setting must be finite
+NULLABLE = {"case": str, "seed": int, "screening.model_path": str}
+# smallest value a run can use; every float setting must be finite
 MINIMUM = {"optimizer.population": 1, "decision.clusters": 1,
-           "corrective.fraction": 0, "optimizer.eta_crossover": 0,
-           "optimizer.eta_mutation": 0, "screening.width": 0,
-           "optimizer.crossover_rate": 0, "optimizer.mutation_rate": 0}
-POSITIVE = ("optimizer.kappa",)
-PROBABILITY = ("optimizer.crossover_rate", "optimizer.mutation_rate")
+           "corrective.fraction": 0, "screening.width": 0}
 # flag -> (config key it sets, subcommands that take it)
 FLAGS = {
     "--case": ("case", ("powerflow", "train-screen", "rank", "optimize")),
@@ -106,8 +101,7 @@ def _kind(where: str) -> type:
 def _set(cfg: dict, where: str, value, source: str) -> None:
     """Set the dotted config key ``where`` to ``value`` (an object key by
     key), checked against the type of its default (an int is taken where
-    a float is due, a float must be finite) and against ``MINIMUM``,
-    ``POSITIVE`` and ``PROBABILITY``."""
+    a float is due, a float must be finite) and against ``MINIMUM``."""
     *path, key = where.split(".")    # a section and its key, or a key
     section = cfg[path[0]] if path else cfg
     if key not in section:
@@ -125,12 +119,6 @@ def _set(cfg: dict, where: str, value, source: str) -> None:
     if where in MINIMUM and value is not None and value < MINIMUM[where]:
         raise CliError(f"{source}: {where} must be >= {MINIMUM[where]}, "
                        f"not {value!r}", EXIT_VALIDATION)
-    if where in POSITIVE and not value > 0:
-        raise CliError(f"{source}: {where} must be > 0, not {value!r}",
-                       EXIT_VALIDATION)
-    if where in PROBABILITY and value is not None and value > 1:
-        raise CliError(f"{source}: {where} must be <= 1, not {value!r}",
-                       EXIT_VALIDATION)
     if kind is dict:
         for name, item in value.items():
             _set(cfg, f"{where}.{name}", item, source)
@@ -536,18 +524,12 @@ def cmd_optimize(args) -> int:
     space = ControlSpace(net)
     out = _ensure_outdir(cfg)
 
-    model_path = cfg["screening"]["model_path"]
-    model_file = Path(model_path) if model_path else out / "screening_model.json"
     model = None
     if args.no_screening:
         log.warning("screening disabled: every contingency will be checked")
-    elif args.train_first or not model_file.exists():
-        model, validation, _, _ = train_screening_model(net, cfg)
-        model.save(model_file)
-        write_json(out / "screen_validation.json",
-                   {"validation": validation}, stamp)
     else:
-        model = load_model(model_file, net, space)
+        model = load_model(cfg["screening"]["model_path"]
+                           or out / "screening_model.json", net, space)
 
     evo_settings = dict(cfg["optimizer"])
     workers = evo_settings.pop("workers")
@@ -588,13 +570,13 @@ def cmd_optimize(args) -> int:
                 _fmt(m["violation"], 8)] + [f"{v:.8g}" for v in m["genome"]]
                for m in members], stamp)
     write_json(out / "archive.json", {
-        "infeasible_run": archive.infeasible_run,
+        "infeasible_run": not archive.members,
         "wall_seconds": round(elapsed, 3),
         "control_names": space.names,
         "members": members,
     }, stamp)
 
-    if archive.infeasible_run or not archive.members:
+    if not archive.members:
         print("optimization finished with no feasible individual",
               file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -692,9 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--controls")
     rk.add_argument("--exact", action="store_true",
                     help="also compute the exact index per outage")
-    op = commands["optimize"]
-    op.add_argument("--train-first", action="store_true")
-    op.add_argument("--no-screening", action="store_true")
+    commands["optimize"].add_argument("--no-screening", action="store_true")
     commands["decide"].add_argument("--archive", required=True)
     return parser
 

@@ -25,9 +25,6 @@ GREY_RESOLUTION = 0.5          # grey relational distinguishing coefficient
 class FcmResult:
     memberships: np.ndarray    # 1-per-row soft assignments, rows sum to 1
     centers: np.ndarray
-    fuzziness: float
-    loss: float
-    iterations: int
     loss_history: list[float]
 
 
@@ -64,11 +61,8 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
 
     exponent = 2.0 / (fuzziness - 1.0)
     loss_prev = np.inf
-    loss = np.inf
     history: list[float] = []
-    mu = np.full((n, n_clusters), 1.0 / n_clusters)
-    it = 0
-    for it in range(1, FCM_MAX_ITER + 1):
+    for _ in range(FCM_MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         zero = d2 < 1e-24
         mu = np.empty((n, n_clusters))
@@ -86,8 +80,7 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
         if abs(loss_prev - loss) <= FCM_TOL:
             break
         loss_prev = loss
-    return FcmResult(memberships=mu, centers=centers, fuzziness=fuzziness,
-                     loss=loss, iterations=it, loss_history=history)
+    return FcmResult(memberships=mu, centers=centers, loss_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +90,6 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
 @dataclass
 class GrpRanking:
     d: np.ndarray              # priority membership per solution, in [0, 1]
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    v_zero: float
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    weights: np.ndarray
 
 
 def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> GrpRanking:
@@ -139,20 +126,15 @@ def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> GrpRanking:
         return ((d_min + GREY_RESOLUTION * d_max)
                 / (delta + GREY_RESOLUTION * d_max))
 
-    gamma_plus = coefficients(z_best)
-    gamma_minus = coefficients(z_worst)
-
     proj = weights ** 2 / np.sqrt(np.sum(weights ** 2))
-    v_plus = gamma_plus @ proj
-    v_minus = gamma_minus @ proj
+    v_plus = coefficients(z_best) @ proj
+    v_minus = coefficients(z_worst) @ proj
     v_zero = float(np.sum(proj))
 
     num = (v_zero - v_minus) ** 2
     den = num + (v_zero - v_plus) ** 2
     d = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
-    return GrpRanking(d=d, v_plus=v_plus, v_minus=v_minus, v_zero=v_zero,
-                      gamma_plus=gamma_plus, gamma_minus=gamma_minus,
-                      weights=weights)
+    return GrpRanking(d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +155,8 @@ def select_bcs(objectives: np.ndarray, n_clusters: int = 2,
     member (ties broken by lower first objective).
 
     Archives smaller than the cluster count fall back to a single
-    cluster with a warning.
+    cluster with a warning; one-cluster FCM gives every member
+    membership 1.
     """
     objectives = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = len(objectives)
@@ -187,12 +170,7 @@ def select_bcs(objectives: np.ndarray, n_clusters: int = 2,
     lo = objectives.min(axis=0)
     span = objectives.max(axis=0) - lo
     norm = (objectives - lo) / np.where(span > 0, span, 1.0)
-    if n_clusters == 1:
-        fcm = FcmResult(memberships=np.ones((n, 1)), centers=norm.mean(
-            axis=0, keepdims=True), fuzziness=2.0, loss=0.0, iterations=0,
-            loss_history=[])
-    else:
-        fcm = fcm_cluster(norm, n_clusters=n_clusters, seed=seed)
+    fcm = fcm_cluster(norm, n_clusters=n_clusters, seed=seed)
     assignment = np.argmax(fcm.memberships, axis=1)
 
     selections: list[BcsSelection] = []

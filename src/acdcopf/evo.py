@@ -7,6 +7,11 @@ of mutually non-dominated feasible individuals is maintained by
 crowding-based niching.  Archive members without a nearby working-
 population neighbour spawn exploration probes each generation.
 
+:class:`EvoConfig` holds what a run sets: population, generations,
+crossover and mutation rates, and the seed.  The fitness scaling
+``KAPPA`` and the distribution indices ``ETA_CROSSOVER`` and
+``ETA_MUTATION`` are module constants.
+
 Constraint handling is lexicographic: total violation first, fitness
 second.  All randomness flows from one seeded generator owned by the
 coordinator, and evaluation results are reduced in task order, so runs
@@ -24,6 +29,12 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-9
+# indicator scaling of the fitness and the distribution indices of SBX
+# crossover and polynomial mutation: the standard IBEA and NSGA-II
+# settings, which no run varies
+KAPPA = 0.05
+ETA_CROSSOVER = 20.0
+ETA_MUTATION = 20.0
 
 
 @dataclass
@@ -44,11 +55,8 @@ class Individual:
 class EvoConfig:
     population: int = 100
     iterations: int = 50
-    kappa: float = 0.05
     crossover_rate: float = 0.9
     mutation_rate: float | None = None     # default 1/n_vars
-    eta_crossover: float = 20.0
-    eta_mutation: float = 20.0
     seed: int = 0
 
 
@@ -233,8 +241,8 @@ def variation(pool: list[Individual], space, config: EvoConfig,
     for j in range(0, len(pool) - 1, 2):
         p1, p2 = pool[j].genome, pool[j + 1].genome
         if rng.random() < config.crossover_rate:
-            c1, c2 = sbx_pair(p1, p2, config.eta_crossover,
-                              space.lo, space.hi, rng)
+            c1, c2 = sbx_pair(p1, p2, ETA_CROSSOVER, space.lo, space.hi,
+                              rng)
         else:
             c1, c2 = p1.copy(), p2.copy()
         genomes.extend([c1, c2])
@@ -242,8 +250,8 @@ def variation(pool: list[Individual], space, config: EvoConfig,
         genomes.append(pool[-1].genome.copy())
     out = []
     for g in genomes:
-        g = polynomial_mutation(g, rate, config.eta_mutation,
-                                space.lo, space.hi, rng)
+        g = polynomial_mutation(g, rate, ETA_MUTATION, space.lo, space.hi,
+                                rng)
         out.append(space.snap(g))
     return out
 
@@ -263,7 +271,6 @@ class ParetoArchive:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.members: list[Individual] = []
-        self.infeasible_run = False
         # the first initial individual, kept by ``run`` whether or not it
         # is feasible
         self.start: Individual | None = None
@@ -356,8 +363,7 @@ def exploration_probes(archive: ParetoArchive, npc: list[Individual],
         dist = np.min(np.linalg.norm(npc_n - arch_n[i], axis=1))
         if dist > radius:
             g = polynomial_mutation(member.genome, max(rate, 2.0 / len(space)),
-                                    config.eta_mutation, space.lo, space.hi,
-                                    rng)
+                                    ETA_MUTATION, space.lo, space.hi, rng)
             probes.append(space.snap(g))
     return probes
 
@@ -369,7 +375,7 @@ def bce_step(npc: list[Individual], archive: ParetoArchive, space,
     exploration probes, evaluate everything, update the archive under
     non-domination with niching maintenance, then apply environmental
     selection.  Returns the new working population."""
-    ibea_fitness(npc, config.kappa)
+    ibea_fitness(npc, KAPPA)
     pool = mating_selection(npc, config.population, rng)
     offspring = variation(pool, space, config, rng)
     probes = exploration_probes(archive, npc, space, config, rng)
@@ -383,8 +389,7 @@ def bce_step(npc: list[Individual], archive: ParetoArchive, space,
         newcomers.append(ind)
     archive.offer(newcomers)
     archive.maintain()
-    return environmental_selection(npc + newcomers, config.population,
-                                   config.kappa)
+    return environmental_selection(npc + newcomers, config.population, KAPPA)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +408,8 @@ class GenerationLog:
 def run(problem, config: EvoConfig,
         progress: list[GenerationLog] | None = None) -> ParetoArchive:
     """Evolve for the configured number of generations and return the
-    archive (flagged infeasible-run if no feasible point was ever found),
-    with the evaluated first initial genome as ``archive.start``.
+    archive (empty if no feasible point was ever found), with the
+    evaluated first initial genome as ``archive.start``.
 
     ``problem`` supplies the control space, a batch evaluator and the
     initial genomes (see :class:`acdcopf.run.OpfProblem`)."""
@@ -432,7 +437,6 @@ def run(problem, config: EvoConfig,
         _log_generation(progress, gen, npc, archive)
 
     if not archive.members:
-        archive.infeasible_run = True
         log.warning("run produced no feasible individual")
     return archive
 

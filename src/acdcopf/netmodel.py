@@ -433,8 +433,13 @@ def network_from_dict(raw: dict) -> Network:
             raise CaseParseError(f"case is missing required section {section!r}")
 
     def build(cls, items, section):
+        if not isinstance(items, list):
+            raise CaseParseError(f"{section} must be a JSON list")
         out = []
         for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                raise CaseParseError(
+                    f"{section}[{i}] must be a JSON object, not {item!r}")
             fields = {k: v for k, v in item.items() if not k.startswith("_")}
             _require_finite(fields, f"{section}[{i}]")
             try:
@@ -450,21 +455,42 @@ def network_from_dict(raw: dict) -> Network:
     converters = build(ConverterStation, raw.get("converters", []), "converters")
     dc_buses = build(DcBus, raw.get("dc_buses", []), "dc_buses")
     dc_branches = build(DcBranch, raw.get("dc_branches", []), "dc_branches")
-    bounds_raw = raw.get("limits", {})
-    _require_finite(bounds_raw, "limits")
-    _require_finite({"base_mva": raw["base_mva"]}, "case")
-    bounds = ControlBounds(**{k: tuple(v) for k, v in bounds_raw.items()})
+    base_mva = raw["base_mva"]
+    if type(base_mva) not in (int, float):
+        raise CaseParseError(f"case: base_mva must be a number, "
+                             f"not {base_mva!r}")
+    _require_finite({"base_mva": base_mva}, "case")
 
     net = Network(
         name=raw.get("name", "unnamed"),
-        base_mva=float(raw["base_mva"]),
+        base_mva=float(base_mva),
         buses=buses, branches=branches, generators=generators,
         shunts=shunts, converters=converters,
-        dc_buses=dc_buses, dc_branches=dc_branches, bounds=bounds,
+        dc_buses=dc_buses, dc_branches=dc_branches,
+        bounds=_control_bounds(raw.get("limits", {})),
     )
     _validate(net)
     _finalize(net)
     return net
+
+
+def _control_bounds(raw) -> ControlBounds:
+    """The ``limits`` section: control kind -> [lo, hi] with lo <= hi."""
+    if not isinstance(raw, dict):
+        raise CaseParseError(f"limits must be a JSON object, not {raw!r}")
+    kinds = {f.name for f in dataclasses.fields(ControlBounds)}
+    for key, pair in raw.items():
+        if key not in kinds:
+            raise CaseParseError(f"limits: unknown key {key!r}")
+        # a bool is not taken as a number
+        if (not isinstance(pair, list) or len(pair) != 2
+                or any(type(v) not in (int, float) for v in pair)):
+            raise CaseParseError(f"limits: {key} must be a pair of numbers "
+                                 f"[lo, hi], not {pair!r}")
+        _require_finite({key: pair}, "limits")
+        _require(pair[0] <= pair[1], f"limits: {key} lower bound {pair[0]} "
+                                     f"exceeds upper bound {pair[1]}")
+    return ControlBounds(**{k: tuple(v) for k, v in raw.items()})
 
 
 def _validate(net: Network) -> None:

@@ -356,8 +356,8 @@ class CorrectiveLimits:
 
     @classmethod
     def from_fraction(cls, space: ControlSpace,
-                      fraction: float = 0.15) -> "CorrectiveLimits":
-        """Default box: ``fraction`` of each component's full range."""
+                      fraction: float) -> "CorrectiveLimits":
+        """Box of ``fraction`` of each component's full range."""
         du = fraction * (space.hi - space.lo)
         if np.any(du < 0):
             raise ValueError("corrective limits must be nonnegative")

@@ -32,8 +32,8 @@ SKIP_SURCHARGE = 300.0
 @dataclass
 class CorrectiveConfig:
     fraction: float = 0.15
-    max_probes: int = 30
-    tol_feas: float = 1e-6
+    max_probes: int = opfcore.MAX_PROBES
+    tol_feas: float = opfcore.TOL_FEAS
     include_discrete: bool = True
 
 

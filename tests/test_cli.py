@@ -349,13 +349,53 @@ class TestOptimizeAndDecideCmd:
                 ("corrective.per_name",
                  {"corrective": {"per_name": {"P_s:VSC1": 0.1}}}),
                 ("screening.width_per_kind",
-                 {"screening": {"width_per_kind": {"droop": 0.001}}})):
+                 {"screening": {"width_per_kind": {"droop": 0.001}}}),
+                ("optimizer.kappa", {"optimizer": {"kappa": 0.05}}),
+                ("optimizer.crossover_rate",
+                 {"optimizer": {"crossover_rate": 0.9}}),
+                ("optimizer.mutation_rate",
+                 {"optimizer": {"mutation_rate": None}}),
+                ("optimizer.eta_crossover",
+                 {"optimizer": {"eta_crossover": 20.0}}),
+                ("optimizer.eta_mutation",
+                 {"optimizer": {"eta_mutation": 20.0}})):
             cfg_path.write_text(json.dumps(bad))
             with pytest.raises(cli.CliError, match=key) as exc:
                 cli.load_config(str(cfg_path), {})
             assert exc.value.code == cli.EXIT_VALIDATION
             assert run_cli("optimize", "--config", str(cfg_path), "--seed",
                            "1", "--out", str(tmp_path)) == cli.EXIT_VALIDATION
+
+    def test_default_config_matches_library_defaults(self):
+        # a default set in both places could drift apart
+        defaults = cli.DEFAULT_CONFIG
+        assert (run.CorrectiveConfig(**defaults["corrective"])
+                == run.CorrectiveConfig())
+        optimizer = dict(defaults["optimizer"])
+        del optimizer["workers"]
+        assert evo.EvoConfig(**optimizer, seed=0) == evo.EvoConfig(seed=0)
+
+    def test_missing_model_file_not_trained(self, tmp_path, monkeypatch,
+                                            capsys):
+        # train-screen writes the model; optimize never trains its own
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli, "OpfProblem", no_solve)
+        monkeypatch.setattr(cli, "train_screening_model", no_solve)
+        code = run_cli("optimize", "--case", "bundled:case14_acdc",
+                       "--seed", "1", "--out", str(tmp_path))
+        assert code == cli.EXIT_IO
+        assert "model file not found" in capsys.readouterr().err
+        assert not (tmp_path / "screening_model.json").exists()
+        assert not (tmp_path / "screen_validation.json").exists()
+
+    def test_train_first_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(
+                ["optimize", "--seed", "1", "--train-first"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "--train-first" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc,env,key", [
         ({"optimizer": 5}, None, "optimizer"),

