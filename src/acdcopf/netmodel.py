@@ -234,9 +234,15 @@ class Network:
 # Solver plan
 
 
+# a constraint group of a plan: names, lower and upper bounds
+Limits = tuple[tuple[str, ...], np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class BusPlan:
-    """Bus-kind part of a :class:`SolverPlan`: the AC Newton unknowns."""
+    """Bus part of a :class:`SolverPlan`: the AC Newton unknowns and the
+    per-bus constants of the loads, generators, shunts and converter PCCs
+    (no outage moves an element of these lists)."""
 
     slack: int
     pv: np.ndarray
@@ -249,13 +255,25 @@ class BusPlan:
     # Jacobian entries in the stacked (dS/dVa, dS/dVm)
     mis_index: np.ndarray
     jac_index: np.ndarray
+    p_d: np.ndarray            # demand per bus
+    q_d: np.ndarray
+    p_load: np.ndarray         # injection of the demand, ``0 - p_d``
+    q_load: np.ndarray
+    vm_set: np.ndarray         # bus voltage setpoint ``u``
+    u_set: np.ndarray          # preset voltage of the deviation objective
+    gen_rows: np.ndarray       # bus row of each generator
+    slack_gens: np.ndarray     # generators at the slack bus
+    shunt_rows: np.ndarray     # bus row of each shunt
+    pcc_rows: np.ndarray       # PCC bus row of each converter
+    # ac_voltage, ac_angle, and with generators gen_q and gen_p_slack
+    limits: dict[str, Limits]
 
 
 @dataclass(frozen=True, eq=False)
 class BranchPlan:
-    """Branch part of a :class:`SolverPlan`: the admittance matrix and the
+    """Branch part of a :class:`SolverPlan`: the admittance matrix, the
     from-side pi-model terms of every branch, split in real and imaginary
-    parts."""
+    parts, and the flow limits."""
 
     ybus: np.ndarray
     f: np.ndarray              # from-bus row per branch
@@ -264,12 +282,15 @@ class BranchPlan:
     yff_i: np.ndarray
     yft_r: np.ndarray
     yft_i: np.ndarray
+    index: dict[str, int]      # outage id -> position in the branch list
+    limits: dict[str, Limits]  # ac_flow, when there are branches
 
 
 @dataclass(frozen=True, eq=False)
 class DcPlan:
     """DC part of a :class:`SolverPlan`: the conductance matrix, the bus
-    rows of every DC branch and the rows that the converter modes fix."""
+    rows of every DC branch, the rows that the converter modes fix, and
+    the DC-side and converter constants."""
 
     index: dict[int, int]      # DC bus id -> row
     ydc: np.ndarray
@@ -280,12 +301,17 @@ class DcPlan:
     vdc_rows: np.ndarray       # rows of const_vdc converters: set voltage
     free_rows: np.ndarray      # every other row, ascending: Newton unknowns
     droop_rows: np.ndarray     # rows whose equation is the droop law
+    const_p: tuple[int, ...]   # const_p converters, in case order
+    u_set: np.ndarray          # preset DC bus voltage
+    # dc_voltage, and with DC branches dc_current and dc_flow
+    limits: dict[str, Limits]
+    capability: tuple[str, ...]    # capability constraint name per converter
 
 
 @dataclass(frozen=True, eq=False)
 class SolverPlan:
-    """Per-network solver structure, built once per (network,
-    contingency, taps) and immutable; its arrays are read-only."""
+    """Per-network solver structure and constants, built once per
+    (network, contingency, taps) and immutable; its arrays are read-only."""
 
     buses: BusPlan
     branches: BranchPlan
@@ -297,6 +323,12 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _limits(names: list[str], lo: list[float], hi: list[float]) -> Limits:
+    bounds = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    _read_only(*bounds)
+    return (tuple(names), *bounds)
+
+
 def branch_admittance(br: AcBranch) -> tuple[complex, complex, complex]:
     """Pi-model terms ``(y_ff, y_ft, y_tt)`` of one branch, tap on the from
     side; the model is symmetric, so ``y_tf == y_ft``."""
@@ -306,8 +338,10 @@ def branch_admittance(br: AcBranch) -> tuple[complex, complex, complex]:
     return (ys + ysh) / (tap * tap), -ys / tap, ys + ysh
 
 
-def bus_plan(buses: list[AcBus]) -> BusPlan:
-    """Bus-kind part of the plan of a network with these buses."""
+def bus_plan(net: Network) -> BusPlan:
+    """Bus part of the plan of ``net``: its buses, generators, shunts and
+    converters."""
+    buses, gens = net.buses, net.generators
     kinds = [b.kind for b in buses]
     pv = np.array([i for i, k in enumerate(kinds) if k == "pv"], dtype=int)
     pq = np.array([i for i, k in enumerate(kinds) if k == "pq"], dtype=int)
@@ -321,8 +355,38 @@ def bus_plan(buses: list[AcBus]) -> BusPlan:
     part = np.repeat([0, 1], [len(pvpq), len(pq)])
     mis_index = 2 * bus + part
     jac_index = ((part * n + bus[:, None]) * n + bus) * 2 + part[:, None]
-    _read_only(pv, pq, pvpq, fixed, mis_index, jac_index)
-    return BusPlan(slack, pv, pq, pvpq, fixed, mis_index, jac_index)
+    p_d = np.array([b.p_d for b in buses], dtype=float)
+    q_d = np.array([b.q_d for b in buses], dtype=float)
+    p_load, q_load = np.zeros(n) - p_d, np.zeros(n) - q_d
+    vm_set = np.array([b.u for b in buses], dtype=float)
+    u_set = np.array([b.u_set for b in buses], dtype=float)
+    rows = net.bus_index
+    gen_rows = np.array([rows[g.bus] for g in gens], dtype=int)
+    slack_gens = np.flatnonzero(gen_rows == slack)
+    shunt_rows = np.array([rows[sh.bus] for sh in net.shunts], dtype=int)
+    pcc_rows = np.array([rows[c.pcc_bus] for c in net.converters], dtype=int)
+    _read_only(pv, pq, pvpq, fixed, mis_index, jac_index, p_d, q_d, p_load,
+               q_load, vm_set, u_set, gen_rows, slack_gens, shunt_rows,
+               pcc_rows)
+
+    limits = {
+        "ac_voltage": _limits([f"U:bus{b.id}" for b in buses],
+                              [b.u_min for b in buses],
+                              [b.u_max for b in buses]),
+        "ac_angle": _limits([f"delta:bus{b.id}" for b in buses],
+                            [b.delta_min for b in buses],
+                            [b.delta_max for b in buses])}
+    if gens:
+        limits["gen_q"] = _limits([f"Q_G:bus{g.bus}" for g in gens],
+                                  [g.q_min for g in gens],
+                                  [g.q_max for g in gens])
+        slack_p = [gens[j] for j in slack_gens]
+        limits["gen_p_slack"] = _limits(
+            [f"P_G:bus{buses[slack].id}" for _ in slack_p],
+            [g.p_min for g in slack_p], [g.p_max for g in slack_p])
+    return BusPlan(slack, pv, pq, pvpq, fixed, mis_index, jac_index, p_d, q_d,
+                   p_load, q_load, vm_set, u_set, gen_rows, slack_gens,
+                   shunt_rows, pcc_rows, limits)
 
 
 def branch_plan(n_bus: int, bus_index: dict[int, int],
@@ -344,7 +408,12 @@ def branch_plan(n_bus: int, bus_index: dict[int, int],
     parts = (ybus.reshape(n_bus, n_bus), f, t, yff.real.copy(),
              yff.imag.copy(), yft.real.copy(), yft.imag.copy())
     _read_only(*parts)
-    return BranchPlan(*parts)
+    limits = {"ac_flow": _limits([f"P_L:{br.outage_id}" for br in branches],
+                                 [br.p_min for br in branches],
+                                 [br.p_max for br in branches])
+              } if branches else {}
+    return BranchPlan(*parts, {br.outage_id: i for i, br in enumerate(branches)},
+                      limits)
 
 
 def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],
@@ -367,13 +436,27 @@ def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],
     vdc = conv[[c.mode == "const_vdc" for c in converters]]
     droop = conv[[c.mode == "droop" for c in converters]]
     free = np.setdiff1d(np.arange(n), vdc)
-    _read_only(ydc, f, t, y, conv, vdc, free, droop)
-    return DcPlan(index, ydc, f, t, y, conv, vdc, free, droop)
+    u_set = np.array([b.u_set for b in dc_buses], dtype=float)
+    _read_only(ydc, f, t, y, conv, vdc, free, droop, u_set)
+    limits = {"dc_voltage": _limits([f"U_dc:bus{b.id}" for b in dc_buses],
+                                    [b.u_min for b in dc_buses],
+                                    [b.u_max for b in dc_buses])
+              } if dc_buses else {}
+    if dc_branches:
+        limits["dc_current"] = _limits(
+            [f"I_dc:{br.outage_id}" for br in dc_branches],
+            [br.i_min for br in dc_branches], [br.i_max for br in dc_branches])
+        limits["dc_flow"] = _limits(
+            [f"P_dc:{br.outage_id}" for br in dc_branches],
+            [br.p_min for br in dc_branches], [br.p_max for br in dc_branches])
+    const_p = tuple(j for j, c in enumerate(converters) if c.mode == "const_p")
+    return DcPlan(index, ydc, f, t, y, conv, vdc, free, droop, const_p, u_set,
+                  limits, tuple(f"capability:{c.name}" for c in converters))
 
 
 def build_plan(net: Network) -> SolverPlan:
     """A fresh plan of ``net``, built from its elements alone."""
-    return SolverPlan(bus_plan(net.buses),
+    return SolverPlan(bus_plan(net),
                       branch_plan(net.n_bus, net.bus_index, net.branches),
                       dc_plan(net.dc_buses, net.dc_branches, net.converters))
 
@@ -435,12 +518,19 @@ def network_from_dict(raw: dict) -> Network:
     def build(cls, items, section):
         if not isinstance(items, list):
             raise CaseParseError(f"{section} must be a JSON list")
+        numeric = {f.name for f in dataclasses.fields(cls)
+                   if f.type in ("int", "float")}
         out = []
         for i, item in enumerate(items):
             if not isinstance(item, dict):
                 raise CaseParseError(
                     f"{section}[{i}] must be a JSON object, not {item!r}")
             fields = {k: v for k, v in item.items() if not k.startswith("_")}
+            for key, value in fields.items():
+                # a bool is not taken as a number, nor is null or a string
+                if key in numeric and type(value) not in (int, float):
+                    raise CaseParseError(f"{section}[{i}].{key} must be a "
+                                         f"number, not {value!r}")
             _require_finite(fields, f"{section}[{i}]")
             try:
                 out.append(cls(**fields))
@@ -779,22 +869,29 @@ class ControlSpace:
 
     def __init__(self, net: Network):
         comps: list[ControlComponent] = []
+        positions: list[int] = []
         for kind, (prefix, elements, name) in CONTROL_KINDS.items():
-            for el in getattr(net, elements):
+            for pos, el in enumerate(getattr(net, elements)):
                 limits = _control_range(net, kind, el)
                 if limits is not None:
                     key = str(getattr(el, name))
                     comps.append(ControlComponent(prefix + key, kind, key,
                                                   *limits, getattr(el, kind)))
+                    positions.append(pos)
 
         self.components = comps
         self.names = [c.name for c in comps]
         self.kinds = [c.kind for c in comps]
+        # position of each component's element in its list; outages drop
+        # only branches, so it holds in every variant of the network but
+        # for taps, which are found through the branch plan's index
+        self.positions = positions
         self.lo = np.array([c.lo for c in comps])
         self.hi = np.array([c.hi for c in comps])
         self.step = np.array([c.step for c in comps])
         self.base = np.array([c.base for c in comps])
         self.index = {c.name: i for i, c in enumerate(comps)}
+        self._stepped = np.flatnonzero(self.step > 0)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -813,12 +910,11 @@ class ControlSpace:
                 f"control vector has {u_raw.shape[0]} components, "
                 f"expected {len(self)}")
         u = np.clip(u_raw, self.lo, self.hi)
-        stepped = self.step > 0
-        if np.any(stepped):
-            k = np.round((u[stepped] - self.lo[stepped]) / self.step[stepped])
-            u[stepped] = np.round(self.lo[stepped] + k * self.step[stepped],
-                                  12)
-            u[stepped] = np.minimum(u[stepped], self.hi[stepped])
+        s = self._stepped
+        if s.size:
+            lo, step = self.lo[s], self.step[s]
+            k = np.round((u[s] - lo) / step)
+            u[s] = np.minimum(np.round(lo + k * step, 12), self.hi[s])
         return u
 
 

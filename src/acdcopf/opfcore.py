@@ -20,6 +20,7 @@ are designed to be fanned out across worker processes.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -42,14 +43,24 @@ _KIND_PRIORITY = {"p_s": 0, "q_s": 1, "u_dc0": 2, "p_g": 3, "u_g": 4,
 
 
 def apply_taps(net: Network, taps: dict[str, float]) -> Network:
-    """Network variant with the taps (by branch outage id) applied; the
-    branch part of the solver plan (admittance matrix included) is rebuilt
-    only when a tap changes."""
-    variant = _with_fields(net, "branches", "outage_id",
-                           {key: {"tap": tap} for key, tap in taps.items()})
-    if variant is not net:
-        variant.plan = dataclasses.replace(net.plan, branches=branch_plan(
-            net.n_bus, net.bus_index, variant.branches))
+    """Network variant with the taps (by branch outage id) applied; only a
+    branch whose tap changes is copied, and the branch part of the solver
+    plan (admittance matrix included) is rebuilt only when one is.  The
+    tap of an absent branch (the outaged one) is ignored."""
+    branches = net.branches
+    index = net.plan.branches.index
+    new = None
+    for key, tap in taps.items():
+        pos = index.get(key)
+        if pos is not None and branches[pos].tap != tap:
+            new = new or list(branches)
+            new[pos] = dataclasses.replace(new[pos], tap=tap)
+    if new is None:
+        return net
+    variant = copy.copy(net)
+    variant.branches = new
+    variant.plan = dataclasses.replace(net.plan, branches=branch_plan(
+        net.n_bus, net.bus_index, new))
     return variant
 
 
@@ -60,37 +71,30 @@ def apply_controls(net: Network, space: ControlSpace,
     ``net`` is never mutated; only the elements whose values a control
     changes are copied, and ``net`` itself is returned when none is.  A
     control of an absent element (the outaged branch of a contingency
-    variant) is ignored.
+    variant) is ignored.  The element of a control is found by its
+    position (:attr:`ControlSpace.positions`), so a probe that moves one
+    control from the variant of its best point copies one element.
     """
     taps: dict[str, float] = {}
-    settings: dict[tuple[str, str], dict[str, dict[str, float]]] = {}
-    for comp, value in zip(space.components, u):
-        if comp.kind == "tap":      # apply_taps rebuilds the branch plan
-            taps[comp.key] = float(value)
-        else:
-            _, elements, name = CONTROL_KINDS[comp.kind]
-            settings.setdefault((elements, name), {}).setdefault(
-                comp.key, {})[comp.kind] = float(value)
+    changed: dict[tuple[str, int], dict[str, float]] = {}
+    for comp, pos, value in zip(space.components, space.positions,
+                                u.tolist()):
+        if comp.kind == "tap":
+            taps[comp.key] = value
+            continue
+        elements = CONTROL_KINDS[comp.kind][1]
+        if getattr(getattr(net, elements)[pos], comp.kind) != value:
+            changed.setdefault((elements, pos), {})[comp.kind] = value
     variant = apply_taps(net, taps)
-    for (elements, name), by_key in settings.items():
-        variant = _with_fields(variant, elements, name, by_key)
+    if not changed:
+        return variant
+    if variant is net:
+        variant = copy.copy(net)
+    for (elements, pos), values in changed.items():
+        new = list(getattr(variant, elements))
+        new[pos] = dataclasses.replace(new[pos], **values)
+        setattr(variant, elements, new)
     return variant
-
-
-def _with_fields(net: Network, elements: str, name: str,
-                 by_key: dict[str, dict[str, float]]) -> Network:
-    """``net`` whose ``elements`` named ``key`` (their ``name`` attribute)
-    carry the fields ``by_key[key]``; ``net`` and an element are copied
-    only when one of their values changes."""
-    old = getattr(net, elements)
-    new = []
-    for el in old:
-        values = by_key.get(str(getattr(el, name)), {})
-        changed = {f: v for f, v in values.items() if getattr(el, f) != v}
-        new.append(dataclasses.replace(el, **changed) if changed else el)
-    if all(a is b for a, b in zip(new, old)):
-        return net
-    return dataclasses.replace(net, **{elements: new})
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +115,9 @@ def voltage_deviation(state: SystemState, net: Network) -> float:
     """Sum of squared deviations from preset voltages, AC and DC buses."""
     if not state.converged:
         raise ValueError("cannot evaluate deviation of an unconverged state")
-    u_set = np.array([b.u_set for b in net.buses])
-    f2 = float(np.sum((state.ac.vm - u_set) ** 2))
+    f2 = float(np.sum((state.ac.vm - net.plan.buses.u_set) ** 2))
     if net.dc_buses and state.dc is not None:
-        u_set_dc = np.array([b.u_set for b in net.dc_buses])
-        f2 += float(np.sum((state.dc.u - u_set_dc) ** 2))
+        f2 += float(np.sum((state.dc.u - net.plan.dc.u_set) ** 2))
     return f2
 
 
@@ -132,7 +134,7 @@ class ConstraintReport:
     entry is non-positive.
     """
 
-    groups: dict[str, tuple[list[str], np.ndarray]]
+    groups: dict[str, tuple[tuple[str, ...], np.ndarray]]
     converged: bool
     penalty: float = 0.0
 
@@ -157,39 +159,19 @@ def _bound_violation(value, lo, hi):
 
 
 def _ac_limits(net: Network, state: SystemState
-               ) -> dict[str, tuple[list[str], np.ndarray, np.ndarray,
+               ) -> dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray,
                                     np.ndarray]]:
     """Names, solved values and bounds of the AC-side limits of a
     converged state, by group: the groups :func:`violation_gradient`
     linearises."""
-    ac = state.ac
-    groups = {}
-    groups["ac_voltage"] = (
-        [f"U:bus{b.id}" for b in net.buses], ac.vm,
-        np.array([b.u_min for b in net.buses]),
-        np.array([b.u_max for b in net.buses]))
-    groups["ac_angle"] = (
-        [f"delta:bus{b.id}" for b in net.buses], ac.va,
-        np.array([b.delta_min for b in net.buses]),
-        np.array([b.delta_max for b in net.buses]))
+    bp = net.plan.buses
+    values = {"ac_voltage": state.ac.vm, "ac_angle": state.ac.va,
+              "gen_q": state.gen_q, "ac_flow": state.ac.p_branch}
     if net.generators:
-        groups["gen_q"] = (
-            [f"Q_G:bus{g.bus}" for g in net.generators], state.gen_q,
-            np.array([g.q_min for g in net.generators]),
-            np.array([g.q_max for g in net.generators]))
-        slack_bus = net.buses[net.slack_index].id
-        slack = [j for j, g in enumerate(net.generators)
-                 if g.bus == slack_bus]
-        groups["gen_p_slack"] = (
-            [f"P_G:bus{slack_bus}" for _ in slack], state.gen_p[slack],
-            np.array([net.generators[j].p_min for j in slack]),
-            np.array([net.generators[j].p_max for j in slack]))
-    if net.branches:
-        groups["ac_flow"] = (
-            [f"P_L:{br.outage_id}" for br in net.branches], ac.p_branch,
-            np.array([br.p_min for br in net.branches]),
-            np.array([br.p_max for br in net.branches]))
-    return groups
+        values["gen_p_slack"] = state.gen_p[bp.slack_gens]
+    limits = bp.limits | net.plan.branches.limits
+    return {group: (names, values[group], lo, hi)
+            for group, (names, lo, hi) in limits.items()}
 
 
 def constraint_report(net: Network, state: SystemState) -> ConstraintReport:
@@ -201,31 +183,20 @@ def constraint_report(net: Network, state: SystemState) -> ConstraintReport:
               for group, (names, value, lo, hi)
               in _ac_limits(net, state).items()}
 
-    if net.dc_buses and state.dc is not None:
+    dcp = net.plan.dc
+    if state.dc is not None:
         dc = state.dc
-        names = [f"U_dc:bus{b.id}" for b in net.dc_buses]
-        lo = np.array([b.u_min for b in net.dc_buses])
-        hi = np.array([b.u_max for b in net.dc_buses])
-        groups["dc_voltage"] = (names, _bound_violation(dc.u, lo, hi))
-
-        if net.dc_branches:
-            names = [f"I_dc:{br.outage_id}" for br in net.dc_branches]
-            lo = np.array([br.i_min for br in net.dc_branches])
-            hi = np.array([br.i_max for br in net.dc_branches])
-            groups["dc_current"] = (names, _bound_violation(dc.branch_i, lo, hi))
-
-            names = [f"P_dc:{br.outage_id}" for br in net.dc_branches]
-            lo = np.array([br.p_min for br in net.dc_branches])
-            hi = np.array([br.p_max for br in net.dc_branches])
-            groups["dc_flow"] = (names, _bound_violation(dc.branch_p, lo, hi))
+        values = {"dc_voltage": dc.u, "dc_current": dc.branch_i,
+                  "dc_flow": dc.branch_p}
+        for group, (names, lo, hi) in dcp.limits.items():
+            groups[group] = (names, _bound_violation(values[group], lo, hi))
 
     if net.converters:
-        names, vals = [], []
+        vals = []
         for conv, cs in zip(net.converters, state.converters):
-            names.append(f"capability:{conv.name}")
             r = math.hypot(cs.p_s - conv.p_center, cs.q_s - conv.q_center)
             vals.append(max(r - conv.r_max, conv.r_min - r))
-        groups["capability"] = (names, np.array(vals))
+        groups["capability"] = (dcp.capability, np.array(vals))
 
     return ConstraintReport(groups=groups, converged=True)
 
@@ -293,8 +264,7 @@ def violation_gradient(net: Network, space: ControlSpace,
     # +1 above the upper bound, -1 below the lower one, 0 inside
     side = {group: (value > hi).astype(float) - (value < lo)
             for group, (_, value, lo, hi) in _ac_limits(net, state).items()}
-    gen_bus = np.array([net.bus_index[g.bus] for g in net.generators],
-                       dtype=int)
+    gen_bus = bp.gen_rows
     w = np.zeros(2 * n)                    # dV / d(va, vm) of every bus
     w[:n] += side["ac_angle"]
     w[n:] += side["ac_voltage"]
@@ -429,16 +399,16 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     u0 = space.snap(u0)
     warm = base_state
 
-    first = evaluate(net_k, space, u0, warm=warm)
+    best = evaluate(net_k, space, u0, warm=warm)
     best_u = u0.copy()
-    best_v = first.report.total_violation
+    best_v = best.report.total_violation
     probes = 1
     if best_v <= tol_feas:
         return CorrectiveResult(True, best_u, best_v, probes)
     grad = None
-    if first.state.converged:
-        warm = first.state
-        grad = violation_gradient(first.net, space, first.state)
+    if best.state.converged:
+        warm = best.state
+        grad = violation_gradient(best.net, space, best.state)
     moves = probe_moves(space, lims, grad, include_discrete)
 
     box_lo = np.maximum(space.lo, u0 - lims.du_max)
@@ -467,11 +437,12 @@ def corrective_feasibility(net: Network, space: ControlSpace,
         if np.abs(solved - cand).max(axis=1).min() <= 1e-12:
             continue
         solved = np.vstack((solved, cand))
-        res = evaluate(net_k, space, cand, warm=warm)
+        # ``cand`` moves one control from ``best_u``, so the variant of the
+        # best probe differs from the candidate's in one element
+        res = evaluate(best.net, space, cand, warm=warm)
         probes += 1
         if res.report.total_violation < best_v - 1e-12:
-            best_v = res.report.total_violation
-            best_u = cand
+            best, best_v, best_u = res, res.report.total_violation, cand
             if res.state.converged:
                 warm = res.state
 

@@ -35,7 +35,6 @@ any number of concurrent solves may share a read-only network.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -133,24 +132,38 @@ def _net_dc_power(conv, r_br: float, p_s: float, k: float) -> float:
     return p_s - r_br * k - _station_loss(conv, math.sqrt(k), k)
 
 
-def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
-                        conv) -> ConverterState:
-    """Arriving power, loss and DC-side injection of one station.
+def _station_terms(v_pcc: complex, p_s: float, q_s: float, conv):
+    """Arriving power ``(p_c, q_c)``, station loss, series current
+    magnitude and terminal voltage phasor of one station.
 
     Closed form: the series current follows from the PCC power, and the
     terminal voltage from the voltage drop over the coupling impedance.
-    :func:`solve_acdc` replaces ``p_dc = p_c - p_loss`` by the DC side's.
+    ``v_pcc`` is a NumPy complex, so the division is NumPy's: Python's
+    complex division rounds differently.
     """
     i_ser = np.conj(complex(p_s, q_s) / v_pcc)
     v_c = v_pcc - i_ser / complex(conv.g, conv.b)
     s_into = v_c * np.conj(i_ser)          # power arriving at the terminal
     i_c = abs(i_ser)
     p_loss = _station_loss(conv, i_c, i_c * i_c)
+    return s_into.real, s_into.imag, p_loss, i_c, v_c
+
+
+def _converter_state(conv, p_s: float, q_s: float, terms, p_dc: float,
+                     residual: float) -> ConverterState:
+    p_c, q_c, p_loss, i_c, v_c = terms
     return ConverterState(
-        name=conv.name, p_s=p_s, q_s=q_s, p_c=s_into.real, q_c=s_into.imag,
-        p_loss=p_loss, i_c=i_c, u_c=abs(v_c),
-        delta_c=math.atan2(v_c.imag, v_c.real),
-        p_dc=s_into.real - p_loss, residual=0.0)
+        name=conv.name, p_s=p_s, q_s=q_s, p_c=p_c, q_c=q_c, p_loss=p_loss,
+        i_c=i_c, u_c=abs(v_c), delta_c=math.atan2(v_c.imag, v_c.real),
+        p_dc=p_dc, residual=residual)
+
+
+def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
+                        conv) -> ConverterState:
+    """One station on its own, delivering ``p_dc = p_c - p_loss``;
+    :func:`solve_acdc` replaces that ``p_dc`` by the DC side's."""
+    terms = _station_terms(np.complex128(v_pcc), p_s, q_s, conv)
+    return _converter_state(conv, p_s, q_s, terms, terms[0] - terms[2], 0.0)
 
 
 def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
@@ -158,14 +171,15 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
     """Invert the station model: PCC power that delivers ``p_dc_target``.
 
     Scalar Newton on ``h(p_s) = p_s - R_br*K - loss(sqrt(K)) - p_dc_target``
-    with ``K = (p_s^2 + q_s^2) / |V_pcc|^2``; smooth and well conditioned
-    for realistic loss coefficients.  Returns None when ``|h|`` does not
-    fall below 1e-13, e.g. when the target exceeds what the station can
-    deliver at this PCC voltage.
+    with ``K = (p_s^2 + q_s^2) / |V_pcc|^2``, in Python floats; smooth and
+    well conditioned for realistic loss coefficients.  Returns None when
+    ``|h|`` does not fall below 1e-13, e.g. when the target exceeds what
+    the station can deliver at this PCC voltage.
     """
-    u_s2 = abs(v_pcc) ** 2
+    u = float(abs(v_pcc))
+    u_s2 = u * u
+    q_s, p_dc_target, p_s = float(q_s), float(p_dc_target), float(p_s_guess)
     r_br = _series_resistance(conv)
-    p_s = p_s_guess
     for _ in range(60):
         k = (p_s * p_s + q_s * q_s) / u_s2
         i_c = math.sqrt(k)
@@ -354,21 +368,12 @@ def assemble_ac_inputs(net: Network):
     """Per-bus specified injections of the loads, generators and shunts,
     and the magnitude setpoints; :func:`solve_acdc` subtracts the
     converter terms."""
-    n = net.n_bus
-    p_inj = np.zeros(n)
-    q_inj = np.zeros(n)
-    vm_set = np.ones(n)
-    for bus in net.buses:
-        i = net.bus_index[bus.id]
-        p_inj[i] -= bus.p_d
-        q_inj[i] -= bus.q_d
-        vm_set[i] = bus.u
-    for gen in net.generators:
-        i = net.bus_index[gen.bus]
-        p_inj[i] += gen.p_g
-        vm_set[i] = gen.u_g
-    for sh in net.shunts:
-        q_inj[net.bus_index[sh.bus]] += sh.q_c
+    bp = net.plan.buses
+    p_inj, q_inj, vm_set = bp.p_load.copy(), bp.q_load.copy(), bp.vm_set.copy()
+    # a bus has at most one generator and one shunt
+    p_inj[bp.gen_rows] += [gen.p_g for gen in net.generators]
+    vm_set[bp.gen_rows] = [gen.u_g for gen in net.generators]
+    q_inj[bp.shunt_rows] += [sh.q_c for sh in net.shunts]
     return p_inj, q_inj, vm_set
 
 
@@ -398,12 +403,12 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     covers a station whose model cannot deliver the DC-side power.
     """
     convs = net.converters
-    pcc = np.array([net.bus_index[c.pcc_bus] for c in convs], dtype=int)
-    rows = net.plan.dc.conv_rows
-    const_p = [j for j, c in enumerate(convs) if c.mode == "const_p"]
+    pcc = net.plan.buses.pcc_rows
+    dcp = net.plan.dc
+    rows = dcp.conv_rows
     p_load, q_inj, vm_set = assemble_ac_inputs(net)
-    p_s_act = np.array([c.p_s for c in convs])
-    q_s = np.array([c.q_s for c in convs])
+    p_s_act = np.array([c.p_s for c in convs], dtype=float)
+    q_s = np.array([c.q_s for c in convs], dtype=float)
     q_inj[pcc] -= q_s
     # one entry per DC bus; a const_p station's p0 is set per iteration
     droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
@@ -421,7 +426,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
 
     ac = None
     dc = None
-    station: list[ConverterState] = []
+    terms: list[tuple] = []        # _station_terms of each station
     outer = 0
     failure = ""
     converged = False
@@ -440,22 +445,23 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
             converged = True
             break
 
-        v_pcc = [ac.vm[i] * np.exp(1j * ac.va[i]) for i in pcc]
-        station = [_station_quantities(v_pcc[j], p_s_act[j], q_s[j], c)
-                   for j, c in enumerate(convs)]
+        v_pcc = ac.vm[pcc] * np.exp(1j * ac.va[pcc])
+        terms = [_station_terms(v_pcc[j], p_s_act[j], q_s[j], c)
+                 for j, c in enumerate(convs)]
+        # the DC power each station's AC side delivers
+        p_dc_ac = [p_c - p_loss for p_c, _, p_loss, _, _ in terms]
 
         # a const_p station injects what its AC side delivers
-        for j in const_p:
-            p0[rows[j]] = station[j].p_dc
-        dc = solve_dc(net.plan.dc, droop, u0, p0, u_start=dc_u0)
+        for j in dcp.const_p:
+            p0[rows[j]] = p_dc_ac[j]
+        dc = solve_dc(dcp, droop, u0, p0, u_start=dc_u0)
         if not dc.converged:
             failure = "dc"
             break
         dc_u0 = dc.u
 
         # coupling residual: AC-side delivery vs DC-side absorption
-        residual = max(abs(st.p_dc - dc.p_inj[r])
-                       for st, r in zip(station, rows))
+        residual = max(abs(p - dc.p_inj[r]) for p, r in zip(p_dc_ac, rows))
         if trace is not None:
             trace.append((outer, ac.iterations, dc.iterations, residual))
         if residual <= TOL_COUPLE:
@@ -474,45 +480,34 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         failure = "coupling"
 
     conv_states: list[ConverterState] = []
-    if ac.converged and station:
-        for j, (c, st) in enumerate(zip(convs, station)):
-            p_dc = st.p_dc
-            if dc is not None and dc.converged and c.mode != "const_p":
-                p_dc = dc.p_inj[rows[j]]
-            conv_states.append(dataclasses.replace(
-                st, p_s=p_s_act[j], p_dc=p_dc,
-                residual=abs(st.p_c - p_dc - st.p_loss)))
+    if ac.converged and terms:
+        dc_side = dc is not None and dc.converged
+        for j, (c, st) in enumerate(zip(convs, terms)):
+            p_c, _, p_loss, _, _ = st
+            p_dc = (dc.p_inj[rows[j]] if dc_side and c.mode != "const_p"
+                    else p_c - p_loss)
+            conv_states.append(_converter_state(
+                c, p_s_act[j], q_s[j], st, p_dc, abs(p_c - p_dc - p_loss)))
 
     state = SystemState(ac=ac, dc=dc, converters=conv_states,
                         outer_iterations=outer, converged=converged,
                         failure_stage=failure)
     if converged:
-        _fill_generator_outputs(net, state, pcc)
+        _fill_generator_outputs(net, state)
     return state
 
 
-def _fill_generator_outputs(net: Network, state: SystemState,
-                            pcc: np.ndarray) -> None:
-    """Recover generator P/Q from solved bus injections; ``pcc`` holds the
-    bus row of each converter, and a bus has at most one converter and
-    one shunt."""
-    ac = state.ac
-    n_gen = len(net.generators)
-    gen_p = np.zeros(n_gen)
-    gen_q = np.zeros(n_gen)
-    p_s, q_s, q_c = (np.zeros(net.n_bus) for _ in range(3))
-    p_s[pcc] += [cs.p_s for cs in state.converters]
-    q_s[pcc] += [cs.q_s for cs in state.converters]
-    q_c[[net.bus_index[sh.bus] for sh in net.shunts]] = [
-        sh.q_c for sh in net.shunts]
-    slack = net.slack_index
-    for gi, gen in enumerate(net.generators):
-        i = net.bus_index[gen.bus]
-        bus = net.buses[i]
-        if i == slack:
-            gen_p[gi] = ac.p_inj[i] + bus.p_d + p_s[i]
-        else:
-            gen_p[gi] = gen.p_g
-        gen_q[gi] = ac.q_inj[i] + bus.q_d + q_s[i] - q_c[i]
+def _fill_generator_outputs(net: Network, state: SystemState) -> None:
+    """Recover generator P/Q from solved bus injections; a bus has at most
+    one generator, one converter and one shunt."""
+    ac, bp, n = state.ac, net.plan.buses, net.n_bus
+    p_s, q_s, q_c = (np.zeros(n) for _ in range(3))
+    p_s[bp.pcc_rows] += [cs.p_s for cs in state.converters]
+    q_s[bp.pcc_rows] += [cs.q_s for cs in state.converters]
+    q_c[bp.shunt_rows] = [sh.q_c for sh in net.shunts]
+    rows = bp.gen_rows
+    gen_p = np.array([gen.p_g for gen in net.generators], dtype=float)
+    slack = rows[bp.slack_gens]
+    gen_p[bp.slack_gens] = ac.p_inj[slack] + bp.p_d[slack] + p_s[slack]
     state.gen_p = gen_p
-    state.gen_q = gen_q
+    state.gen_q = ac.q_inj[rows] + bp.q_d[rows] + q_s[rows] - q_c[rows]

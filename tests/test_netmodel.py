@@ -229,7 +229,13 @@ def same_plan_arrays(x, y) -> bool:
     if hasattr(x, "__dataclass_fields__"):
         return all(same_plan_arrays(getattr(x, f), getattr(y, f))
                    for f in x.__dataclass_fields__)
-    return x == y
+    if isinstance(x, dict):
+        return (isinstance(y, dict) and list(x) == list(y)
+                and all(same_plan_arrays(x[key], y[key]) for key in x))
+    if isinstance(x, tuple) and any(isinstance(v, np.ndarray) for v in x):
+        return (isinstance(y, tuple) and len(x) == len(y)
+                and all(same_plan_arrays(a, b) for a, b in zip(x, y)))
+    return type(x) is type(y) and x == y
 
 
 def scalar_ybus(net):

@@ -138,10 +138,12 @@ class TestEvaluate:
         assert base_eval.report.total_violation == 0.0
         assert all(np.isfinite(base_eval.objectives))
 
-    def test_constructed_voltage_violation_magnitude(self, two_bus_net):
-        two_bus_net.buses[1].u_max = 0.95     # base solution sits near 0.9987
-        space = ControlSpace(two_bus_net)
-        res = opfcore.evaluate(two_bus_net, space, space.default_vector())
+    def test_constructed_voltage_violation_magnitude(self):
+        case = two_bus_case()
+        case["ac_buses"][1]["u_max"] = 0.95   # base solution sits near 0.9987
+        net = network_from_dict(case)
+        space = ControlSpace(net)
+        res = opfcore.evaluate(net, space, space.default_vector())
         viols = res.report.violations()
         assert len(viols) == 1
         group, name, value = viols[0]
@@ -414,6 +416,7 @@ class TestViolationGradient:
         grad = violation_gradient(res.net, space, res.state)
         continuous = copy.copy(space)
         continuous.step = np.zeros(len(space))
+        continuous._stepped = np.flatnonzero(continuous.step)
         h = 1e-6
         checked = 0
         for i, kind in enumerate(space.kinds):
