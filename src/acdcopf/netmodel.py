@@ -250,11 +250,12 @@ class BusPlan:
     pvpq: np.ndarray           # buses with an unknown angle
     fixed: np.ndarray          # slack, then PV: buses with a set magnitude
     # Newton unknowns are the angles at pvpq, then the magnitudes at pq;
-    # equations are P at pvpq, then Q at pq.  Flat positions, in the float
-    # view of the complex arrays, of the mismatch entries in S and of the
-    # Jacobian entries in the stacked (dS/dVa, dS/dVm)
+    # equations are P at pvpq, then Q at pq.  Flat positions of the
+    # mismatch entries in the float view of the complex S, and the row
+    # (and column) of each bus's P equation (angle) and Q equation
+    # (magnitude), -1 where it has none
     mis_index: np.ndarray
-    jac_index: np.ndarray
+    eq_rows: np.ndarray        # 2 x n
     p_d: np.ndarray            # demand per bus
     q_d: np.ndarray
     p_load: np.ndarray         # injection of the demand, ``0 - p_d``
@@ -282,6 +283,17 @@ class BranchPlan:
     yff_i: np.ndarray
     yft_r: np.ndarray
     yft_i: np.ndarray
+    # sparsity pattern of ybus, every diagonal entry included: the row,
+    # column and admittance of each entry, and the entry of each diagonal
+    pat_r: np.ndarray
+    pat_c: np.ndarray
+    pat_y: np.ndarray
+    pat_diag: np.ndarray
+    # the reduced Newton Jacobian (flat, m x m) takes the entries
+    # ``jac_src`` of the float view of the stacked pattern values of
+    # (dS/dVa, dS/dVm) at its flat positions ``jac_dst``
+    jac_src: np.ndarray
+    jac_dst: np.ndarray
     index: dict[str, int]      # outage id -> position in the branch list
     limits: dict[str, Limits]  # ac_flow, when there are branches
 
@@ -349,12 +361,11 @@ def bus_plan(net: Network) -> BusPlan:
     slack = kinds.index("slack")
     fixed = np.concatenate([[slack], pv]).astype(int)
     n = len(buses)
-    bus = np.concatenate([pvpq, pq])
-    # 0: P row (real part) or angle column (dS/dVa); 1: Q row (imaginary
-    # part) or magnitude column (dS/dVm)
-    part = np.repeat([0, 1], [len(pvpq), len(pq)])
-    mis_index = 2 * bus + part
-    jac_index = ((part * n + bus[:, None]) * n + bus) * 2 + part[:, None]
+    # 0: P row (real part); 1: Q row (imaginary part)
+    mis_index = np.concatenate([2 * pvpq, 2 * pq + 1])
+    eq_rows = np.full((2, n), -1)
+    eq_rows[0, pvpq] = np.arange(len(pvpq))
+    eq_rows[1, pq] = len(pvpq) + np.arange(len(pq))
     p_d = np.array([b.p_d for b in buses], dtype=float)
     q_d = np.array([b.q_d for b in buses], dtype=float)
     p_load, q_load = np.zeros(n) - p_d, np.zeros(n) - q_d
@@ -365,7 +376,7 @@ def bus_plan(net: Network) -> BusPlan:
     slack_gens = np.flatnonzero(gen_rows == slack)
     shunt_rows = np.array([rows[sh.bus] for sh in net.shunts], dtype=int)
     pcc_rows = np.array([rows[c.pcc_bus] for c in net.converters], dtype=int)
-    _read_only(pv, pq, pvpq, fixed, mis_index, jac_index, p_d, q_d, p_load,
+    _read_only(pv, pq, pvpq, fixed, mis_index, eq_rows, p_d, q_d, p_load,
                q_load, vm_set, u_set, gen_rows, slack_gens, shunt_rows,
                pcc_rows)
 
@@ -384,16 +395,18 @@ def bus_plan(net: Network) -> BusPlan:
         limits["gen_p_slack"] = _limits(
             [f"P_G:bus{buses[slack].id}" for _ in slack_p],
             [g.p_min for g in slack_p], [g.p_max for g in slack_p])
-    return BusPlan(slack, pv, pq, pvpq, fixed, mis_index, jac_index, p_d, q_d,
+    return BusPlan(slack, pv, pq, pvpq, fixed, mis_index, eq_rows, p_d, q_d,
                    p_load, q_load, vm_set, u_set, gen_rows, slack_gens,
                    shunt_rows, pcc_rows, limits)
 
 
-def branch_plan(n_bus: int, bus_index: dict[int, int],
+def branch_plan(buses: BusPlan, bus_index: dict[int, int],
                 branches: list[AcBranch]) -> BranchPlan:
-    """Branch part of the plan: the dense complex bus admittance matrix
-    and the per-branch terms, in one pass over the branches."""
-    m = len(branches)
+    """Branch part of the plan: the dense complex bus admittance matrix,
+    its sparsity pattern with the Newton Jacobian positions of every
+    entry (through the equation rows of ``buses``) and the per-branch
+    terms, in one pass over the branches."""
+    n_bus, m = len(bus_index), len(branches)
     f = np.fromiter((bus_index[br.from_bus] for br in branches), int, m)
     t = np.fromiter((bus_index[br.to_bus] for br in branches), int, m)
     terms = np.fromiter(itertools.chain.from_iterable(
@@ -404,9 +417,25 @@ def branch_plan(n_bus: int, bus_index: dict[int, int],
     fn, tn = f * n_bus, t * n_bus
     np.add.at(ybus, np.array([fn + f, tn + t, fn + t, tn + f]).T.ravel(),
               terms[:, [0, 2, 1, 1]].ravel())
+    diag = np.arange(n_bus) * (n_bus + 1)
+    pattern = np.unique(np.concatenate([diag, fn + t, tn + f]))
+    pat_r, pat_c = np.divmod(pattern, n_bus)
+    pat_diag = np.searchsorted(pattern, diag)
+    # Jacobian block (P or Q row, angle or magnitude column) of every
+    # pattern entry whose bus has that row and column
+    nnz, eq = len(pattern), buses.eq_rows
+    size = int((eq >= 0).sum())
+    src, dst = [], []
+    for part_r, part_c in itertools.product((0, 1), (0, 1)):
+        row, col = eq[part_r, pat_r], eq[part_c, pat_c]
+        keep = (row >= 0) & (col >= 0)
+        src.append(((part_c * nnz + np.flatnonzero(keep)) * 2 + part_r))
+        dst.append(row[keep] * size + col[keep])
+    jac_src, jac_dst = np.concatenate(src), np.concatenate(dst)
     yff, yft = terms[:, 0], terms[:, 1]
     parts = (ybus.reshape(n_bus, n_bus), f, t, yff.real.copy(),
-             yff.imag.copy(), yft.real.copy(), yft.imag.copy())
+             yff.imag.copy(), yft.real.copy(), yft.imag.copy(), pat_r, pat_c,
+             ybus[pattern], pat_diag, jac_src, jac_dst)
     _read_only(*parts)
     limits = {"ac_flow": _limits([f"P_L:{br.outage_id}" for br in branches],
                                  [br.p_min for br in branches],
@@ -456,8 +485,8 @@ def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],
 
 def build_plan(net: Network) -> SolverPlan:
     """A fresh plan of ``net``, built from its elements alone."""
-    return SolverPlan(bus_plan(net),
-                      branch_plan(net.n_bus, net.bus_index, net.branches),
+    buses = bus_plan(net)
+    return SolverPlan(buses, branch_plan(buses, net.bus_index, net.branches),
                       dc_plan(net.dc_buses, net.dc_branches, net.converters))
 
 
@@ -790,7 +819,7 @@ def apply_contingency(net: Network, k: Contingency) -> Network:
         new = copy.copy(net)
         new.branches = [b for b in net.branches if b.outage_id != k.branch_id]
         new.plan = dataclasses.replace(
-            net.plan, branches=branch_plan(new.n_bus, new.bus_index,
+            net.plan, branches=branch_plan(net.plan.buses, new.bus_index,
                                            new.branches))
         return new
     if k.kind == "dc_line":

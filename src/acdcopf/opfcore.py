@@ -30,7 +30,7 @@ import numpy as np
 
 from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
                        apply_contingency, branch_plan)
-from .powerflow import SystemState, diag_work, ds_dv, solve_acdc
+from .powerflow import SystemState, ds_dv, newton_jacobian, solve_acdc
 
 PENALTY_UNCONVERGED = 1e3
 TOL_FEAS = 1e-6
@@ -60,7 +60,7 @@ def apply_taps(net: Network, taps: dict[str, float]) -> Network:
     variant = copy.copy(net)
     variant.branches = new
     variant.plan = dataclasses.replace(net.plan, branches=branch_plan(
-        net.n_bus, net.bus_index, new))
+        net.plan.buses, net.bus_index, new))
     return variant
 
 
@@ -259,7 +259,10 @@ def violation_gradient(net: Network, space: ControlSpace,
     n = net.n_bus
     bp, br = net.plan.buses, net.plan.branches
     v = state.ac.vm * np.exp(1j * state.ac.va)
-    ds_dva, ds_dvm = ds_dv(br.ybus, v, br.ybus @ v, diag_work(n))
+    pattern = ds_dv(br, v, br.ybus @ v)
+    jac = newton_jacobian(br, *pattern, len(bp.mis_index))
+    ds_dva, ds_dvm = (np.zeros((n, n), dtype=complex) for _ in range(2))
+    ds_dva[br.pat_r, br.pat_c], ds_dvm[br.pat_r, br.pat_c] = pattern
     ds = np.hstack((ds_dva, ds_dvm))       # dS_bus / d(va, vm), n x 2n
     # +1 above the upper bound, -1 below the lower one, 0 inside
     side = {group: (value > hi).astype(float) - (value < lo)
@@ -276,7 +279,6 @@ def violation_gradient(net: Network, space: ControlSpace,
     if net.branches:
         w += side["ac_flow"] @ _flow_derivative(net, v)
 
-    jac = np.concatenate((ds_dva, ds_dvm)).view(float).take(bp.jac_index)
     try:
         lam = np.linalg.solve(jac.T, np.concatenate((w[bp.pvpq],
                                                      w[n + bp.pq])))

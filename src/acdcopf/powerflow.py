@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netmodel import DcPlan, Network
+from .netmodel import BranchPlan, DcPlan, Network
 
 TOL_AC = 1e-8
 TOL_DC = 1e-8
@@ -199,25 +199,30 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
 # AC Newton-Raphson
 
 
-def diag_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three zeroed ``n x n`` complex work matrices for :func:`ds_dv`."""
-    return tuple(np.zeros((n, n), dtype=complex) for _ in range(3))
-
-
-def ds_dv(ybus: np.ndarray, v: np.ndarray, i_bus: np.ndarray,
-          work: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def ds_dv(br: BranchPlan, v: np.ndarray, i_bus: np.ndarray):
     """Bus power derivatives ``(dS/dVa, dS/dVm)`` at voltages ``v`` with
-    ``i_bus = ybus @ v`` (MATPOWER's ``dSbus_dV``), every bus in every
-    row and column.  ``work`` comes from :func:`diag_work`; only its
-    diagonals are written, so it may be reused at the same size."""
-    diag_v, diag_i, diag_vn = work
-    diag = np.diag_indices(len(v))
-    diag_v[diag] = v
-    diag_i[diag] = i_bus
-    diag_vn[diag] = v / np.abs(v)
-    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    ``i_bus = ybus @ v`` (MATPOWER's ``dSbus_dV``), at the entries of the
+    admittance sparsity pattern (``br.pat_r``, ``br.pat_c``); every other
+    entry is zero."""
+    v_r = v[br.pat_r]
+    vn = v / np.abs(v)
+    # -Y_rc V_c, and I_r - Y_rr V_r on the diagonal
+    d = -(br.pat_y * v[br.pat_c])
+    d[br.pat_diag] += i_bus
+    ds_dva = 1j * (v_r * np.conj(d))
+    ds_dvm = v_r * np.conj(br.pat_y * vn[br.pat_c])
+    ds_dvm[br.pat_diag] += np.conj(i_bus) * vn
     return ds_dva, ds_dvm
+
+
+def newton_jacobian(br: BranchPlan, ds_dva: np.ndarray,
+                    ds_dvm: np.ndarray, size: int) -> np.ndarray:
+    """The ``size x size`` AC Newton Jacobian (P at pvpq, then Q at pq,
+    against the angles at pvpq, then the magnitudes at pq) from the
+    pattern values of :func:`ds_dv`."""
+    jac = np.zeros(size * size)
+    jac[br.jac_dst] = np.concatenate((ds_dva, ds_dvm)).view(float)[br.jac_src]
+    return jac.reshape(size, size)
 
 
 def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
@@ -233,8 +238,8 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     a mismatch of ``TOL_AC`` or after ``MAX_NR`` iterations.
     """
     n = net.n_bus
-    ybus = net.plan.branches.ybus
-    bp = net.plan.buses
+    br, bp = net.plan.branches, net.plan.buses
+    ybus = br.ybus
     pq, pvpq = bp.pq, bp.pvpq
 
     vm = np.ones(n) if vm0 is None else vm0.astype(float).copy()
@@ -244,7 +249,6 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
 
     spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
     na = len(pvpq)                 # angle unknowns, then magnitude unknowns
-    work = diag_work(n)
     converged = False
     singular = False
     iterations = 0
@@ -263,8 +267,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
         if it == MAX_NR:
             break
 
-        ds_dva, ds_dvm = ds_dv(ybus, v, i_bus, work)
-        jac = np.concatenate((ds_dva, ds_dvm)).view(float).take(bp.jac_index)
+        jac = newton_jacobian(br, *ds_dv(br, v, i_bus), len(spec))
         try:
             dx = np.linalg.solve(jac, mis)
         except np.linalg.LinAlgError:

@@ -182,3 +182,14 @@ def dc_newton_by_rows(ydc, modes, droop, u0, p0, tol, max_iter):
             else:
                 jac[r, :] = jac_p[i, free]
         u[free] -= np.linalg.solve(jac, f)
+
+
+def dense_ds_dv(ybus, v):
+    """MATPOWER's ``dSbus_dV`` in its dense matrix form:
+    ``dS/dVa = j diag(V) conj(diag(I) - Y diag(V))`` and
+    ``dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|)``."""
+    diag_v, diag_i = np.diag(v), np.diag(ybus @ v)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    return ds_dva, ds_dvm

@@ -21,7 +21,8 @@ from acdcopf.powerflow import (TOL_COUPLE, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
 from conftest import two_bus_case
-from oracles import dc_newton_by_rows, oracle_solve_ac, two_bus_closed_form
+from oracles import (dc_newton_by_rows, dense_ds_dv, oracle_solve_ac,
+                     two_bus_closed_form)
 
 
 def ac_inputs(net):
@@ -113,6 +114,35 @@ class TestSolveAc:
             p, q = powerflow.branch_flows(net, vm, va)
             assert np.array_equal(p, p_ref)
             assert np.array_equal(q, q_ref)
+
+    def test_pattern_jacobian_matches_dense(self, acdc_net, acdc_space):
+        # dS/dV over the admittance pattern against MATPOWER's dense
+        # products, and the Newton Jacobian against the dense blocks, on
+        # the case, every outage variant and a moved tap
+        u = acdc_space.default_vector()
+        i = acdc_space.index["T:L5"]
+        u[i] = acdc_space.hi[i]
+        nets = [acdc_net, opfcore.apply_controls(acdc_net, acdc_space, u)]
+        nets += [apply_contingency(acdc_net, k) for k in acdc_net.contingencies]
+        rng = np.random.default_rng(5)
+        for net in nets:
+            br, bp = net.plan.branches, net.plan.buses
+            v = rng.uniform(0.9, 1.1, net.n_bus) * np.exp(
+                1j * rng.uniform(-0.4, 0.4, net.n_bus))
+            dense = dense_ds_dv(br.ybus, v)
+            pattern = powerflow.ds_dv(br, v, br.ybus @ v)
+            for d, p in zip(dense, pattern):
+                scattered = np.zeros_like(d)
+                scattered[br.pat_r, br.pat_c] = p
+                assert np.abs(scattered - d).max() <= 1e-14 * np.abs(d).max()
+                # no entry of the dense form lies outside the pattern
+                assert not d[scattered == 0].any()
+            rows = [(bp.pvpq, "real"), (bp.pq, "imag")]
+            ref = np.block([[getattr(d[np.ix_(r, c)], part)
+                             for d, c in zip(dense, (bp.pvpq, bp.pq))]
+                            for r, part in rows])
+            jac = powerflow.newton_jacobian(br, *pattern, len(bp.mis_index))
+            assert np.abs(jac - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def station(g=0.0206, b=-3.6028, a_loss=0.011, b_loss=0.003,
