@@ -11,16 +11,29 @@ variants :func:`apply_contingency` returns share every element they do
 not drop with the input network (an N-1 check takes the variant of the
 network that carries the evaluated point's controls).
 
-Every network carries a :class:`SolverPlan`, the structure the solvers
-read and never rebuild: the bus-kind part (Newton unknowns and Jacobian
-index sets), the branch part (bus admittance matrix plus per-branch
-terms for vectorised branch flows, built in one pass) and the DC part
-(conductance matrix, branch indices, and the rows that the converter
-modes fix).  Whatever builds a variant's admittance builds its plan:
-:func:`_finalize` at load, :func:`apply_contingency` (branch part for an
-AC outage, DC part for a DC outage) and
-:func:`acdcopf.opfcore.apply_taps` (branch part).  The bus-kind part
-never changes across variants and is shared by reference.
+Every network carries a :class:`SolverPlan`, the structure and the
+constants that the solvers and the constraint report read and never
+rebuild.  It has three parts:
+
+- the bus part: the Newton unknowns and equation rows, the load, bus
+  setpoint and preset-voltage vectors, the bus rows of the generators,
+  shunts and converter PCCs, the slack generators, and the names and
+  bounds of the AC voltage, angle and generator limits;
+- the branch part: the bus admittance matrix, its sparsity pattern with
+  the Newton Jacobian position of every entry, the per-branch terms of
+  the vectorised branch flows, the position of each branch by outage id,
+  and the names and bounds of the flow limits;
+- the DC part: the conductance matrix, the rows that the converter modes
+  fix, the preset DC voltages, and the names and bounds of the DC limits
+  and converter capabilities.
+
+Whatever builds a variant's admittance builds its plan: :func:`_finalize`
+at load, :func:`apply_contingency` (branch part for an AC outage, DC part
+for a DC outage) and :func:`acdcopf.opfcore.apply_taps` (branch part).
+The bus part never changes across variants (outages drop only branches,
+and no control is a bus constant) and is shared by reference.  A plan
+reads its constants from the elements once, so an element changed in
+place would leave it stale; variants copy the elements they change.
 """
 
 from __future__ import annotations
@@ -283,12 +296,12 @@ class BranchPlan:
     yff_i: np.ndarray
     yft_r: np.ndarray
     yft_i: np.ndarray
-    # sparsity pattern of ybus, every diagonal entry included: the row,
-    # column and admittance of each entry, and the entry of each diagonal
+    # sparsity pattern of ybus: row, column and admittance of each entry,
+    # the diagonal of every bus first, then the (f, t) and (t, f) entries
+    # of every branch (parallel branches repeat an entry and its value)
     pat_r: np.ndarray
     pat_c: np.ndarray
     pat_y: np.ndarray
-    pat_diag: np.ndarray
     # the reduced Newton Jacobian (flat, m x m) takes the entries
     # ``jac_src`` of the float view of the stacked pattern values of
     # (dS/dVa, dS/dVm) at its flat positions ``jac_dst``
@@ -417,25 +430,20 @@ def branch_plan(buses: BusPlan, bus_index: dict[int, int],
     fn, tn = f * n_bus, t * n_bus
     np.add.at(ybus, np.array([fn + f, tn + t, fn + t, tn + f]).T.ravel(),
               terms[:, [0, 2, 1, 1]].ravel())
-    diag = np.arange(n_bus) * (n_bus + 1)
-    pattern = np.unique(np.concatenate([diag, fn + t, tn + f]))
-    pat_r, pat_c = np.divmod(pattern, n_bus)
-    pat_diag = np.searchsorted(pattern, diag)
-    # Jacobian block (P or Q row, angle or magnitude column) of every
-    # pattern entry whose bus has that row and column
-    nnz, eq = len(pattern), buses.eq_rows
-    size = int((eq >= 0).sum())
-    src, dst = [], []
-    for part_r, part_c in itertools.product((0, 1), (0, 1)):
-        row, col = eq[part_r, pat_r], eq[part_c, pat_c]
-        keep = (row >= 0) & (col >= 0)
-        src.append(((part_c * nnz + np.flatnonzero(keep)) * 2 + part_r))
-        dst.append(row[keep] * size + col[keep])
-    jac_src, jac_dst = np.concatenate(src), np.concatenate(dst)
+    pat_r = np.concatenate([np.arange(n_bus), f, t])
+    pat_c = np.concatenate([np.arange(n_bus), t, f])
+    # the four Jacobian blocks (P or Q row, angle or magnitude column) of
+    # every pattern entry whose buses have that row and column
+    part_r, part_c = np.array([[0], [0], [1], [1]]), np.array([[0], [1]] * 2)
+    row, col = buses.eq_rows[part_r, pat_r], buses.eq_rows[part_c, pat_c]
+    keep = (row >= 0) & (col >= 0)
+    nnz, size = len(pat_r), len(buses.mis_index)
+    jac_src = ((part_c * nnz + np.arange(nnz)) * 2 + part_r)[keep]
+    jac_dst = (row * size + col)[keep]
     yff, yft = terms[:, 0], terms[:, 1]
     parts = (ybus.reshape(n_bus, n_bus), f, t, yff.real.copy(),
              yff.imag.copy(), yft.real.copy(), yft.imag.copy(), pat_r, pat_c,
-             ybus[pattern], pat_diag, jac_src, jac_dst)
+             ybus[pat_r * n_bus + pat_c], jac_src, jac_dst)
     _read_only(*parts)
     limits = {"ac_flow": _limits([f"P_L:{br.outage_id}" for br in branches],
                                  [br.p_min for br in branches],

@@ -4,7 +4,15 @@ A control vector is written into a network variant once
 (``apply_controls`` copies only the elements whose values it changes; a
 changed tap rebuilds the branch part of the solver plan), the coupled
 power flow is run on that variant, and both objectives plus a full
-constraint report are produced.  Post-contingency corrective feasibility
+constraint report are produced; the constraint names and bounds and the
+preset voltages come from the solver plan.
+
+A corrective probe is one :func:`evaluate` call.  The first probe of a
+check applies the point's controls to the outage variant; every later
+probe moves one control of the best probe so far and is evaluated on
+that probe's variant, so it copies one element (and rebuilds the branch
+part of the plan only for a tap move) and pays for little more than its
+Newton steps.  Post-contingency corrective feasibility
 searches for an adjusted control vector inside the per-component
 corrective box, trying first the moves that a first-order sensitivity
 says lower the violation most: one adjoint solve with the AC Newton
@@ -391,10 +399,13 @@ def corrective_feasibility(net: Network, space: ControlSpace,
 
     The probe budget bounds the cost per contingency; a candidate within
     1e-12 of a point already solved in this check (in every component) is
-    skipped and not counted; the search is deterministic.  Each probe's coupled solve is warm-started from the
-    solved post-contingency state of the best probe so far: from
-    ``base_state`` (the pre-contingency state) until a probe converges,
-    then from the ``u0`` probe and from each accepted improvement.
+    skipped and not counted; the search is deterministic.  Each probe
+    after the first is evaluated on the network variant of the best probe
+    so far, from which it moves one control.  Its coupled solve is
+    warm-started from the solved post-contingency state of the best probe
+    so far: from ``base_state`` (the pre-contingency state) until a probe
+    converges, then from the ``u0`` probe and from each accepted
+    improvement.
     """
     if net_k is None:
         net_k = apply_contingency(net, k)

@@ -6,21 +6,24 @@ through the station loss model and the voltage-power droop characteristic
 ``U_dc - U_dc0 = R * (P_dc0 - P_dc)`` until the coupling residual at every
 converter is below tolerance.
 
-The solvers read every setpoint from the network elements; a control
-vector arrives as the variant :func:`acdcopf.opfcore.apply_controls` builds.
-Everything structural comes from the network's
-:class:`~acdcopf.netmodel.SolverPlan`, built once per (network,
-contingency, taps): the AC Newton unknowns and the index sets that place
-the Jacobian blocks (following MATPOWER's ``dSbus_dV``), the per-branch
-terms of the vectorised from-side flows (MATPOWER's ``Yf``), and the DC
-conductance matrix with the DC rows that the converter modes fix.  No
-solve builds or repairs a plan, and :func:`solve_acdc` reads the network
-elements once per solve.
+The solvers read every setpoint (the controls) from the network
+elements; a control vector arrives as the variant
+:func:`acdcopf.opfcore.apply_controls` builds.  Everything else comes
+from the network's :class:`~acdcopf.netmodel.SolverPlan`, built once per
+(network, contingency, taps): the AC Newton unknowns, the admittance
+sparsity pattern with the Jacobian position of every entry, the
+per-branch terms of the vectorised from-side flows (MATPOWER's ``Yf``),
+the load and bus setpoint vectors with the bus rows of the generators,
+shunts and converter PCCs, and the DC conductance matrix with the DC rows
+that the converter modes fix.  No solve builds or repairs a plan, and
+:func:`solve_acdc` reads the network elements once per solve.
 
-Floating-point results do not depend on how the structure is held: the
-Jacobian keeps the dense ``diag(v) @ ...`` products and the branch flows
-spell out the complex products in real arithmetic, because NumPy's
-elementwise complex kernels may fuse multiply-adds and round differently.
+The Jacobian is formed entry by entry over the sparsity pattern with
+MATPOWER's ``dSbus_dV`` element formulas (:func:`ds_dv`); it agrees with
+the dense ``diag(V) @ ...`` products to rounding (about 2e-16 relative),
+not bit for bit.  The branch flows spell out the complex products in
+real arithmetic, and the station model keeps NumPy's complex division,
+because other forms round differently.
 
 Sign conventions
 ----------------
@@ -149,21 +152,16 @@ def _station_terms(v_pcc: complex, p_s: float, q_s: float, conv):
     return s_into.real, s_into.imag, p_loss, i_c, v_c
 
 
-def _converter_state(conv, p_s: float, q_s: float, terms, p_dc: float,
-                     residual: float) -> ConverterState:
+def _converter_state(conv, p_s: float, q_s: float, terms,
+                     p_dc: float) -> ConverterState:
+    """State of a station drawing ``p_s``/``q_s`` with the
+    :func:`_station_terms` ``terms`` and injecting ``p_dc`` into the DC
+    network."""
     p_c, q_c, p_loss, i_c, v_c = terms
     return ConverterState(
         name=conv.name, p_s=p_s, q_s=q_s, p_c=p_c, q_c=q_c, p_loss=p_loss,
         i_c=i_c, u_c=abs(v_c), delta_c=math.atan2(v_c.imag, v_c.real),
-        p_dc=p_dc, residual=residual)
-
-
-def _station_quantities(v_pcc: complex, p_s: float, q_s: float,
-                        conv) -> ConverterState:
-    """One station on its own, delivering ``p_dc = p_c - p_loss``;
-    :func:`solve_acdc` replaces that ``p_dc`` by the DC side's."""
-    terms = _station_terms(np.complex128(v_pcc), p_s, q_s, conv)
-    return _converter_state(conv, p_s, q_s, terms, terms[0] - terms[2], 0.0)
+        p_dc=p_dc, residual=abs(p_c - p_dc - p_loss))
 
 
 def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
@@ -204,14 +202,15 @@ def ds_dv(br: BranchPlan, v: np.ndarray, i_bus: np.ndarray):
     ``i_bus = ybus @ v`` (MATPOWER's ``dSbus_dV``), at the entries of the
     admittance sparsity pattern (``br.pat_r``, ``br.pat_c``); every other
     entry is zero."""
+    n = len(v)                     # the diagonal entries come first
     v_r = v[br.pat_r]
     vn = v / np.abs(v)
     # -Y_rc V_c, and I_r - Y_rr V_r on the diagonal
     d = -(br.pat_y * v[br.pat_c])
-    d[br.pat_diag] += i_bus
+    d[:n] += i_bus
     ds_dva = 1j * (v_r * np.conj(d))
     ds_dvm = v_r * np.conj(br.pat_y * vn[br.pat_c])
-    ds_dvm[br.pat_diag] += np.conj(i_bus) * vn
+    ds_dvm[:n] += np.conj(i_bus) * vn
     return ds_dva, ds_dvm
 
 
@@ -430,6 +429,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     ac = None
     dc = None
     terms: list[tuple] = []        # _station_terms of each station
+    p_dc_ac: list[float] = []      # the DC power each AC side delivers
     outer = 0
     failure = ""
     converged = False
@@ -451,7 +451,6 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         v_pcc = ac.vm[pcc] * np.exp(1j * ac.va[pcc])
         terms = [_station_terms(v_pcc[j], p_s_act[j], q_s[j], c)
                  for j, c in enumerate(convs)]
-        # the DC power each station's AC side delivers
         p_dc_ac = [p_c - p_loss for p_c, _, p_loss, _, _ in terms]
 
         # a const_p station injects what its AC side delivers
@@ -485,12 +484,10 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     conv_states: list[ConverterState] = []
     if ac.converged and terms:
         dc_side = dc is not None and dc.converged
-        for j, (c, st) in enumerate(zip(convs, terms)):
-            p_c, _, p_loss, _, _ = st
-            p_dc = (dc.p_inj[rows[j]] if dc_side and c.mode != "const_p"
-                    else p_c - p_loss)
-            conv_states.append(_converter_state(
-                c, p_s_act[j], q_s[j], st, p_dc, abs(p_c - p_dc - p_loss)))
+        conv_states = [_converter_state(
+            c, p_s_act[j], q_s[j], terms[j],
+            dc.p_inj[rows[j]] if dc_side and c.mode != "const_p"
+            else p_dc_ac[j]) for j, c in enumerate(convs)]
 
     state = SystemState(ac=ac, dc=dc, converters=conv_states,
                         outer_iterations=outer, converged=converged,

@@ -2,6 +2,7 @@
 hand-built cases."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -119,3 +120,11 @@ def write_case(tmp_path, case, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(case))
     return path
+
+
+def same_elements(a, b) -> bool:
+    """Networks ``a`` and ``b`` hold equal elements, list by list."""
+    return all([dataclasses.asdict(x) for x in getattr(a, elements)]
+               == [dataclasses.asdict(y) for y in getattr(b, elements)]
+               for elements in ("buses", "branches", "generators", "shunts",
+                                "converters", "dc_buses", "dc_branches"))

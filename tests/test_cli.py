@@ -87,6 +87,20 @@ class TestPowerflowCmd:
         assert code == cli.EXIT_VALIDATION
         assert not (out / "powerflow_buses.csv").exists()
 
+    @pytest.mark.parametrize("value", ["x", True])
+    def test_non_numeric_case_field_rejected(self, value, tmp_path,
+                                             monkeypatch, capsys):
+        # a string used to end in a NumPy traceback with exit 1, and
+        # true used to load as a demand of 1.0 p.u. and solve
+        out = tmp_path / "out"
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(out))
+        case = json.loads(bundled_case_path("case14_acdc").read_text())
+        case["ac_buses"][3]["p_d"] = value
+        code = run_cli("powerflow", "--case", str(write_case(tmp_path, case)))
+        assert code == cli.EXIT_VALIDATION == 2
+        assert "ac_buses[3].p_d must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_control_component(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
         controls = tmp_path / "controls.json"

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acdcopf import netmodel, opfcore
 from acdcopf.netmodel import (CaseParseError, CaseValidationError,
@@ -12,7 +15,8 @@ from acdcopf.netmodel import (CaseParseError, CaseValidationError,
                               build_plan, load_case, network_from_dict,
                               network_to_dict)
 
-from conftest import radial_three_bus_case, two_bus_case, write_case
+from conftest import (radial_three_bus_case, same_elements, two_bus_case,
+                      write_case)
 
 
 class TestLoadCase:
@@ -171,12 +175,40 @@ class TestLoadCase:
         with pytest.raises(CaseParseError, match=r"converters\[0\].*p_dc0"):
             load_case(write_case(tmp_path, case))
 
+    @pytest.mark.parametrize("value", ["x", True, None])
+    def test_non_numeric_field_named(self, tmp_path, value):
+        # a bool would load as 1.0 and a string would fail deep in the
+        # solver; both, and null, are parse errors that name the field
+        case = json.loads(netmodel.bundled_case_path("case14_acdc")
+                          .read_text())
+        case["ac_buses"][3]["p_d"] = value
+        with pytest.raises(CaseParseError,
+                           match=r"ac_buses\[3\]\.p_d must be a number"):
+            load_case(write_case(tmp_path, case))
+
     def test_round_trip(self, acdc_net):
         doc = network_to_dict(acdc_net)
         again = network_from_dict(doc)
         assert network_to_dict(again) == doc
         assert [b.outage_id for b in again.branches] == \
             [b.outage_id for b in acdc_net.branches]
+
+
+@settings(max_examples=20, deadline=None)
+@given(frac=st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
+def test_round_trip_keeps_elements_and_plan(acdc_net, acdc_space, frac):
+    # a network that carries a control vector (taps moved included) is
+    # written and loaded again: the same elements and an equal plan,
+    # constants and Jacobian pattern included
+    space = acdc_space
+    u = space.snap(space.lo + np.array(frac) * (space.hi - space.lo))
+    net = opfcore.apply_controls(acdc_net, space, u)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps(network_to_dict(net)))
+        again = load_case(path)
+    assert same_elements(again, net)
+    assert same_plan_arrays(again.plan, net.plan)
 
 
 class TestContingencies:
@@ -251,13 +283,47 @@ def scalar_ybus(net):
     return ybus
 
 
+def constants_follow_elements(net) -> None:
+    """The constant parts of ``net``'s plan say what its elements say."""
+    bp, br, dc = net.plan.buses, net.plan.branches, net.plan.dc
+    rows = net.bus_index
+    assert bp.p_d.tolist() == [b.p_d for b in net.buses]
+    assert bp.vm_set.tolist() == [b.u for b in net.buses]
+    assert bp.u_set.tolist() == [b.u_set for b in net.buses]
+    assert bp.gen_rows.tolist() == [rows[g.bus] for g in net.generators]
+    assert bp.shunt_rows.tolist() == [rows[s.bus] for s in net.shunts]
+    assert bp.pcc_rows.tolist() == [rows[c.pcc_bus] for c in net.converters]
+    assert [net.generators[j].bus for j in bp.slack_gens] == \
+        [b.id for b in net.buses if b.kind == "slack"]
+    names, lo, hi = br.limits["ac_flow"]
+    assert names == tuple(f"P_L:{b.outage_id}" for b in net.branches)
+    assert lo.tolist() == [b.p_min for b in net.branches]
+    assert hi.tolist() == [b.p_max for b in net.branches]
+    assert br.index == {b.outage_id: i for i, b in enumerate(net.branches)}
+    names, lo, hi = dc.limits["dc_current"]
+    assert names == tuple(f"I_dc:{b.outage_id}" for b in net.dc_branches)
+    assert hi.tolist() == [b.i_max for b in net.dc_branches]
+    assert dc.capability == tuple(f"capability:{c.name}"
+                                  for c in net.converters)
+    # the Jacobian pattern: every diagonal, in bus order, then every
+    # other entry of the admittance matrix
+    n = net.n_bus
+    assert br.pat_r[:n].tolist() == br.pat_c[:n].tolist() == list(range(n))
+    pattern = set(zip(br.pat_r.tolist(), br.pat_c.tolist()))
+    assert pattern == set(zip(*np.nonzero(scalar_ybus(net)))) | {
+        (i, i) for i in range(n)}
+    assert np.array_equal(br.pat_y, net.ybus[br.pat_r, br.pat_c])
+
+
 class TestSolverPlan:
     def test_no_plan_is_stale(self, acdc_net, acdc_space):
         base = acdc_net.plan
         assert same_plan_arrays(base, build_plan(acdc_net))
+        constants_follow_elements(acdc_net)
         for k in acdc_net.contingencies:
             net_k = apply_contingency(acdc_net, k)
             assert same_plan_arrays(net_k.plan, build_plan(net_k)), k.label
+            constants_follow_elements(net_k)
             assert net_k.plan.buses is base.buses
             kept = net_k.plan.dc if k.kind == "ac_line" else net_k.plan.branches
             assert kept is (base.dc if k.kind == "ac_line" else base.branches)
@@ -271,6 +337,7 @@ class TestSolverPlan:
         u[i] = space.hi[i] if u[i] < space.hi[i] else space.lo[i]
         moved = opfcore.apply_controls(acdc_net, space, u)
         assert same_plan_arrays(moved.plan, build_plan(moved))
+        constants_follow_elements(moved)
         for net in (acdc_net, moved):
             assert np.array_equal(net.ybus, scalar_ybus(net))
         assert not np.array_equal(moved.plan.branches.yff_i,
@@ -332,6 +399,19 @@ class TestControlSpace:
             once = acdc_space.snap(u)
             twice = acdc_space.snap(once)
             np.testing.assert_array_equal(once, twice)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_snap_idempotent_bit_for_bit(self, acdc_space, data):
+        # inside and outside the box: a corrective probe snaps its
+        # candidate, and evaluate snaps it again
+        space = acdc_space
+        span = space.hi - space.lo
+        frac = np.array(data.draw(st.lists(
+            st.floats(-1.0, 2.0, allow_subnormal=False),
+            min_size=len(space), max_size=len(space))))
+        once = space.snap(space.lo + frac * span)
+        assert once.tobytes() == space.snap(once).tobytes()
 
     def test_snap_grid_distance(self, acdc_space):
         rng = np.random.default_rng(4)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
+from acdcopf.netmodel import (ControlSpace, apply_contingency,
+                              network_from_dict, network_to_dict)
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
                              generation_cost, probe_moves, violation_gradient,
                              voltage_deviation)
 from acdcopf.powerflow import solve_acdc
 
-from conftest import bench_literal, two_bus_case
+from conftest import bench_literal, same_elements, two_bus_case
 
 
 ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
@@ -124,11 +125,12 @@ class TestObjectives:
     def test_deviation_permutation_invariant(self, acdc_net, acdc_space,
                                              base_eval):
         f2 = voltage_deviation(base_eval.state, acdc_net)
-        # relabel by reversing bus order in both the network view and state
-        import pickle
-        net = pickle.loads(pickle.dumps(acdc_net))
+        # relabel by reversing bus order in both the case and the state;
+        # the preset voltages come from the plan built at load
+        doc = network_to_dict(acdc_net)
+        doc["ac_buses"].reverse()
+        net = network_from_dict(doc)
         state = pickle.loads(pickle.dumps(base_eval.state))
-        net.buses = list(reversed(net.buses))
         state.ac.vm = state.ac.vm[::-1]
         assert voltage_deviation(state, net) == pytest.approx(f2, rel=1e-12)
 
@@ -381,6 +383,80 @@ class TestCorrectiveFeasibility:
         # once feasible, larger boxes stay feasible
         first = verdicts.index(True) if True in verdicts else len(verdicts)
         assert all(verdicts[first:])
+
+
+class TestOneControlProbes:
+    def test_delta_equals_every_control(self, acdc_net, acdc_space):
+        # a probe evaluates its candidate on the variant of the best
+        # probe, which differs from it in one control: bit for bit what
+        # applying every control to the outage variant gives
+        space = acdc_space
+        rng = np.random.default_rng(7)
+        base = opfcore.evaluate(acdc_net, space, spread_point(space))
+        span = space.hi - space.lo
+        for _ in range(16):
+            k = acdc_net.contingencies[rng.integers(20)]
+            net_k = apply_contingency(base.net, k)
+            best_u = space.snap(base.u + rng.uniform(-0.1, 0.1, len(span))
+                                * span)
+            best = opfcore.evaluate(net_k, space, best_u, warm=base.state)
+            warm = best.state if best.state.converged else base.state
+            i = rng.integers(len(space))
+            cand = best_u.copy()
+            cand[i] = rng.uniform(space.lo[i], space.hi[i])
+            cand = space.snap(cand)
+            delta = opfcore.evaluate(best.net, space, cand, warm=warm)
+            full = opfcore.evaluate(net_k, space, cand, warm=warm)
+            assert same_elements(delta.net, full.net), k.label
+            assert pickle.dumps(delta.state) == pickle.dumps(full.state)
+            assert (delta.report.total_violation.hex()
+                    == full.report.total_violation.hex())
+            assert delta.objectives == full.objectives
+
+    def test_probe_copies_one_element(self, acdc_net, acdc_space,
+                                      monkeypatch):
+        # work-count guard over whole checks: every probe after the
+        # first moves one control of the best probe's variant; a non-tap
+        # move copies one element and builds no branch plan, a tap move
+        # copies one branch and builds one
+        space = acdc_space
+        base = opfcore.evaluate(acdc_net, space, space.default_vector())
+        lims = CorrectiveLimits.from_fraction(space, 0.15)
+        builds = []
+        branch_plan = opfcore.branch_plan
+        monkeypatch.setattr(opfcore, "branch_plan",
+                            lambda *args: builds.append(1) or
+                            branch_plan(*args))
+        probes = []
+        evaluate = opfcore.evaluate
+
+        def recording(net, space, u, **kwargs):
+            before = len(builds)
+            res = evaluate(net, space, u, **kwargs)
+            probes.append((net, res, len(builds) - before))
+            return res
+
+        monkeypatch.setattr(opfcore, "evaluate", recording)
+        kinds = set()
+        for label in ("L1", "L2", "L3"):
+            k = acdc_net.contingency(label)
+            out = corrective_feasibility(
+                base.net, space, base.u, k, lims,
+                net_k=apply_contingency(base.net, k), base_state=base.state)
+            assert out.probes > 2
+            for net, res, built in probes[1:]:
+                moved = [comp for comp, value in zip(space.components, res.u)
+                         if getattr(element_of(net, comp), comp.kind) != value]
+                assert len(moved) == 1
+                copied = [new for elements in ELEMENT_LISTS
+                          for new, old in zip(getattr(res.net, elements),
+                                              getattr(net, elements))
+                          if new is not old]
+                assert copied == [element_of(res.net, moved[0])]
+                assert built == (moved[0].kind == "tap")
+                kinds.add(moved[0].kind)
+            probes.clear()
+        assert "tap" in kinds and len(kinds) > 2
 
 
 # the control kinds that enter the AC equations directly

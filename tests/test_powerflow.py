@@ -151,6 +151,13 @@ def station(g=0.0206, b=-3.6028, a_loss=0.011, b_loss=0.003,
                             a_loss=a_loss, b_loss=b_loss, c_loss=c_loss)
 
 
+def station_quantities(v_pcc, p_s, q_s, conv):
+    """One station on its own, injecting what its AC side delivers."""
+    terms = powerflow._station_terms(v_pcc, p_s, q_s, conv)
+    p_c, _, p_loss, _, _ = terms
+    return powerflow._converter_state(conv, p_s, q_s, terms, p_c - p_loss)
+
+
 def capability_margin(net, base_state, p_s, q_s, r_min=0.0, r_max=1.0):
     """Capability entry of ``constraint_report`` for the first converter
     moved to ``(p_s, q_s)`` with annulus radii ``r_min``/``r_max``."""
@@ -169,7 +176,7 @@ def capability_margin(net, base_state, p_s, q_s, r_min=0.0, r_max=1.0):
 class TestConverterPrimitives:
     def test_equal_phasors_no_transfer(self):
         v_pcc = 1.03 * cmath.exp(0.2j)
-        st = powerflow._station_quantities(v_pcc, 0.0, 0.0, station())
+        st = station_quantities(v_pcc, 0.0, 0.0, station())
         assert st.u_c == pytest.approx(1.03, abs=1e-15)
         assert st.delta_c == pytest.approx(0.2, abs=1e-15)
         assert st.p_c == pytest.approx(0.0, abs=1e-15)
@@ -180,7 +187,7 @@ class TestConverterPrimitives:
         # PCC at angle 0.1 puts the converter terminal at 1 p.u., angle 0
         p_s = 10.0 * math.sin(0.1)
         q_s = 10.0 * (1.0 - math.cos(0.1))
-        st = powerflow._station_quantities(cmath.exp(0.1j), p_s, q_s,
+        st = station_quantities(cmath.exp(0.1j), p_s, q_s,
                                            station(g=0.0, b=-10.0))
         assert p_s == pytest.approx(0.9983, abs=5e-4)
         assert st.u_c == pytest.approx(1.0, abs=1e-12)
@@ -196,24 +203,24 @@ class TestConverterPrimitives:
             v_pcc = rng.uniform(0.9, 1.1) * cmath.exp(
                 1j * rng.uniform(-0.5, 0.5))
             p_s, q_s = rng.uniform(-1.0, 1.0, 2)
-            st = powerflow._station_quantities(v_pcc, p_s, q_s, conv)
+            st = station_quantities(v_pcc, p_s, q_s, conv)
             # series conduction loss, then the station loss
             assert abs(p_s - st.p_c - r_br * st.i_c ** 2) <= 1e-12
             assert st.p_c - st.p_dc == pytest.approx(st.p_loss, abs=1e-15)
             assert st.p_loss >= conv.a_loss
 
     def test_loss_zero_coefficients(self):
-        st = powerflow._station_quantities(
+        st = station_quantities(
             1.02 + 0j, 0.7, -0.3, station(a_loss=0.0, b_loss=0.0, c_loss=0.0))
         assert st.p_loss == 0.0
         assert st.p_dc == st.p_c
 
     def test_no_load_loss(self):
-        st = powerflow._station_quantities(1.0 + 0j, 0.0, 0.0, station())
+        st = station_quantities(1.0 + 0j, 0.0, 0.0, station())
         assert st.p_loss == 0.011
 
     def test_loss_hand_value(self):
-        st = powerflow._station_quantities(1.0 + 0j, 0.5, 0.0, station())
+        st = station_quantities(1.0 + 0j, 0.5, 0.0, station())
         assert st.i_c == pytest.approx(0.5, abs=1e-15)
         assert st.p_loss == pytest.approx(0.013575, abs=1e-12)
 
@@ -223,7 +230,7 @@ class TestConverterPrimitives:
         conv = station()
         for p_s, q_s in ((-0.862, 0.0111), (0.968, -0.1237), (0.3, 0.4)):
             p_dc = powerflow.derive_droop_schedule(conv, p_s, q_s)
-            st = powerflow._station_quantities(1.0 + 0j, p_s, q_s, conv)
+            st = station_quantities(1.0 + 0j, p_s, q_s, conv)
             assert st.p_dc == pytest.approx(p_dc, abs=1e-12)
             p_s_back = powerflow._solve_ps_for_pdc(1.0 + 0j, q_s, conv,
                                                    p_dc, 0.0)
