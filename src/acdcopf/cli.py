@@ -6,8 +6,8 @@ defaults, then a declarative JSON config (``--config``), then the
 environment (``ACDCOPF_OUTPUT_DIR``, ``ACDCOPF_WORKERS``), then the
 flags, each overriding the ones before and each key checked against the
 type of its default.  The config sets only what a run varies; the
-optimizer's variation settings and the corrective defaults live in
-:class:`acdcopf.evo.EvoConfig` and :class:`acdcopf.run.CorrectiveConfig`.
+optimizer's variation settings are constants of :mod:`acdcopf.evo`, and
+the corrective defaults live in :class:`acdcopf.run.CorrectiveConfig`.
 ``train-screen`` is the one producer of the screening model: ``optimize``
 and ``rank`` load the model it wrote, or ``optimize --no-screening`` checks
 every contingency.  Subcommands write CSV + JSON artifacts stamped with
@@ -349,7 +349,7 @@ def cmd_powerflow(args) -> int:
 
     conv_rows = []
     for conv, cs in zip(result.net.converters, state.converters):
-        u_dc = state.dc.u[net.dc_bus_index[conv.dc_bus]]
+        u_dc = state.dc.u[net.plan.dc.index[conv.dc_bus]]
         conv_rows.append([cs.name, _fmt(cs.p_s), _fmt(cs.q_s), _fmt(u_dc),
                           _fmt(conv.droop),
                           _fmt(cs.p_dc), _fmt(cs.p_loss),

@@ -4,7 +4,8 @@ Fuzzy C-means splits the trade-off front into clusters (two by default,
 one per objective emphasis); grey relational projection then scores each
 cluster's members against positive and negative ideal references, and the
 highest-scoring member of each cluster is reported as that cluster's best
-compromise solution.
+compromise solution.  The fuzzy C-means exponent ``FCM_FUZZINESS``, its
+stopping rule and the grey resolution coefficient are module constants.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
+FCM_FUZZINESS = 2.0            # fuzzy C-means membership exponent m > 1
 FCM_TOL = 1e-9                 # fuzzy C-means: stop at this loss change
 FCM_MAX_ITER = 300             # or after this many updates
 GREY_RESOLUTION = 0.5          # grey relational distinguishing coefficient
@@ -42,7 +44,7 @@ def _kmeanspp_init(points: np.ndarray, n_clusters: int,
     return np.array(centers)
 
 
-def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
+def fcm_cluster(points: np.ndarray, n_clusters: int = 2,
                 seed: int = 0) -> FcmResult:
     """Fuzzy C-means with alternating membership/center updates.
 
@@ -54,12 +56,10 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
     n = len(points)
     if n < n_clusters:
         raise ValueError(f"{n} points cannot form {n_clusters} clusters")
-    if fuzziness <= 1:
-        raise ValueError("fuzziness must exceed 1")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(points, n_clusters, rng)
 
-    exponent = 2.0 / (fuzziness - 1.0)
+    exponent = 2.0 / (FCM_FUZZINESS - 1.0)
     loss_prev = np.inf
     history: list[float] = []
     for _ in range(FCM_MAX_ITER):
@@ -73,7 +73,7 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
             else:
                 ratio = (d2[i][:, None] / d2[i][None, :]) ** (exponent / 2.0)
                 mu[i] = 1.0 / ratio.sum(axis=1)
-        w = mu ** fuzziness
+        w = mu ** FCM_FUZZINESS
         centers = (w.T @ points) / w.sum(axis=0)[:, None]
         loss = float(np.sum(w * d2))
         history.append(loss)
@@ -87,13 +87,9 @@ def fcm_cluster(points: np.ndarray, n_clusters: int = 2, fuzziness: float = 2.0,
 # Grey relational projection
 
 
-@dataclass
-class GrpRanking:
-    d: np.ndarray              # priority membership per solution, in [0, 1]
-
-
-def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> GrpRanking:
-    """Priority membership of each solution within one cluster.
+def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> np.ndarray:
+    """Priority membership ``d`` in [0, 1] of each solution within one
+    cluster.
 
     Objectives (minimized) are min-max normalized within the cluster; a
     constant objective gets a unit denominator so all its coefficients
@@ -133,8 +129,7 @@ def grp_rank(points: np.ndarray, weights=(0.5, 0.5)) -> GrpRanking:
 
     num = (v_zero - v_minus) ** 2
     den = num + (v_zero - v_plus) ** 2
-    d = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
-    return GrpRanking(d=d)
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +174,9 @@ def select_bcs(objectives: np.ndarray, n_clusters: int = 2,
         if idx.size == 0:
             log.warning("cluster %d is empty; skipped", c)
             continue
-        ranking = grp_rank(objectives[idx], weights=weights)
-        best_d = ranking.d.max()
-        tied = idx[np.abs(ranking.d - best_d) < 1e-15]
+        d = grp_rank(objectives[idx], weights=weights)
+        best_d = d.max()
+        tied = idx[np.abs(d - best_d) < 1e-15]
         chosen = int(tied[np.argmin(objectives[tied, 0])])
         selections.append(BcsSelection(
             cluster=c, member_index=chosen,

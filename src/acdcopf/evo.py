@@ -7,10 +7,11 @@ of mutually non-dominated feasible individuals is maintained by
 crowding-based niching.  Archive members without a nearby working-
 population neighbour spawn exploration probes each generation.
 
-:class:`EvoConfig` holds what a run sets: population, generations,
-crossover and mutation rates, and the seed.  The fitness scaling
-``KAPPA`` and the distribution indices ``ETA_CROSSOVER`` and
-``ETA_MUTATION`` are module constants.
+:class:`EvoConfig` holds what a run sets: population, generations and
+the seed.  The fitness scaling ``KAPPA``, the crossover probability
+``CROSSOVER_RATE`` and the distribution indices ``ETA_CROSSOVER`` and
+``ETA_MUTATION`` are module constants; a gene mutates with probability
+``1/n`` for ``n`` controls.
 
 Constraint handling is lexicographic: total violation first, fitness
 second.  All randomness flows from one seeded generator owned by the
@@ -29,10 +30,12 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-9
-# indicator scaling of the fitness and the distribution indices of SBX
-# crossover and polynomial mutation: the standard IBEA and NSGA-II
-# settings, which no run varies
+# indicator scaling of the fitness, the probability that a mating pair
+# crosses over, and the distribution indices of SBX crossover and
+# polynomial mutation: the standard IBEA and NSGA-II settings, which no
+# run varies
 KAPPA = 0.05
+CROSSOVER_RATE = 0.9
 ETA_CROSSOVER = 20.0
 ETA_MUTATION = 20.0
 
@@ -55,8 +58,6 @@ class Individual:
 class EvoConfig:
     population: int = 100
     iterations: int = 50
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None     # default 1/n_vars
     seed: int = 0
 
 
@@ -226,21 +227,15 @@ def polynomial_mutation(genome: np.ndarray, rate: float, eta: float,
     return child
 
 
-def mutation_rate(config: EvoConfig, space) -> float:
-    """Per-gene mutation probability; 1/n when the config leaves it unset."""
-    rate = config.mutation_rate
-    return 1.0 / max(1, len(space)) if rate is None else rate
-
-
-def variation(pool: list[Individual], space, config: EvoConfig,
+def variation(pool: list[Individual], space,
               rng: np.random.Generator) -> list[np.ndarray]:
     """Offspring genomes from a mating pool: SBX pairs, then mutation,
     then clamping and discrete snapping."""
-    rate = mutation_rate(config, space)
+    rate = 1.0 / max(1, len(space))
     genomes = []
     for j in range(0, len(pool) - 1, 2):
         p1, p2 = pool[j].genome, pool[j + 1].genome
-        if rng.random() < config.crossover_rate:
+        if rng.random() < CROSSOVER_RATE:
             c1, c2 = sbx_pair(p1, p2, ETA_CROSSOVER, space.lo, space.hi,
                               rng)
         else:
@@ -327,6 +322,15 @@ def hypervolume_2d(objs: np.ndarray, ref: tuple[float, float]) -> float:
 # One generation of the two-population scheme
 
 
+def _individuals(genomes: list[np.ndarray], records: list[dict],
+                 next_id) -> list[Individual]:
+    """One individual per genome and its evaluation record, numbered in
+    genome order."""
+    return [Individual(id=next_id(), genome=g, objectives=rec["objectives"],
+                       violation=rec["violation"], meta=rec.get("meta", {}))
+            for g, rec in zip(genomes, records)]
+
+
 def exploration_probes(archive: ParetoArchive, npc: list[Individual],
                        space, config: EvoConfig,
                        rng: np.random.Generator) -> list[np.ndarray]:
@@ -358,11 +362,11 @@ def exploration_probes(archive: ParetoArchive, npc: list[Individual],
     arch_n, npc_n = norm[:na], norm[na:]
     radius = 1.0 / config.population
     probes = []
-    rate = mutation_rate(config, space)
     for i, member in enumerate(archive.members):
         dist = np.min(np.linalg.norm(npc_n - arch_n[i], axis=1))
         if dist > radius:
-            g = polynomial_mutation(member.genome, max(rate, 2.0 / len(space)),
+            # twice the variation rate of 1/n
+            g = polynomial_mutation(member.genome, 2.0 / len(space),
                                     ETA_MUTATION, space.lo, space.hi, rng)
             probes.append(space.snap(g))
     return probes
@@ -377,16 +381,10 @@ def bce_step(npc: list[Individual], archive: ParetoArchive, space,
     selection.  Returns the new working population."""
     ibea_fitness(npc, KAPPA)
     pool = mating_selection(npc, config.population, rng)
-    offspring = variation(pool, space, config, rng)
+    offspring = variation(pool, space, rng)
     probes = exploration_probes(archive, npc, space, config, rng)
     genomes = offspring + probes
-    evaluated = evaluate_batch(genomes)
-    newcomers = []
-    for genome, rec in zip(genomes, evaluated):
-        ind = Individual(id=next_id(), genome=genome,
-                         objectives=rec["objectives"],
-                         violation=rec["violation"], meta=rec.get("meta", {}))
-        newcomers.append(ind)
+    newcomers = _individuals(genomes, evaluate_batch(genomes), next_id)
     archive.offer(newcomers)
     archive.maintain()
     return environmental_selection(npc + newcomers, config.population, KAPPA)
@@ -421,10 +419,7 @@ def run(problem, config: EvoConfig,
         return next(counter)
 
     genomes = [space.snap(g) for g in problem.initial_genomes(config, rng)]
-    evaluated = problem.evaluate_batch(genomes)
-    npc = [Individual(id=next_id(), genome=g, objectives=rec["objectives"],
-                      violation=rec["violation"], meta=rec.get("meta", {}))
-           for g, rec in zip(genomes, evaluated)]
+    npc = _individuals(genomes, problem.evaluate_batch(genomes), next_id)
     archive = ParetoArchive(config.population)
     archive.start = npc[0]
     archive.offer(npc)

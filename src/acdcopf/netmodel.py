@@ -44,7 +44,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -56,6 +56,9 @@ CASE_SCHEMA_VERSION = "acdc-case/1"
 
 BUS_KINDS = ("slack", "pv", "pq")
 CONVERTER_MODES = ("droop", "const_p", "const_vdc")
+# how far a stepped control's range, counted in steps, may lie from a
+# whole number
+STEP_GRID_TOL = 1e-9
 
 
 class CaseError(Exception):
@@ -215,23 +218,10 @@ class Network:
     excluded_contingencies: list[Contingency] = field(default_factory=list)
     plan: SolverPlan = field(default=None, repr=False)
     bus_index: dict[int, int] = field(default_factory=dict, repr=False)
-    dc_bus_index: dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def n_bus(self) -> int:
         return len(self.buses)
-
-    @property
-    def ybus(self) -> np.ndarray:
-        """Dense complex bus admittance matrix."""
-        return self.plan.branches.ybus
-
-    @property
-    def slack_index(self) -> int:
-        for i, bus in enumerate(self.buses):
-            if bus.kind == "slack":
-                return i
-        raise CaseValidationError("network has no slack bus")
 
     def contingency(self, branch_id: str) -> Contingency:
         for k in self.contingencies:
@@ -516,11 +506,11 @@ def _require_finite(fields: dict, name: str) -> None:
                      f"{name}: {key} is not finite ({v})")
 
 
-def _near_multiple(span: float, step: float, tol: float = 1e-9) -> bool:
+def _near_multiple(span: float, step: float) -> bool:
     if step <= 0:
         return False
     ratio = span / step
-    return abs(ratio - round(ratio)) < tol
+    return abs(ratio - round(ratio)) < STEP_GRID_TOL
 
 
 def load_case(path: str | Path) -> Network:
@@ -752,7 +742,6 @@ def _reachable(nodes: set[int], edges: list[tuple[int, int]], start: int) -> set
 def _finalize(net: Network) -> None:
     """Assign outage ids, build the solver plan and contingency list."""
     net.bus_index = {b.id: i for i, b in enumerate(net.buses)}
-    net.dc_bus_index = {b.id: i for i, b in enumerate(net.dc_buses)}
     for i, br in enumerate(net.branches):
         br.outage_id = f"L{i + 1}"
         br.label = f"L{i + 1}({br.from_bus}-{br.to_bus})"
@@ -782,7 +771,7 @@ def _finalize(net: Network) -> None:
 
 
 def _ac_outage_islands(net: Network, out: AcBranch) -> bool:
-    slack_id = net.buses[net.slack_index].id
+    slack_id = net.buses[net.plan.buses.slack].id
     edges = [(b.from_bus, b.to_bus) for b in net.branches if b is not out]
     reach = _reachable({b.id for b in net.buses}, edges, slack_id)
     load_or_gen = {b.id for b in net.buses if b.p_d != 0 or b.q_d != 0}
@@ -889,7 +878,7 @@ def _control_range(net: Network, kind: str, el) -> tuple | None:
         lo, hi, step = el.q_min, el.q_max, el.q_step
     else:
         (lo, hi), step = getattr(net.bounds, kind), 0.0
-    fixed = (kind == "p_g" and el.bus == net.buses[net.slack_index].id
+    fixed = (kind == "p_g" and el.bus == net.buses[net.plan.buses.slack].id
              or kind in ("tap", "q_c") and not lo < hi
              or kind == "u_dc0" and el.mode == "const_p"
              or kind == "droop" and el.mode != "droop")
@@ -953,34 +942,6 @@ class ControlSpace:
             k = np.round((u[s] - lo) / step)
             u[s] = np.minimum(np.round(lo + k * step, 12), self.hi[s])
         return u
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def network_to_dict(net: Network) -> dict:
-    """Serialize back to the ``acdc-case/1`` schema (round-trip stable)."""
-
-    def strip(obj, drop=("outage_id", "label")):
-        d = asdict(obj)
-        for key in drop:
-            d.pop(key, None)
-        return d
-
-    return {
-        "version": CASE_SCHEMA_VERSION,
-        "name": net.name,
-        "base_mva": net.base_mva,
-        "ac_buses": [strip(b) for b in net.buses],
-        "ac_branches": [strip(b) for b in net.branches],
-        "generators": [strip(g) for g in net.generators],
-        "shunts": [strip(s) for s in net.shunts],
-        "converters": [strip(c) for c in net.converters],
-        "dc_buses": [strip(b) for b in net.dc_buses],
-        "dc_branches": [strip(b) for b in net.dc_branches],
-        "limits": {k: list(v) for k, v in asdict(net.bounds).items()},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import copy
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,20 +138,21 @@ class ConstraintReport:
     """Signed violation magnitudes per constraint, grouped.
 
     Positive values are violations, non-positive values are margins.
-    ``total_violation`` is zero exactly when the flow converged and every
-    entry is non-positive.
+    ``total_violation``, the penalty plus the positive entries summed
+    group by group, is computed once when the report is built; it is
+    zero exactly when the flow converged and every entry is non-positive.
     """
 
     groups: dict[str, tuple[tuple[str, ...], np.ndarray]]
     converged: bool
     penalty: float = 0.0
+    total_violation: float = field(init=False)
 
-    @property
-    def total_violation(self) -> float:
+    def __post_init__(self) -> None:
         total = self.penalty
         for _, values in self.groups.values():
             total += float(np.maximum(values, 0.0).sum())
-        return total
+        self.total_violation = total
 
     def violations(self) -> list[tuple[str, str, float]]:
         out = []
@@ -228,21 +229,19 @@ def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
     """Run the coupled power flow on ``apply_controls(net, space, u)`` and
     score one control vector; the result keeps that variant as ``net``.
 
-    An unconverged flow yields invalid (infinite) objectives and a report
-    whose total violation is the divergence penalty.
+    An unconverged flow yields invalid (infinite) objectives and the
+    :func:`constraint_report` of an unconverged state, whose total
+    violation is the divergence penalty.
     """
     u = space.snap(u)
     net_v = apply_controls(net, space, u)
     state = solve_acdc(net_v, warm=warm, trace=trace)
-    if not state.converged:
-        report = ConstraintReport(groups={}, converged=False,
-                                  penalty=PENALTY_UNCONVERGED)
-        return EvalResult(objectives=(math.inf, math.inf), report=report,
-                          state=state, u=u, net=net_v)
-    report = constraint_report(net_v, state)
-    return EvalResult(objectives=(generation_cost(state, net_v),
-                                  voltage_deviation(state, net_v)),
-                      report=report, state=state, u=u, net=net_v)
+    objectives = ((generation_cost(state, net_v),
+                   voltage_deviation(state, net_v)) if state.converged
+                  else (math.inf, math.inf))
+    return EvalResult(objectives=objectives,
+                      report=constraint_report(net_v, state), state=state,
+                      u=u, net=net_v)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,6 @@ class SystemState:
     gen_p: np.ndarray = field(default=None)
     gen_q: np.ndarray = field(default=None)
 
-    @property
-    def coupling_residual(self) -> float:
-        if not self.converters:
-            return 0.0
-        return max(c.residual for c in self.converters)
-
 
 # ---------------------------------------------------------------------------
 # Converter station primitives

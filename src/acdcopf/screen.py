@@ -9,9 +9,11 @@ cheaply for every candidate operating point: insecure AC lines plus,
 always, all DC lines.
 
 The caller supplies the training control points (:func:`sample_controls`
-draws a Latin-hypercube box around the case point).  ``rank`` and the
-``train-screen`` error table share :func:`rank_contingencies` and
-:func:`exact_error`.
+draws a Latin-hypercube box around the case point).  The penalty is
+always chosen by cross-validation; the coordinate-descent stopping rule
+(``LASSO_TOL``, ``LASSO_MAX_SWEEPS``) and the penalty grid are module
+constants.  ``rank`` and the ``train-screen`` error table share
+:func:`rank_contingencies` and :func:`exact_error`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ MODEL_SCHEMA_VERSION = "screening-model/1"
 CV_FOLDS = 5
 GRID_SIZE = 30
 LAMBDA_MIN_FACTOR = 1e-4
+# coordinate descent stops when no coefficient moves by more than
+# LASSO_TOL in a sweep, or after LASSO_MAX_SWEEPS sweeps
+LASSO_TOL = 1e-7
+LASSO_MAX_SWEEPS = 10000
 
 
 @dataclass
@@ -204,13 +210,12 @@ def build_training_set(net: Network, controls: np.ndarray) -> TrainingSet:
 
 
 def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
-              tol: float = 1e-7, max_sweeps: int = 10000,
               sigma0: np.ndarray | None = None) -> np.ndarray:
     """Minimize ``(1/N)*||y - X sigma||^2 + lam * sum|sigma|``.
 
     Cyclic coordinate descent with exact soft-threshold updates; expects
     standardized (or at least well-scaled) columns.  Iterates until the
-    largest coordinate update is below ``tol``.
+    largest coordinate update is below ``LASSO_TOL``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -223,7 +228,7 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
     sigma = np.zeros(p) if sigma0 is None else sigma0.astype(float).copy()
     resid = y - x @ sigma
     thresh = lam * n / 2.0
-    for _ in range(max_sweeps):
+    for _ in range(LASSO_MAX_SWEEPS):
         max_delta = 0.0
         for j in range(p):
             if col_sq[j] <= 0:
@@ -235,7 +240,7 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
                 resid += x[:, j] * (old - new)
                 sigma[j] = new
                 max_delta = max(max_delta, abs(new - old))
-        if max_delta <= tol:
+        if max_delta <= LASSO_TOL:
             break
     return sigma
 
@@ -254,14 +259,6 @@ def math_soft(value: float, threshold: float) -> float:
 def lasso_objective(x, y, sigma, lam) -> float:
     r = y - x @ sigma
     return float(r @ r / len(y) + lam * np.sum(np.abs(sigma)))
-
-
-def lasso_kkt_violation(x, y, sigma, lam) -> float:
-    """Largest violation of the subgradient optimality conditions."""
-    grad = 2.0 / len(y) * (x.T @ (x @ sigma - y))
-    violation = np.where(sigma == 0, np.abs(grad) - lam,
-                         np.abs(grad + lam * np.sign(sigma)))
-    return float(np.max(violation, initial=0.0))
 
 
 def lambda_max(x: np.ndarray, y: np.ndarray) -> float:
@@ -354,7 +351,6 @@ def standardize(x: np.ndarray):
 
 
 def fit_screening_model(net: Network, train: TrainingSet, *,
-                        lam: float | None = None,
                         seed: int = 0) -> ScreeningModel:
     """Standardize, cross-validate the penalty and fit the final model.
 
@@ -368,33 +364,31 @@ def fit_screening_model(net: Network, train: TrainingSet, *,
     y_c = train.y - y_mean
     za = z[:, active]
 
-    cv_table: list[tuple[float, float]] = []
-    if lam is None:
-        lmax = lambda_max(za, y_c)
-        grid = np.geomspace(LAMBDA_MIN_FACTOR * lmax, lmax, GRID_SIZE)[::-1]
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(y_c))
-        scores = np.zeros(GRID_SIZE)
-        for test_idx in np.array_split(order, CV_FOLDS):
-            mask = np.ones(len(y_c), dtype=bool)
-            mask[test_idx] = False
-            sigma_warm = None
-            for gi, lam_g in enumerate(grid):
-                sigma_warm = lasso_fit(za[mask], y_c[mask], lam_g,
-                                       sigma0=sigma_warm)
-                pred = za[test_idx] @ sigma_warm
-                scores[gi] += float(np.mean((pred - y_c[test_idx]) ** 2))
-        scores /= CV_FOLDS
-        cv_table = [(float(l), float(s)) for l, s in zip(grid, scores)]
-        # the largest penalty (the grid descends) within half a percent of
-        # the best score
-        lam = float(grid[np.argmax(scores <= scores.min() * 1.005)])
+    lmax = lambda_max(za, y_c)
+    grid = np.geomspace(LAMBDA_MIN_FACTOR * lmax, lmax, GRID_SIZE)[::-1]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(y_c))
+    scores = np.zeros(GRID_SIZE)
+    for test_idx in np.array_split(order, CV_FOLDS):
+        mask = np.ones(len(y_c), dtype=bool)
+        mask[test_idx] = False
+        sigma_warm = None
+        for gi, lam_g in enumerate(grid):
+            sigma_warm = lasso_fit(za[mask], y_c[mask], lam_g,
+                                   sigma0=sigma_warm)
+            pred = za[test_idx] @ sigma_warm
+            scores[gi] += float(np.mean((pred - y_c[test_idx]) ** 2))
+    scores /= CV_FOLDS
+    cv_table = [(float(l), float(s)) for l, s in zip(grid, scores)]
+    # the largest penalty (the grid descends) within half a percent of the
+    # best score
+    lam = float(grid[np.argmax(scores <= scores.min() * 1.005)])
 
     sigma_a = lasso_fit(za, y_c, lam)
     sigma = np.zeros(train.x.shape[1])
     sigma[active] = sigma_a
     return ScreeningModel(
-        feature_names=train.feature_names, sigma=sigma, lam=float(lam),
+        feature_names=train.feature_names, sigma=sigma, lam=lam,
         x_mean=mean, x_scale=scale, active=active, y_mean=y_mean,
         n_obs=len(train.y), cv_table=cv_table,
         fingerprint=model_fingerprint(net, ControlSpace(net)))

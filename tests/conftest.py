@@ -122,6 +122,31 @@ def write_case(tmp_path, case, name="case.json"):
     return path
 
 
+def network_to_dict(net) -> dict:
+    """Serialize back to the ``acdc-case/1`` schema (round-trip stable)."""
+
+    def strip(obj, drop=("outage_id", "label")):
+        d = dataclasses.asdict(obj)
+        for key in drop:
+            d.pop(key, None)
+        return d
+
+    return {
+        "version": netmodel.CASE_SCHEMA_VERSION,
+        "name": net.name,
+        "base_mva": net.base_mva,
+        "ac_buses": [strip(b) for b in net.buses],
+        "ac_branches": [strip(b) for b in net.branches],
+        "generators": [strip(g) for g in net.generators],
+        "shunts": [strip(s) for s in net.shunts],
+        "converters": [strip(c) for c in net.converters],
+        "dc_buses": [strip(b) for b in net.dc_buses],
+        "dc_branches": [strip(b) for b in net.dc_branches],
+        "limits": {k: list(v)
+                   for k, v in dataclasses.asdict(net.bounds).items()},
+    }
+
+
 def same_elements(a, b) -> bool:
     """Networks ``a`` and ``b`` hold equal elements, list by list."""
     return all([dataclasses.asdict(x) for x in getattr(a, elements)]

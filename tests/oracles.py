@@ -21,8 +21,8 @@ def oracle_solve_ac(net, p_inj, q_inj, vm_setpoint, xtol=1e-13):
     Jacobian, entirely independent of the production Newton code.
     """
     n = net.n_bus
-    ybus = net.ybus
-    slack = net.slack_index
+    ybus = net.plan.branches.ybus
+    slack = net.plan.buses.slack
     kinds = [b.kind for b in net.buses]
     pv = [i for i, k in enumerate(kinds) if k == "pv"]
     pq = [i for i, k in enumerate(kinds) if k == "pq"]
@@ -91,6 +91,14 @@ def ibea_fitness_bruteforce(norm_objs, kappa):
 def lasso_objective(x, y, sigma, lam):
     r = y - x @ sigma
     return float(r @ r) / len(y) + lam * float(np.sum(np.abs(sigma)))
+
+
+def lasso_kkt_violation(x, y, sigma, lam):
+    """Largest violation of the Lasso's subgradient optimality conditions."""
+    grad = 2.0 / len(y) * (x.T @ (x @ sigma - y))
+    violation = np.where(sigma == 0, np.abs(grad) - lam,
+                         np.abs(grad + lam * np.sign(sigma)))
+    return float(np.max(violation, initial=0.0))
 
 
 def lasso_subgradient_oracle(x, y, lam, steps=200000):

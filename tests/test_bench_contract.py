@@ -115,7 +115,7 @@ def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
     result = opfcore.evaluate(acdc_net, acdc_space, u)
     assert len(calls) == 1
     assert calls[0]["L5"] == u[i]
-    assert result.net.ybus is not acdc_net.ybus
+    assert result.net.plan.branches.ybus is not acdc_net.plan.branches.ybus
 
 
 def test_coupled_solve_calls_traced_inner_solvers(acdc_net, acdc_space,

@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -563,6 +564,23 @@ class TestOptimizeAndDecideCmd:
                   if line.startswith("error:")]
         assert len(errors) == 1 and "evaluator process died" in errors[0]
         assert "Traceback" not in err
+
+    def test_small_run_artifacts_pinned(self, tmp_path):
+        # tripwire for arithmetic drift anywhere in the pipeline: a change
+        # meant to keep the optimizer's trajectory keeps these digests,
+        # and a change that moves it updates them and says so.  They hold
+        # for the NumPy/LAPACK build they were taken with
+        assert run_cli("optimize", "--case", "bundled:case14_acdc",
+                       "--no-screening", "--seed", "1003", "--population",
+                       "6", "--iterations", "2", "--out", str(tmp_path)) == 0
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+            for name in ("archive.csv", "bcs.json")}
+        assert digests == {
+            "archive.csv": "5211dc5ea5c3af31904d5172ae2b24d6"
+                           "de2300a844c3226e1867bf03e4dabe48",
+            "bcs.json": "d0bb5e1856570fdc0e2c706e8176f7a7"
+                        "c029ec6732b0d706010709cda48883df"}
 
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),

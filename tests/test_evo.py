@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from acdcopf import evo
-from acdcopf.evo import (EvoConfig, Individual, ParetoArchive, dominates,
-                         environmental_selection, epsilon_indicator,
-                         hypervolume_2d, ibea_fitness, mating_selection,
-                         normalize_objectives, variation)
+from acdcopf.evo import (ETA_CROSSOVER, ETA_MUTATION, EvoConfig, Individual,
+                         ParetoArchive, dominates, environmental_selection,
+                         epsilon_indicator, hypervolume_2d, ibea_fitness,
+                         mating_selection, normalize_objectives,
+                         polynomial_mutation, sbx_pair, variation)
 
 from oracles import eps_indicator_bruteforce, ibea_fitness_bruteforce
 
@@ -189,24 +190,34 @@ class TestMatingSelection:
 
 
 class TestVariation:
-    def test_zero_rates_copy_parents(self):
+    def test_zero_rates_copy_parents(self, monkeypatch):
         space = SyntheticSpace([0.0, 0.0], [1.0, 1.0])
+        genome = np.array([0.25, 0.75])
+        rng = np.random.default_rng(1)
+        np.testing.assert_array_equal(
+            polynomial_mutation(genome, 0.0, ETA_MUTATION, space.lo,
+                                space.hi, rng), genome)
+        # without crossover each parent passes on to mutation unchanged
+        monkeypatch.setattr(evo, "CROSSOVER_RATE", 0.0)
+        monkeypatch.setattr(evo, "polynomial_mutation",
+                            lambda g, *args: g.copy())
         pool = make_pop([[0, 0], [1, 1]])
-        pool[0].genome = np.array([0.25, 0.75])
+        pool[0].genome = genome
         pool[1].genome = np.array([0.5, 0.5])
-        cfg = EvoConfig(population=2, crossover_rate=0.0, mutation_rate=0.0)
-        children = variation(pool, space, cfg, np.random.default_rng(1))
+        children = variation(pool, space, rng)
         np.testing.assert_array_equal(children[0], pool[0].genome)
         np.testing.assert_array_equal(children[1], pool[1].genome)
 
-    def test_children_respect_bounds_and_grids(self):
+    def test_children_respect_bounds_and_grids(self, monkeypatch):
+        # every pair crosses over, and each of the two genes mutates with
+        # probability 1/2
+        monkeypatch.setattr(evo, "CROSSOVER_RATE", 1.0)
         space = SyntheticSpace([0.0, 0.9], [1.0, 1.1], step=[0.0, 0.0125])
         pool = make_pop([[0, 0]] * 10)
         rng = np.random.default_rng(2)
         for ind in pool:
             ind.genome = rng.uniform(space.lo, space.hi)
-        cfg = EvoConfig(population=10, crossover_rate=1.0, mutation_rate=0.5)
-        children = variation(pool, space, cfg, rng)
+        children = variation(pool, space, rng)
         for child in children:
             assert np.all(child >= space.lo - 1e-12)
             assert np.all(child <= space.hi + 1e-12)
@@ -216,13 +227,10 @@ class TestVariation:
     def test_sbx_symmetric_about_midpoint(self):
         space = SyntheticSpace([0.0], [1.0])
         rng = np.random.default_rng(3)
-        cfg = EvoConfig(population=2, crossover_rate=1.0, mutation_rate=0.0)
         samples = []
-        parents = make_pop([[0, 0], [1, 1]])
-        parents[0].genome = np.array([0.0])
-        parents[1].genome = np.array([1.0])
         for _ in range(5000):
-            children = variation(parents, space, cfg, rng)
+            children = sbx_pair(np.array([0.0]), np.array([1.0]),
+                                ETA_CROSSOVER, space.lo, space.hi, rng)
             samples.extend(c[0] for c in children)
         mean = float(np.mean(samples))
         sem = float(np.std(samples)) / math.sqrt(len(samples))

@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from acdcopf import netmodel, opfcore
 from acdcopf.netmodel import (CaseParseError, CaseValidationError,
                               ControlSpace, IslandingError, apply_contingency,
-                              build_plan, load_case, network_from_dict,
-                              network_to_dict)
+                              build_plan, load_case, network_from_dict)
 
-from conftest import (radial_three_bus_case, same_elements, two_bus_case,
-                      write_case)
+from conftest import (network_to_dict, radial_three_bus_case, same_elements,
+                      two_bus_case, write_case)
 
 
 class TestLoadCase:
@@ -312,7 +311,7 @@ def constants_follow_elements(net) -> None:
     pattern = set(zip(br.pat_r.tolist(), br.pat_c.tolist()))
     assert pattern == set(zip(*np.nonzero(scalar_ybus(net)))) | {
         (i, i) for i in range(n)}
-    assert np.array_equal(br.pat_y, net.ybus[br.pat_r, br.pat_c])
+    assert np.array_equal(br.pat_y, br.ybus[br.pat_r, br.pat_c])
 
 
 class TestSolverPlan:
@@ -339,7 +338,7 @@ class TestSolverPlan:
         assert same_plan_arrays(moved.plan, build_plan(moved))
         constants_follow_elements(moved)
         for net in (acdc_net, moved):
-            assert np.array_equal(net.ybus, scalar_ybus(net))
+            assert np.array_equal(net.plan.branches.ybus, scalar_ybus(net))
         assert not np.array_equal(moved.plan.branches.yff_i,
                                   base.branches.yff_i)
         assert moved.plan.buses is base.buses

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import (ControlSpace, apply_contingency,
-                              network_from_dict, network_to_dict)
+from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
                              generation_cost, probe_moves, violation_gradient,
                              voltage_deviation)
 from acdcopf.powerflow import solve_acdc
 
-from conftest import bench_literal, same_elements, two_bus_case
+from conftest import (bench_literal, network_to_dict, same_elements,
+                      two_bus_case)
 
 
 ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
@@ -159,6 +159,25 @@ class TestEvaluate:
         assert res.state.failure_stage in ("ac", "dc", "coupling")
         assert res.objectives == (math.inf, math.inf)
         assert res.report.total_violation == opfcore.PENALTY_UNCONVERGED
+        # the report of an unconverged state has one source
+        assert vars(res.report) == vars(
+            opfcore.constraint_report(res.net, res.state))
+
+    def test_total_violation_stored_at_build(self, acdc_net, acdc_space):
+        res = opfcore.evaluate(acdc_net, acdc_space,
+                               halfway_to_far_bounds(acdc_space))
+        report = res.report
+        assert report.violations()
+        # a value set when the report is built, not recomputed on a read
+        assert "total_violation" in vars(report)
+        assert report.total_violation == pytest.approx(
+            report.penalty + sum(v for *_, v in report.violations()),
+            rel=1e-12)
+        made = opfcore.ConstraintReport(
+            groups={"a": (("x", "y"), np.array([0.5, -1.0])),
+                    "b": (("z",), np.array([0.25]))},
+            converged=True, penalty=2.0)
+        assert made.total_violation == 2.75
 
     def test_purity(self, acdc_net, acdc_space):
         u = acdc_space.default_vector()
@@ -177,7 +196,8 @@ class TestEvaluate:
         assert pickle.dumps(acdc_net) == before
         for comp, value in zip(space.components, u):
             assert getattr(element_of(res.net, comp), comp.kind) == value
-        assert not np.array_equal(res.net.ybus, acdc_net.ybus)
+        assert not np.array_equal(res.net.plan.branches.ybus,
+                                  acdc_net.plan.branches.ybus)
 
         # the variant's own taps again, every other control moved back:
         # the admittance matrix is shared, not rebuilt
@@ -187,7 +207,7 @@ class TestEvaluate:
         variant = pickle.dumps(res.net)
         again = opfcore.evaluate(res.net, space, v)
         assert pickle.dumps(res.net) == variant
-        assert again.net.ybus is res.net.ybus
+        assert again.net.plan.branches.ybus is res.net.plan.branches.ybus
 
     def test_case_point_is_the_network(self, acdc_net, acdc_space):
         # every stepped case value (the T:L5 tap 0.975 included) is its
