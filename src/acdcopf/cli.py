@@ -388,7 +388,6 @@ def train_screening_model(net: Network, cfg: dict):
     held-out control samples.  Returns (model, validation dict, table rows,
     training set).
     """
-    from scipy.stats import spearmanr     # slow to import; only used here
     seed = cfg["seed"]
     space = ControlSpace(net)
     n_samples = cfg["screening"]["samples"]
@@ -422,7 +421,7 @@ def train_screening_model(net: Network, cfg: dict):
     for si in sorted(holdout):
         keep = sound & (hold.row_sample == si)
         if keep.sum() >= 3:
-            rhos.append(float(spearmanr(preds[keep], hold.y[keep]).statistic))
+            rhos.append(screen.rank_correlation(preds[keep], hold.y[keep]))
     validation = {
         "holdout_samples": sorted(holdout),
         "n_holdout_rows": len(hold.y),
@@ -451,7 +450,7 @@ def train_screening_model(net: Network, cfg: dict):
     validation["table_max_abs_error_percent"] = max(table_errors, default=0.0)
     validation["table_rows_scored"] = len(table_errors)
     validation["table_spearman"] = (
-        float(spearmanr(preds, exacts).statistic) if len(preds) >= 3 else None)
+        screen.rank_correlation(preds, exacts) if len(preds) >= 3 else None)
     return model, validation, table, train
 
 

@@ -157,8 +157,7 @@ def sample_controls(space: ControlSpace, n_samples: int, width: float,
     """Latin-hypercube control samples snapped onto discrete grids, in a
     box centred on the case point whose half-width is ``width`` of each
     control's range (``DROOP_WIDTH`` for droop slopes)."""
-    from scipy.stats import qmc           # slow to import; only used here
-    unit = qmc.LatinHypercube(d=len(space), seed=seed).random(n=n_samples)
+    unit = latin_hypercube(n_samples, len(space), seed)
     centre = space.default_vector()
     half = (np.where(np.array(space.kinds) == "droop", DROOP_WIDTH, width)
             * (space.hi - space.lo))
@@ -166,6 +165,43 @@ def sample_controls(space: ControlSpace, n_samples: int, width: float,
     hi = np.minimum(space.hi, centre + half)
     raw = lo + unit * (hi - lo)
     return np.vstack([space.snap(row) for row in raw])
+
+
+def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """``n`` points of a randomized Latin hypercube in ``[0, 1)^d``.
+
+    The same draws, in the same order, as SciPy's
+    ``qmc.LatinHypercube(d, seed=seed).random(n)``: a uniform jitter per
+    cell, then one shuffled stratum order per dimension.
+    """
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - jitter) / n
+
+
+def rank_correlation(a, b) -> float:
+    """Spearman rank correlation of two samples (average ranks for ties);
+    NaN when either sample is constant or has fewer than two values."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) < 2 or np.all(a == a[0]) or np.all(b == b[0]):
+        return float("nan")
+    ranks = np.column_stack((average_ranks(a), average_ranks(b)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks from 1, tied values sharing the mean of their ranks."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def encode_row(net: Network, u: np.ndarray, outage_id: str) -> np.ndarray:
@@ -215,7 +251,11 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
 
     Cyclic coordinate descent with exact soft-threshold updates; expects
     standardized (or at least well-scaled) columns.  Iterates until the
-    largest coordinate update is below ``LASSO_TOL``.
+    largest coordinate update is below ``LASSO_TOL``.  The updates keep
+    ``X^T r`` for the residual ``r = y - X sigma`` on the Gram matrix
+    ``X^T X``, so a sweep costs O(p^2) whatever the number of rows (the
+    covariance updates of Friedman, Hastie and Tibshirani, J. Stat.
+    Softw. 33(1), 2010).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,9 +264,10 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     n, p = x.shape
-    col_sq = np.einsum("ij,ij->j", x, x)
+    gram = x.T @ x                      # symmetric: row j is column j
+    col_sq = gram.diagonal().tolist()
     sigma = np.zeros(p) if sigma0 is None else sigma0.astype(float).copy()
-    resid = y - x @ sigma
+    grad = x.T @ y - gram @ sigma
     thresh = lam * n / 2.0
     for _ in range(LASSO_MAX_SWEEPS):
         max_delta = 0.0
@@ -234,10 +275,10 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, *,
             if col_sq[j] <= 0:
                 continue
             old = sigma[j]
-            rho = x[:, j] @ resid + col_sq[j] * old
+            rho = grad[j] + col_sq[j] * old
             new = math_soft(rho, thresh) / col_sq[j]
             if new != old:
-                resid += x[:, j] * (old - new)
+                grad += gram[j] * (old - new)
                 sigma[j] = new
                 max_delta = max(max_delta, abs(new - old))
         if max_delta <= LASSO_TOL:

@@ -4,13 +4,17 @@ Each oracle deliberately avoids the production code paths: the AC power
 flow is solved with MINPACK's hybrid root finder on the raw mismatch
 equations, the indicator and projection oracles are literal
 straight-line translations of their definitions, and the Lasso oracle is
-a projected-subgradient descent.  They are slow and simple on purpose.
+a projected-subgradient descent.  The residual-update Lasso is the
+reference the Gram-matrix ``screen.lasso_fit`` is checked against.  They
+are slow and simple on purpose.
 """
 
 import math
 
 import numpy as np
 from scipy.optimize import fsolve
+
+from acdcopf.screen import LASSO_MAX_SWEEPS, LASSO_TOL
 
 
 def oracle_solve_ac(net, p_inj, q_inj, vm_setpoint, xtol=1e-13):
@@ -99,6 +103,38 @@ def lasso_kkt_violation(x, y, sigma, lam):
     violation = np.where(sigma == 0, np.abs(grad) - lam,
                          np.abs(grad + lam * np.sign(sigma)))
     return float(np.max(violation, initial=0.0))
+
+
+def lasso_fit_residual(x, y, lam, sigma0=None):
+    """Reference coordinate descent on the residual ``y - X sigma``.
+
+    The same sweeps, soft threshold and stopping rule as
+    ``screen.lasso_fit``, which keeps ``X^T r`` on the Gram matrix
+    instead; each update here takes a dot product over all rows.
+    """
+    n, p = x.shape
+    col_sq = np.einsum("ij,ij->j", x, x)
+    sigma = np.zeros(p) if sigma0 is None else sigma0.astype(float).copy()
+    resid = y - x @ sigma
+    thresh = lam * n / 2.0
+    guard = thresh * (1.0 + 1e-12)     # keeps zeros exact at lambda_max
+    for _ in range(LASSO_MAX_SWEEPS):
+        max_delta = 0.0
+        for j in range(p):
+            if col_sq[j] <= 0:
+                continue
+            old = sigma[j]
+            rho = x[:, j] @ resid + col_sq[j] * old
+            shrunk = (rho - thresh if rho > guard
+                      else rho + thresh if rho < -guard else 0.0)
+            new = shrunk / col_sq[j]
+            if new != old:
+                resid += x[:, j] * (old - new)
+                sigma[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        if max_delta <= LASSO_TOL:
+            break
+    return sigma
 
 
 def lasso_subgradient_oracle(x, y, lam, steps=200000):

@@ -222,18 +222,34 @@ def test_holdout_spearman_skips_diverged_rows(monkeypatch):
         assert runs[0][key] == runs[1][key]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """Only ``train-screen`` uses ``scipy.stats``, which is slow to
-    import, and no command uses ``scipy.linalg`` or ``scipy.optimize``
-    (the corrective search solves its adjoint system with numpy);
-    importing the command line must load none of them."""
-    probe = ("import sys, acdcopf.cli; print(any(m in sys.modules for m in "
-             "('scipy.stats', 'scipy.linalg', 'scipy.optimize')))")
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    """No command uses scipy: importing the command line loads none of
+    ``scipy.stats``, ``scipy.linalg`` and ``scipy.optimize`` (the
+    corrective search solves its adjoint system with numpy), and
+    ``train-screen`` followed by a screened ``optimize`` loads no scipy
+    module at all (the Latin hypercube and the rank correlation are
+    numpy)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+
+    def probe(code):
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120)
+        return out.stdout.strip().splitlines()[-1]
+
+    assert probe("import sys, acdcopf.cli; print(any(m in sys.modules for m "
+                 "in ('scipy.stats', 'scipy.linalg', 'scipy.optimize')))"
+                 ) == "False"
+    common = ["--case", "bundled:case14_acdc", "--seed", "3",
+              "--out", str(tmp_path)]
+    commands = [["train-screen", *common, "--samples", "30"],
+                ["optimize", *common, "--population", "4",
+                 "--iterations", "1", "--workers", "1"]]
+    assert probe("import sys\nfrom acdcopf import cli\n"
+                 f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+                 "print(codes, sorted(m for m in sys.modules if m == 'scipy'"
+                 " or m.startswith('scipy.')))") == "[0, 0] []"
 
 
 class TestRankCmd:

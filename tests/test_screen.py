@@ -1,11 +1,13 @@
 """Composite security index, Lasso training and contingency filtering."""
 
+import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from acdcopf import opfcore, screen
+from acdcopf import cli, opfcore, screen
 from acdcopf.netmodel import ControlSpace, apply_contingency
 from acdcopf.screen import (DROOP_WIDTH, SecurityIndexParams, classify,
                             composite_index, filter_contingencies,
@@ -14,9 +16,37 @@ from acdcopf.screen import (DROOP_WIDTH, SecurityIndexParams, classify,
 
 from conftest import training_set
 
-from oracles import lasso_kkt_violation
+from oracles import lasso_fit_residual, lasso_kkt_violation
 from oracles import lasso_objective as oracle_objective
 from oracles import lasso_subgradient_oracle
+
+
+@pytest.fixture(scope="module")
+def cv_rows(acdc_net):
+    """The standardized rows, centred responses and penalty grid that
+    ``train-screen --seed 1 --samples 30`` cross-validates over."""
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["seed"] = 1
+    cfg["screening"]["samples"] = 30
+    seen = []
+    fit = screen.fit_screening_model
+
+    def capture(net, train, **kwargs):
+        seen.append(train)
+        return fit(net, train, **kwargs)
+
+    screen.fit_screening_model = capture
+    try:
+        cli.train_screening_model(acdc_net, cfg)
+    finally:
+        screen.fit_screening_model = fit
+    z, _, _, active = screen.standardize(seen[0].x)
+    x = z[:, active]
+    y = seen[0].y - seen[0].y.mean()
+    lmax = lambda_max(x, y)
+    grid = np.geomspace(screen.LAMBDA_MIN_FACTOR * lmax, lmax,
+                        screen.GRID_SIZE)[::-1]
+    return x, y, grid
 
 
 def index_params(n_bus=1, n_branch=1):
@@ -138,7 +168,88 @@ class TestTrainingSet:
         assert np.all(train.x[:, dc_cols] == 0.0)
 
 
+class TestSampling:
+    def test_sample_controls_pinned(self, acdc_space):
+        """The control samples of the ``train-screen`` defaults (90
+        samples, width 0.005, seed 1); the digest was taken when the
+        Latin hypercube came from ``scipy.stats.qmc``."""
+        controls = screen.sample_controls(acdc_space, 90, 0.005, 1)
+        assert controls.shape == (90, len(acdc_space))
+        assert hashlib.sha256(controls.tobytes()).hexdigest() == (
+            "25f33d8351348153f8d585fc7e6023989e35146d1ba2479438948c15aa2b0a1c")
+
+    @pytest.mark.parametrize("n,d,seed", [(1, 3, 0), (2, 1, 9), (7, 5, 42),
+                                          (90, 24, 1), (30, 24, 3)])
+    def test_latin_hypercube_matches_scipy(self, n, d, seed):
+        from scipy.stats import qmc
+        expect = qmc.LatinHypercube(d=d, seed=seed).random(n=n)
+        np.testing.assert_array_equal(screen.latin_hypercube(n, d, seed),
+                                      expect)
+
+    def test_one_point_per_stratum(self):
+        unit = screen.latin_hypercube(13, 4, 5)
+        for column in unit.T:
+            assert sorted(np.floor(column * 13).astype(int)) == list(range(13))
+
+
+class TestRankCorrelation:
+    def test_matches_spearmanr(self):
+        from scipy.stats import spearmanr
+        rng = np.random.default_rng(21)
+
+        def draw(n, tied):
+            if tied:
+                return rng.integers(0, rng.integers(2, 6), size=n) * 0.5
+            return rng.normal(size=n)
+
+        checked = 0
+        for n in range(3, 21):
+            for tie_a, tie_b in ((False, False), (True, False),
+                                 (False, True), (True, True)):
+                for _ in range(25):
+                    a, b = draw(n, tie_a), draw(n, tie_b)
+                    if np.all(a == a[0]) or np.all(b == b[0]):
+                        continue
+                    assert screen.rank_correlation(a, b) == (
+                        spearmanr(a, b).statistic)
+                    checked += 1
+        assert checked > 1500
+
+    def test_average_ranks_of_ties(self):
+        np.testing.assert_array_equal(
+            screen.average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])),
+            [4.0, 1.0, 4.0, 2.0, 4.0])
+
+    def test_constant_input_is_nan(self):
+        assert np.isnan(screen.rank_correlation([1.0, 1.0, 1.0], [1, 2, 3]))
+        assert np.isnan(screen.rank_correlation([1, 2, 3], [5.0, 5.0, 5.0]))
+
+
 class TestLassoFit:
+    @pytest.mark.parametrize("index", [3, 14, 26])
+    def test_gram_matches_residual_reference(self, cv_rows, index):
+        """The Gram-matrix updates agree with the residual updates on the
+        rows ``train-screen`` cross-validates, cold and warm-started from
+        the fit at the grid's previous (larger) penalty."""
+        x, y, grid = cv_rows
+        lam = grid[index]
+        warm = lasso_fit_residual(x, y, grid[index - 1])
+        for sigma0 in (None, warm):
+            np.testing.assert_allclose(
+                lasso_fit(x, y, lam, sigma0=sigma0),
+                lasso_fit_residual(x, y, lam, sigma0=sigma0),
+                rtol=0.0, atol=1e-12)
+
+    def test_kkt_bound_on_training_rows(self, cv_rows):
+        """After a coordinate's last update, each later update in the
+        sweep (at most ``LASSO_TOL`` on a standardized column) moves its
+        gradient by at most twice that, so the subgradient conditions
+        hold to ``2 p LASSO_TOL``."""
+        x, y, grid = cv_rows
+        bound = 2 * x.shape[1] * screen.LASSO_TOL
+        for lam in grid[[3, 14, 26]]:
+            assert lasso_kkt_violation(x, y, lasso_fit(x, y, lam), lam) <= bound
+
     def test_lambda_max_gives_exact_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 6))
