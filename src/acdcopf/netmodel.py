@@ -28,12 +28,15 @@ rebuild.  It has three parts:
   and converter capabilities.
 
 Whatever builds a variant's admittance builds its plan: :func:`_finalize`
-at load, :func:`apply_contingency` (branch part for an AC outage, DC part
-for a DC outage) and :func:`acdcopf.opfcore.apply_taps` (branch part).
-The bus part never changes across variants (outages drop only branches,
-and no control is a bus constant) and is shared by reference.  A plan
-reads its constants from the elements once, so an element changed in
-place would leave it stale; variants copy the elements they change.
+at load and :func:`apply_contingency` (branch part for an AC outage, DC
+part for a DC outage).  A tap change keeps the branch topology (the bus
+rows, the sparsity pattern and the Jacobian positions) and
+:func:`acdcopf.opfcore.apply_taps` recomputes only the admittance values
+over it (:func:`branch_values`).  The bus part never changes across
+variants (outages drop only branches, and no control is a bus constant)
+and is shared by reference.  A plan reads its constants from the
+elements once, so an element changed in place would leave it stale;
+variants copy the elements they change.
 """
 
 from __future__ import annotations
@@ -275,9 +278,11 @@ class BusPlan:
 
 @dataclass(frozen=True, eq=False)
 class BranchPlan:
-    """Branch part of a :class:`SolverPlan`: the admittance matrix, the
-    from-side pi-model terms of every branch, split in real and imaginary
-    parts, and the flow limits."""
+    """Branch part of a :class:`SolverPlan`: the topology of the
+    branches and, over it, the values that their admittances give
+    (:func:`branch_values`: the admittance matrix, its pattern values and
+    the from-side pi-model terms of every branch, split in real and
+    imaginary parts)."""
 
     ybus: np.ndarray
     f: np.ndarray              # from-bus row per branch
@@ -405,21 +410,14 @@ def bus_plan(net: Network) -> BusPlan:
 
 def branch_plan(buses: BusPlan, bus_index: dict[int, int],
                 branches: list[AcBranch]) -> BranchPlan:
-    """Branch part of the plan: the dense complex bus admittance matrix,
-    its sparsity pattern with the Newton Jacobian positions of every
-    entry (through the equation rows of ``buses``) and the per-branch
-    terms, in one pass over the branches."""
+    """Branch part of the plan: the topology of the branches (their bus
+    rows, the sparsity pattern of the admittance matrix with the Newton
+    Jacobian position of every entry, through the equation rows of
+    ``buses``, the outage index and the flow limits), with the values
+    :func:`branch_values` computes over it."""
     n_bus, m = len(bus_index), len(branches)
     f = np.fromiter((bus_index[br.from_bus] for br in branches), int, m)
     t = np.fromiter((bus_index[br.to_bus] for br in branches), int, m)
-    terms = np.fromiter(itertools.chain.from_iterable(
-        map(branch_admittance, branches)), complex, 3 * m).reshape(m, 3)
-    ybus = np.zeros(n_bus * n_bus, dtype=complex)
-    # entries ff, tt, ft, tf of each branch in turn: every sum is formed
-    # in branch order
-    fn, tn = f * n_bus, t * n_bus
-    np.add.at(ybus, np.array([fn + f, tn + t, fn + t, tn + f]).T.ravel(),
-              terms[:, [0, 2, 1, 1]].ravel())
     pat_r = np.concatenate([np.arange(n_bus), f, t])
     pat_c = np.concatenate([np.arange(n_bus), t, f])
     # the four Jacobian blocks (P or Q row, angle or magnitude column) of
@@ -430,17 +428,41 @@ def branch_plan(buses: BusPlan, bus_index: dict[int, int],
     nnz, size = len(pat_r), len(buses.mis_index)
     jac_src = ((part_c * nnz + np.arange(nnz)) * 2 + part_r)[keep]
     jac_dst = (row * size + col)[keep]
-    yff, yft = terms[:, 0], terms[:, 1]
-    parts = (ybus.reshape(n_bus, n_bus), f, t, yff.real.copy(),
-             yff.imag.copy(), yft.real.copy(), yft.imag.copy(), pat_r, pat_c,
-             ybus[pat_r * n_bus + pat_c], jac_src, jac_dst)
-    _read_only(*parts)
+    _read_only(f, t, pat_r, pat_c, jac_src, jac_dst)
     limits = {"ac_flow": _limits([f"P_L:{br.outage_id}" for br in branches],
                                  [br.p_min for br in branches],
                                  [br.p_max for br in branches])
               } if branches else {}
-    return BranchPlan(*parts, {br.outage_id: i for i, br in enumerate(branches)},
-                      limits)
+    return BranchPlan(
+        f=f, t=t, pat_r=pat_r, pat_c=pat_c, jac_src=jac_src, jac_dst=jac_dst,
+        index={br.outage_id: i for i, br in enumerate(branches)},
+        limits=limits, **branch_values(branches, f, t, pat_r, pat_c, n_bus))
+
+
+def branch_values(branches: list[AcBranch], f: np.ndarray, t: np.ndarray,
+                  pat_r: np.ndarray, pat_c: np.ndarray,
+                  n_bus: int) -> dict[str, np.ndarray]:
+    """The admittance values of a :class:`BranchPlan` (``ybus``, the
+    per-branch ``y_ff``/``y_ft`` parts and the pattern values ``pat_y``)
+    of ``branches``, whose bus rows are ``f``/``t`` and whose pattern
+    entries are ``pat_r``/``pat_c``; a tap change recomputes only these.
+    """
+    m = len(branches)
+    terms = np.fromiter(itertools.chain.from_iterable(
+        map(branch_admittance, branches)), complex, 3 * m).reshape(m, 3)
+    ybus = np.zeros(n_bus * n_bus, dtype=complex)
+    # entries ff, tt, ft, tf of each branch in turn: every sum is formed
+    # in branch order
+    fn, tn = f * n_bus, t * n_bus
+    np.add.at(ybus, np.array([fn + f, tn + t, fn + t, tn + f]).T.ravel(),
+              terms[:, [0, 2, 1, 1]].ravel())
+    yff, yft = terms[:, 0], terms[:, 1]
+    values = {"ybus": ybus.reshape(n_bus, n_bus),
+              "yff_r": yff.real.copy(), "yff_i": yff.imag.copy(),
+              "yft_r": yft.real.copy(), "yft_i": yft.imag.copy(),
+              "pat_y": ybus[pat_r * n_bus + pat_c]}
+    _read_only(*values.values())
+    return values
 
 
 def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],

@@ -2,7 +2,8 @@
 
 A control vector is written into a network variant once
 (``apply_controls`` copies only the elements whose values it changes; a
-changed tap rebuilds the branch part of the solver plan), the coupled
+changed tap recomputes the admittance values of the branch plan over the
+kept sparsity pattern and Jacobian positions), the coupled
 power flow is run on that variant, and both objectives plus a full
 constraint report are produced; the constraint names and bounds and the
 preset voltages come from the solver plan.
@@ -10,8 +11,8 @@ preset voltages come from the solver plan.
 A corrective probe is one :func:`evaluate` call.  The first probe of a
 check applies the point's controls to the outage variant; every later
 probe moves one control of the best probe so far and is evaluated on
-that probe's variant, so it copies one element (and rebuilds the branch
-part of the plan only for a tap move) and pays for little more than its
+that probe's variant, so it copies one element (and recomputes the
+admittance values only for a tap move) and pays for little more than its
 Newton steps.  Post-contingency corrective feasibility
 searches for an adjusted control vector inside the per-component
 corrective box, trying first the moves that a first-order sensitivity
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
-                       apply_contingency, branch_plan)
+                       apply_contingency, branch_values)
 from .powerflow import SystemState, ds_dv, newton_jacobian, solve_acdc
 
 PENALTY_UNCONVERGED = 1e3
@@ -52,9 +53,9 @@ _KIND_PRIORITY = {"p_s": 0, "q_s": 1, "u_dc0": 2, "p_g": 3, "u_g": 4,
 
 def apply_taps(net: Network, taps: dict[str, float]) -> Network:
     """Network variant with the taps (by branch outage id) applied; only a
-    branch whose tap changes is copied, and the branch part of the solver
-    plan (admittance matrix included) is rebuilt only when one is.  The
-    tap of an absent branch (the outaged one) is ignored."""
+    branch whose tap changes is copied, and only then are the admittance
+    values of the branch plan recomputed, over the kept topology of
+    ``net``.  The tap of an absent branch (the outaged one) is ignored."""
     branches = net.branches
     index = net.plan.branches.index
     new = None
@@ -67,8 +68,9 @@ def apply_taps(net: Network, taps: dict[str, float]) -> Network:
         return net
     variant = copy.copy(net)
     variant.branches = new
-    variant.plan = dataclasses.replace(net.plan, branches=branch_plan(
-        net.plan.buses, net.bus_index, new))
+    bp = net.plan.branches
+    variant.plan = dataclasses.replace(net.plan, branches=dataclasses.replace(
+        bp, **branch_values(new, bp.f, bp.t, bp.pat_r, bp.pat_c, net.n_bus)))
     return variant
 
 

@@ -6,6 +6,13 @@ through the station loss model and the voltage-power droop characteristic
 ``U_dc - U_dc0 = R * (P_dc0 - P_dc)`` until the coupling residual at every
 converter is below tolerance.
 
+A coupled solve repeats no work whose inputs did not change.  The DC
+grid is solved once when no station is const_p (its inputs do not depend
+on the AC side), and not at all when the warm state holds the converged
+DC solution of the same inputs; the branch flows are computed once, for
+the final AC state; and an AC Newton whose largest mismatch grows after
+the first step stops there as not converged.
+
 The solvers read every setpoint (the controls) from the network
 elements; a control vector arrives as the variant
 :func:`acdcopf.opfcore.apply_controls` builds.  Everything else comes
@@ -38,6 +45,7 @@ any number of concurrent solves may share a read-only network.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -61,14 +69,15 @@ class PowerFlowConfigError(Exception):
 class AcState:
     vm: np.ndarray             # per-bus voltage magnitude
     va: np.ndarray             # per-bus voltage angle (rad)
-    p_branch: np.ndarray       # from-side active flow per branch
-    q_branch: np.ndarray
     p_inj: np.ndarray          # solved net active injection per bus
     q_inj: np.ndarray
     iterations: int
     max_mismatch: float
     converged: bool
     singular: bool = False
+    # from-side flow per branch, which solve_acdc fills for its final state
+    p_branch: np.ndarray | None = None
+    q_branch: np.ndarray | None = None
 
 
 @dataclass
@@ -80,6 +89,8 @@ class DcState:
     branch_p: np.ndarray       # per-branch power flow (from side)
     iterations: int
     converged: bool
+    # the plan and copies of the droop, u0 and p0 arrays solved for
+    inputs: tuple = field(repr=False)
 
 
 @dataclass
@@ -228,7 +239,10 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     shunt and converter terms already folded in); the slack entry of
     ``p_inj`` and the PV/slack entries of ``q_inj`` are ignored.
     ``vm_setpoint`` fixes the magnitude at PV and slack buses.  Stops at
-    a mismatch of ``TOL_AC`` or after ``MAX_NR`` iterations.
+    a mismatch of ``TOL_AC``, after ``MAX_NR`` iterations, or, not
+    converged, as soon as the largest mismatch grows from one iteration
+    to the next after the first step.  The branch flows are left to the
+    caller (:func:`branch_flows`).
     """
     n = net.n_bus
     br, bp = net.plan.branches, net.plan.buses
@@ -245,7 +259,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     converged = False
     singular = False
     iterations = 0
-    max_mismatch = math.inf
+    max_mismatch = last_mismatch = math.inf
 
     for it in range(MAX_NR + 1):
         v = vm * np.exp(1j * va)
@@ -257,8 +271,10 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
         if max_mismatch <= TOL_AC:
             converged = True
             break
-        if it == MAX_NR:
+        # diverging: the mismatch grew after the first step
+        if it == MAX_NR or (it >= 2 and max_mismatch > last_mismatch):
             break
+        last_mismatch = max_mismatch
 
         jac = newton_jacobian(br, *ds_dv(br, v, i_bus), len(spec))
         try:
@@ -274,9 +290,7 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
             s_calc = v * np.conj(ybus @ v)
             break
 
-    p_br, q_br = branch_flows(net, vm, va)
-    return AcState(vm=vm, va=va, p_branch=p_br, q_branch=q_br,
-                   p_inj=s_calc.real, q_inj=s_calc.imag,
+    return AcState(vm=vm, va=va, p_inj=s_calc.real, q_inj=s_calc.imag,
                    iterations=iterations, max_mismatch=max_mismatch,
                    converged=converged, singular=singular)
 
@@ -353,7 +367,20 @@ def solve_dc(plan: DcPlan, droop: np.ndarray, u0: np.ndarray,
     branch_i = plan.y * (u[plan.f] - u[plan.t])
     branch_p = u[plan.f] * branch_i
     return DcState(u=u, i_inj=i_inj, p_inj=p_inj, branch_i=branch_i,
-                   branch_p=branch_p, iterations=iterations, converged=converged)
+                   branch_p=branch_p, iterations=iterations, converged=converged,
+                   inputs=(plan, droop.copy(), u0.copy(), p0.copy()))
+
+
+def _solves(dc: DcState | None, plan: DcPlan, droop: np.ndarray,
+            u0: np.ndarray, p0: np.ndarray) -> bool:
+    """Whether ``dc`` is a converged solve of these inputs: the same plan
+    and bit-equal arrays.  :func:`solve_dc` started from it would stop at
+    once and return the same arrays."""
+    if dc is None or not dc.converged:
+        return False
+    plan_s, *arrays = dc.inputs
+    return plan_s is plan and all(
+        a.tobytes() == b.tobytes() for a, b in zip(arrays, (droop, u0, p0)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +421,16 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     ``p_s``, so a warm start moves only the starting guess, not the
     solution.
 
+    The DC grid is solved only when its inputs change.  Without a
+    const_p station they are fixed for the whole solve (the plan,
+    ``droop``, ``u0`` and the ``p0`` of the scheduled ``p_s``/``q_s``),
+    so the DC grid is solved once, and not at all when the warm state's
+    converged DC solution is for the same inputs; a const_p station's
+    ``p0`` follows the AC side, which takes one DC solve per outer
+    iteration.  A DC solution that is reused reports 0 iterations, as
+    the solve it stands for would.  The branch flows are computed once,
+    for the final AC state.
+
     Failure of an inner stage is reported through ``converged=False``
     plus ``failure_stage`` in {"ac", "dc", "coupling"}; "coupling" also
     covers a station whose model cannot deliver the DC-side power.
@@ -413,7 +450,9 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     p0[rows] = [derive_droop_schedule(c, c.p_s, c.q_s) for c in convs]
 
     vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
-    dc_u0 = warm.dc.u if (warm is not None and warm.dc is not None) else None
+    # the last DC solution: the start of the next DC solve, or that solve
+    # itself when the inputs are unchanged
+    solved = warm.dc if warm is not None else None
     if (warm is not None and warm.converged
             and [cs.name for cs in warm.converters] == [c.name for c in convs]):
         for j, c in enumerate(convs):
@@ -450,11 +489,17 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         # a const_p station injects what its AC side delivers
         for j in dcp.const_p:
             p0[rows[j]] = p_dc_ac[j]
-        dc = solve_dc(dcp, droop, u0, p0, u_start=dc_u0)
+        if _solves(solved, dcp, droop, u0, p0):
+            if solved.iterations:
+                solved = dataclasses.replace(solved, iterations=0)
+            dc = solved
+        else:
+            dc = solve_dc(dcp, droop, u0, p0,
+                          u_start=None if solved is None else solved.u)
         if not dc.converged:
             failure = "dc"
             break
-        dc_u0 = dc.u
+        solved = dc
 
         # coupling residual: AC-side delivery vs DC-side absorption
         residual = max(abs(p - dc.p_inj[r]) for p, r in zip(p_dc_ac, rows))
@@ -483,6 +528,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
             dc.p_inj[rows[j]] if dc_side and c.mode != "const_p"
             else p_dc_ac[j]) for j, c in enumerate(convs)]
 
+    ac.p_branch, ac.q_branch = branch_flows(net, ac.vm, ac.va)
     state = SystemState(ac=ac, dc=dc, converters=conv_states,
                         outer_iterations=outer, converged=converged,
                         failure_stage=failure)

@@ -3,8 +3,10 @@
 One individual's evaluation is: coupled power flow, objectives, base
 constraint report, screening of the critical contingency set, then a
 corrective-feasibility check per critical contingency whose residual is
-folded into the violation total; each check runs on the outage variant
-of the individual's own network.  Evaluations are pure, so the
+folded into the violation total.  The outage variants of the case are
+built once per run, and a check applies the individual's controls to
+one of them, which gives the outage variant of the individual's own
+network without rebuilding its topology.  Evaluations are pure, so the
 coordinator fans them out over a process pool; results are reduced in
 task order, which keeps runs bit-reproducible for any worker count.
 """
@@ -48,6 +50,8 @@ class _EvalContext:
         self.corrective = corrective
         self.lims = CorrectiveLimits.from_fraction(self.space,
                                                    corrective.fraction)
+        self.outages = {k: apply_contingency(net, k)
+                        for k in net.contingencies}
 
     def evaluate(self, genome) -> dict:
         u = np.asarray(genome, dtype=float)
@@ -66,9 +70,11 @@ class _EvalContext:
                 cstar = list(self.net.contingencies)
             for k in cstar:
                 cstar_labels.append(k.label)
+                # the check's first probe applies ``res.u`` to the outage
+                # variant of the case
                 check = opfcore.corrective_feasibility(
                     res.net, self.space, res.u, k, self.lims,
-                    net_k=apply_contingency(res.net, k), base_state=res.state,
+                    net_k=self.outages[k], base_state=res.state,
                     max_probes=self.corrective.max_probes,
                     tol_feas=self.corrective.tol_feas,
                     include_discrete=self.corrective.include_discrete)

@@ -3,6 +3,7 @@ hand-built cases."""
 
 import ast
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -153,3 +154,50 @@ def same_elements(a, b) -> bool:
                == [dataclasses.asdict(y) for y in getattr(b, elements)]
                for elements in ("buses", "branches", "generators", "shunts",
                                 "converters", "dc_buses", "dc_branches"))
+
+
+def same_plan_arrays(x, y) -> bool:
+    """Plan parts ``x`` and ``y`` hold equal arrays (bit for bit),
+    indices and maps."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype == y.dtype and x.shape == y.shape
+                and x.tobytes() == y.tobytes())
+    if hasattr(x, "__dataclass_fields__"):
+        return all(same_plan_arrays(getattr(x, f), getattr(y, f))
+                   for f in x.__dataclass_fields__)
+    if isinstance(x, dict):
+        return (isinstance(y, dict) and list(x) == list(y)
+                and all(same_plan_arrays(x[key], y[key]) for key in x))
+    if isinstance(x, tuple) and any(isinstance(v, np.ndarray) for v in x):
+        return (isinstance(y, tuple) and len(x) == len(y)
+                and all(same_plan_arrays(a, b) for a, b in zip(x, y)))
+    return type(x) is type(y) and x == y
+
+
+def scalar_ybus(net):
+    """Bus admittance matrix summed entry by entry in branch order."""
+    ybus = np.zeros((net.n_bus, net.n_bus), dtype=complex)
+    for br in net.branches:
+        f, t = net.bus_index[br.from_bus], net.bus_index[br.to_bus]
+        yff, yft, ytt = netmodel.branch_admittance(br)
+        ybus[f, f] += yff
+        ybus[t, t] += ytt
+        ybus[f, t] += yft
+        ybus[t, f] += yft
+    return ybus
+
+
+@functools.cache
+def case_variant(name):
+    """The bundled case with VSC1 const_vdc and VSC3 const_p
+    (``mixed_modes``), or with its shunt on generator bus 3
+    (``shunt_on_gen_bus``), and its control space.  The bundled case has
+    only droop stations and no shunt on a generator bus."""
+    doc = network_to_dict(load_bundled_case("case14_acdc"))
+    if name == "mixed_modes":
+        doc["converters"][0]["mode"] = "const_vdc"
+        doc["converters"][2]["mode"] = "const_p"
+    else:
+        doc["shunts"][0]["bus"] = 3
+    net = network_from_dict(doc)
+    return net, ControlSpace(net)

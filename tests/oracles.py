@@ -6,7 +6,10 @@ equations, the indicator and projection oracles are literal
 straight-line translations of their definitions, and the Lasso oracle is
 a projected-subgradient descent.  The residual-update Lasso is the
 reference the Gram-matrix ``screen.lasso_fit`` is checked against.  They
-are slow and simple on purpose.
+are slow and simple on purpose.  One reference does share production
+code: ``newton_without_stop`` is the AC Newton loop of
+``powerflow.solve_ac`` without its divergence stop, which the stop is
+checked against.
 """
 
 import math
@@ -14,6 +17,7 @@ import math
 import numpy as np
 from scipy.optimize import fsolve
 
+from acdcopf.powerflow import MAX_NR, TOL_AC, ds_dv, newton_jacobian
 from acdcopf.screen import LASSO_MAX_SWEEPS, LASSO_TOL
 
 
@@ -49,6 +53,43 @@ def oracle_solve_ac(net, p_inj, q_inj, vm_setpoint, xtol=1e-13):
     va[pvpq] = x[:len(pvpq)]
     vm[pq] = x[len(pvpq):]
     return vm, va, ier == 1
+
+
+def newton_without_stop(net, p_inj, q_inj, vm_setpoint, *, vm0=None,
+                        va0=None):
+    """The AC Newton loop of ``powerflow.solve_ac`` without the stop on a
+    growing mismatch: it ends at a mismatch of ``TOL_AC``, after
+    ``MAX_NR`` iterations, at a singular Jacobian or at a magnitude that
+    is not positive and finite.  Returns ``(vm, va, mismatches,
+    converged)``, with the largest mismatch of every iteration."""
+    br, bp = net.plan.branches, net.plan.buses
+    pq, pvpq = bp.pq, bp.pvpq
+    vm = np.ones(net.n_bus) if vm0 is None else vm0.astype(float).copy()
+    va = np.zeros(net.n_bus) if va0 is None else va0.astype(float).copy()
+    vm[bp.fixed] = vm_setpoint[bp.fixed]
+    va[bp.slack] = 0.0
+    spec = np.concatenate([p_inj[pvpq], q_inj[pq]])
+    na = len(pvpq)
+    mismatches = []
+    for it in range(MAX_NR + 1):
+        v = vm * np.exp(1j * va)
+        i_bus = br.ybus @ v
+        mis = spec - (v * np.conj(i_bus)).view(float).take(bp.mis_index)
+        mismatches.append(float(np.abs(mis).max()) if mis.size else 0.0)
+        if mismatches[-1] <= TOL_AC:
+            return vm, va, mismatches, True
+        if it == MAX_NR:
+            break
+        jac = newton_jacobian(br, *ds_dv(br, v, i_bus), len(spec))
+        try:
+            dx = np.linalg.solve(jac, mis)
+        except np.linalg.LinAlgError:
+            break
+        va[pvpq] += dx[:na]
+        vm[pq] += dx[na:]
+        if not ((vm > 0.0) & (vm < math.inf)).all():
+            break
+    return vm, va, mismatches, False
 
 
 def two_bus_closed_form(p_load, q_load, x_line, v_slack=1.0):

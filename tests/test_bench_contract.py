@@ -19,7 +19,7 @@ import pytest
 from acdcopf import cli, opfcore, powerflow, run, screen
 from acdcopf.netmodel import apply_contingency
 
-from conftest import PERFBENCH, bench_literal
+from conftest import PERFBENCH, bench_literal, case_variant
 
 sys.path.insert(0, str(PERFBENCH))
 
@@ -120,10 +120,14 @@ def test_evaluate_calls_traced_apply_taps(acdc_net, acdc_space, monkeypatch):
 
 def test_coupled_solve_calls_traced_inner_solvers(acdc_net, acdc_space,
                                                   monkeypatch):
-    """The traced ``powerflow.solve_ac`` and ``powerflow.solve_dc`` layers
-    are reached through the module attributes, once per outer iteration
-    of the coupled solve."""
-    calls = {"solve_ac": 0, "solve_dc": 0}
+    """The traced ``powerflow.solve_ac``, ``powerflow.solve_dc`` and
+    ``powerflow.branch_flows`` layers are reached through the module
+    attributes: ``solve_ac`` once per outer iteration of the coupled
+    solve, ``branch_flows`` once per coupled solve, and ``solve_dc`` once
+    per coupled solve when every station is droop or const_vdc (the
+    bundled case: its DC inputs do not depend on the AC side) and once
+    per outer iteration with a const_p station (``mixed_modes``)."""
+    calls = {"solve_ac": 0, "solve_dc": 0, "branch_flows": 0}
 
     def counting(name):
         solver = getattr(powerflow, name)
@@ -135,12 +139,15 @@ def test_coupled_solve_calls_traced_inner_solvers(acdc_net, acdc_space,
 
     for name in calls:
         monkeypatch.setattr(powerflow, name, counting(name))
-    result = opfcore.evaluate(acdc_net, acdc_space,
-                              acdc_space.default_vector())
-    assert result.state.converged
-    outer = result.state.outer_iterations
-    assert outer > 1
-    assert calls == {"solve_ac": outer, "solve_dc": outer}
+    for net, space in ((acdc_net, acdc_space), case_variant("mixed_modes")):
+        calls.update(dict.fromkeys(calls, 0))
+        result = opfcore.evaluate(net, space, space.default_vector())
+        assert result.state.converged
+        outer = result.state.outer_iterations
+        assert outer > 1
+        assert calls == {"solve_ac": outer,
+                         "solve_dc": outer if net.plan.dc.const_p else 1,
+                         "branch_flows": 1}
 
 
 def test_train_screen_calls_traced_screening_layers(tmp_path, monkeypatch):

@@ -598,6 +598,23 @@ class TestOptimizeAndDecideCmd:
             "bcs.json": "d0bb5e1856570fdc0e2c706e8176f7a7"
                         "c029ec6732b0d706010709cda48883df"}
 
+    def test_small_screened_run_artifacts_pinned(self, tmp_path):
+        # the same tripwire through the screen: a model from
+        # ``train-screen``, then an optimize that loads it
+        common = ["--case", "bundled:case14_acdc", "--out", str(tmp_path)]
+        assert run_cli("train-screen", *common, "--seed", "1",
+                       "--samples", "30") == 0
+        assert run_cli("optimize", *common, "--seed", "1003",
+                       "--population", "6", "--iterations", "2") == 0
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+            for name in ("archive.csv", "bcs.json")}
+        assert digests == {
+            "archive.csv": "b8df90a364bd3a626ef064e5f6ee9896"
+                           "9b8685e9e16cac59d82ecf4165779afc",
+            "bcs.json": "f5d85b45c0b052d9c8c766374cb124ad"
+                        "57110189e6823385468cf4b0b5145adf"}
+
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),
                        "--seed", "1", "--out", str(tmp_path))

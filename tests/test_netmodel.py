@@ -15,7 +15,8 @@ from acdcopf.netmodel import (CaseParseError, CaseValidationError,
                               build_plan, load_case, network_from_dict)
 
 from conftest import (network_to_dict, radial_three_bus_case, same_elements,
-                      two_bus_case, write_case)
+                      same_plan_arrays, scalar_ybus, two_bus_case,
+                      write_case)
 
 
 class TestLoadCase:
@@ -251,35 +252,6 @@ class TestContingencies:
     def test_unknown_outage_id(self, acdc_net):
         with pytest.raises(KeyError):
             acdc_net.contingency("L99")
-
-
-def same_plan_arrays(x, y) -> bool:
-    """Plan parts ``x`` and ``y`` hold equal arrays, indices and maps."""
-    if isinstance(x, np.ndarray):
-        return x.dtype == y.dtype and np.array_equal(x, y)
-    if hasattr(x, "__dataclass_fields__"):
-        return all(same_plan_arrays(getattr(x, f), getattr(y, f))
-                   for f in x.__dataclass_fields__)
-    if isinstance(x, dict):
-        return (isinstance(y, dict) and list(x) == list(y)
-                and all(same_plan_arrays(x[key], y[key]) for key in x))
-    if isinstance(x, tuple) and any(isinstance(v, np.ndarray) for v in x):
-        return (isinstance(y, tuple) and len(x) == len(y)
-                and all(same_plan_arrays(a, b) for a, b in zip(x, y)))
-    return type(x) is type(y) and x == y
-
-
-def scalar_ybus(net):
-    """Bus admittance matrix summed entry by entry in branch order."""
-    ybus = np.zeros((net.n_bus, net.n_bus), dtype=complex)
-    for br in net.branches:
-        f, t = net.bus_index[br.from_bus], net.bus_index[br.to_bus]
-        yff, yft, ytt = netmodel.branch_admittance(br)
-        ybus[f, f] += yff
-        ybus[t, t] += ytt
-        ybus[f, t] += yft
-        ybus[t, f] += yft
-    return ybus
 
 
 def constants_follow_elements(net) -> None:

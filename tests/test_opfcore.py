@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from acdcopf import opfcore, powerflow
+from acdcopf import netmodel, opfcore, powerflow
 from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
                              generation_cost, probe_moves, violation_gradient,
@@ -16,7 +16,7 @@ from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
 from acdcopf.powerflow import solve_acdc
 
 from conftest import (bench_literal, network_to_dict, same_elements,
-                      two_bus_case)
+                      scalar_ybus, two_bus_case)
 
 
 ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
@@ -436,17 +436,18 @@ class TestOneControlProbes:
     def test_probe_copies_one_element(self, acdc_net, acdc_space,
                                       monkeypatch):
         # work-count guard over whole checks: every probe after the
-        # first moves one control of the best probe's variant; a non-tap
-        # move copies one element and builds no branch plan, a tap move
-        # copies one branch and builds one
+        # first moves one control of the best probe's variant and copies
+        # one element, and none builds a plan part.  A non-tap move keeps
+        # the variant's plan; a tap move keeps the topology of its branch
+        # plan (the same arrays) and recomputes the admittance values
         space = acdc_space
         base = opfcore.evaluate(acdc_net, space, space.default_vector())
         lims = CorrectiveLimits.from_fraction(space, 0.15)
         builds = []
-        branch_plan = opfcore.branch_plan
-        monkeypatch.setattr(opfcore, "branch_plan",
-                            lambda *args: builds.append(1) or
-                            branch_plan(*args))
+        for name in ("bus_plan", "branch_plan", "dc_plan"):
+            monkeypatch.setattr(netmodel, name,
+                                lambda *args, build=getattr(netmodel, name):
+                                builds.append(1) or build(*args))
         probes = []
         evaluate = opfcore.evaluate
 
@@ -473,8 +474,19 @@ class TestOneControlProbes:
                                               getattr(net, elements))
                           if new is not old]
                 assert copied == [element_of(res.net, moved[0])]
-                assert built == (moved[0].kind == "tap")
+                assert built == 0
                 kinds.add(moved[0].kind)
+                if moved[0].kind != "tap":
+                    assert res.net.plan is net.plan
+                    continue
+                new, old = res.net.plan.branches, net.plan.branches
+                assert new is not old
+                for name in ("f", "t", "pat_r", "pat_c", "jac_src", "jac_dst",
+                             "index", "limits"):
+                    assert getattr(new, name) is getattr(old, name), name
+                assert np.array_equal(new.ybus, scalar_ybus(res.net))
+                assert res.net.plan.buses is net.plan.buses
+                assert res.net.plan.dc is net.plan.dc
             probes.clear()
         assert "tap" in kinds and len(kinds) > 2
 

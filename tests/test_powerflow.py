@@ -3,7 +3,7 @@
 import cmath
 import copy
 import dataclasses
-import functools
+import hashlib
 import math
 import pickle
 import time
@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acdcopf import opfcore, powerflow
-from acdcopf.netmodel import (ControlSpace, ConverterStation,
-                              apply_contingency, branch_admittance, dc_plan,
-                              load_bundled_case, network_from_dict)
+from acdcopf.netmodel import (ConverterStation, apply_contingency,
+                              branch_admittance, dc_plan, network_from_dict)
 from acdcopf.powerflow import (TOL_COUPLE, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
-from conftest import network_to_dict, two_bus_case
-from oracles import (dc_newton_by_rows, dense_ds_dv, oracle_solve_ac,
-                     two_bus_closed_form)
+from conftest import case_variant, two_bus_case
+from oracles import (dc_newton_by_rows, dense_ds_dv, newton_without_stop,
+                     oracle_solve_ac, two_bus_closed_form)
 
 
 def ac_inputs(net):
@@ -59,7 +58,8 @@ class TestSolveAc:
         assert state.converged
         np.testing.assert_allclose(state.vm, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(state.va, [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(state.p_branch, [0.0], atol=1e-12)
+        p_branch, _ = powerflow.branch_flows(net, state.vm, state.va)
+        np.testing.assert_allclose(p_branch, [0.0], atol=1e-12)
 
     def test_two_bus_closed_form(self):
         net = network_from_dict(two_bus_case(p_d=0.5, q_d=0.0, x=0.1))
@@ -77,6 +77,57 @@ class TestSolveAc:
         assert not state.converged
         assert not state.singular
         assert state.max_mismatch > 0
+
+    def test_divergence_stop_cuts_no_converging_solve(self, acdc_net,
+                                                      acdc_space, base_eval,
+                                                      monkeypatch):
+        # every AC solve of the coupled solves at random control points,
+        # cold and warm, on the case and on every outage variant, against
+        # the loop without the stop: the same verdict, the same converged
+        # state bit for bit, and a diverged solve no longer.  Some of the
+        # converging solves grow at their first step, which the stop
+        # leaves alone
+        pairs = []
+        solve = powerflow.solve_ac
+
+        def both(*args, **kwargs):
+            state = solve(*args, **kwargs)
+            pairs.append((state, newton_without_stop(*args, **kwargs)))
+            return state
+
+        monkeypatch.setattr(powerflow, "solve_ac", both)
+        space = acdc_space
+        nets = [acdc_net] + [apply_contingency(acdc_net, k)
+                             for k in acdc_net.contingencies]
+        rng = np.random.default_rng(15)
+        span = space.hi - space.lo
+        transfers = [i for i, kind in enumerate(space.kinds)
+                     if kind in ("p_s", "q_s")]
+        for j in range(15):
+            # near the schedule, anywhere in the box, and anywhere with
+            # the converter transfers at their bounds (many diverge)
+            u = (space.base + rng.normal(0.0, 0.1, len(space)) * span
+                 if j % 3 == 0 else rng.uniform(space.lo, space.hi))
+            if j % 3 == 2:
+                u[transfers] = rng.choice((-1.0, 1.0), len(transfers))
+            for net in nets:
+                for warm in (None, base_eval.state):
+                    opfcore.evaluate(net, space, u, warm=warm)
+        stopped = grew_first = 0
+        for state, (vm, va, mismatches, converged) in pairs:
+            iterations = len(mismatches) - 1
+            assert state.converged == converged
+            if converged:
+                assert state.iterations == iterations
+                assert state.vm.tobytes() == vm.tobytes()
+                assert state.va.tobytes() == va.tobytes()
+                grew_first += iterations > 1 and mismatches[1] > mismatches[0]
+            else:
+                assert state.iterations <= iterations
+                stopped += state.iterations < iterations
+        assert sum(state.converged for state, _ in pairs) > 1000
+        assert stopped > 20
+        assert grew_first > 0
 
     def test_power_balance(self, ac_net):
         p, q, vm = ac_inputs(ac_net)
@@ -372,22 +423,6 @@ class TestSolveDc:
             assert state.iterations == iterations
 
 
-@functools.cache
-def case_variant(name):
-    """The bundled case with VSC1 const_vdc and VSC3 const_p
-    (``mixed_modes``), or with its shunt on generator bus 3
-    (``shunt_on_gen_bus``), and its control space.  The bundled case has
-    only droop stations and no shunt on a generator bus."""
-    doc = network_to_dict(load_bundled_case("case14_acdc"))
-    if name == "mixed_modes":
-        doc["converters"][0]["mode"] = "const_vdc"
-        doc["converters"][2]["mode"] = "const_p"
-    else:
-        doc["shunts"][0]["bus"] = 3
-    net = network_from_dict(doc)
-    return net, ControlSpace(net)
-
-
 def bus_mismatch(net, state):
     """Largest bus mismatch of a converged solve against the variant's
     ``ybus``, the injections rebuilt from the elements and the solved
@@ -536,3 +571,106 @@ class TestSolveAcdc:
         res = opfcore.evaluate(acdc_net, acdc_space, u)
         if not res.state.converged:
             assert res.state.failure_stage in ("ac", "dc", "coupling")
+
+
+def scheduled_dc_inputs(net):
+    """Per-DC-bus ``droop``, ``u0`` and ``p0`` of a network whose stations
+    are droop or const_vdc: the DC references of the scheduled PCC
+    powers."""
+    rows = net.plan.dc.conv_rows
+    droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
+    droop[rows] = [c.droop for c in net.converters]
+    u0[rows] = [c.u_dc0 for c in net.converters]
+    p0[rows] = [powerflow.derive_droop_schedule(c, c.p_s, c.q_s)
+                for c in net.converters]
+    return droop, u0, p0
+
+
+def state_digest(state):
+    """sha256 of the solved voltages, flows, DC state and outputs."""
+    arrays = (state.ac.vm, state.ac.va, state.ac.p_branch, state.ac.q_branch,
+              state.dc.u, state.dc.p_inj, state.dc.branch_i, state.gen_p,
+              state.gen_q, np.array([[cs.p_s, cs.q_s, cs.p_dc]
+                                     for cs in state.converters]))
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestDcReuse:
+    """The DC grid is solved only when its inputs change."""
+
+    @pytest.fixture
+    def dc_solves(self, monkeypatch):
+        calls = []
+        solve = powerflow.solve_dc
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(powerflow, "solve_dc", counting)
+        return calls
+
+    @staticmethod
+    def moved(space, u, name):
+        u = u.copy()
+        i = space.index[name]
+        u[i] = u[i] + 0.25 * (space.hi[i] - space.lo[i])
+        if u[i] > space.hi[i]:
+            u[i] -= 0.5 * (space.hi[i] - space.lo[i])
+        return space.snap(u)
+
+    @pytest.mark.parametrize("name", ["P_G:bus2", "U_G:bus1", "T:L5",
+                                      "Q_C:bus9"])
+    def test_ac_side_move_reuses_warm_dc_solution(self, acdc_net, acdc_space,
+                                                  base_eval, dc_solves,
+                                                  name):
+        warm = base_eval.state
+        res = opfcore.evaluate(acdc_net, acdc_space,
+                               self.moved(acdc_space, base_eval.u, name),
+                               warm=warm)
+        assert res.state.converged
+        assert res.state.outer_iterations > 1
+        assert dc_solves == []
+        ref = solve_dc(res.net.plan.dc, *scheduled_dc_inputs(res.net),
+                       u_start=warm.dc.u)
+        for key in ("u", "i_inj", "p_inj", "branch_i", "branch_p"):
+            assert (getattr(res.state.dc, key).tobytes()
+                    == getattr(ref, key).tobytes()), key
+        assert res.state.dc.iterations == ref.iterations == 0
+
+    @pytest.mark.parametrize("name", ["P_s:VSC1", "Q_s:VSC2", "U_dc0:VSC3",
+                                      "R:VSC1", "DC1"])
+    def test_dc_side_change_solves_dc(self, acdc_net, acdc_space, base_eval,
+                                      dc_solves, name):
+        if name.startswith("DC"):
+            net, u = (apply_contingency(acdc_net, acdc_net.contingency(name)),
+                      base_eval.u)
+        else:
+            net, u = acdc_net, self.moved(acdc_space, base_eval.u, name)
+        res = opfcore.evaluate(net, acdc_space, u, warm=base_eval.state)
+        assert res.state.converged
+        assert len(dc_solves) == 1
+
+    def test_cold_solve_solves_dc_once(self, base_eval, dc_solves):
+        # the bundled case has only droop stations: its DC inputs do not
+        # depend on the AC side
+        state = solve_acdc(base_eval.net)
+        assert state.outer_iterations > 1
+        assert len(dc_solves) == 1
+        assert state_digest(state) == state_digest(base_eval.state)
+
+    def test_const_p_state_unchanged(self, dc_solves):
+        # a const_p station's p0 follows the AC side: one DC solve per
+        # outer iteration, and the states of the solve that called the DC
+        # solver in every outer iteration, bit for bit (digests taken with
+        # that solve, for the NumPy/LAPACK build they were taken with)
+        net, space = case_variant("mixed_modes")
+        cold = opfcore.evaluate(net, space, space.default_vector())
+        assert cold.state.converged
+        assert len(dc_solves) == cold.state.outer_iterations > 1
+        u = self.moved(space, space.default_vector(), "P_G:bus2")
+        warm = opfcore.evaluate(net, space, u, warm=cold.state)
+        assert warm.state.converged
+        assert [state_digest(cold.state), state_digest(warm.state)] == [
+            "9ef5684e2826a6182cc5eb764072df66c69c592bfc632a5a28165caf2305694e",
+            "fac8966a0ad685aa76a586bc89c44e011400317aa401ba013ddc61a07ee75d48"]

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from acdcopf import evo, run
+from acdcopf import evo, opfcore, run
+from acdcopf.netmodel import apply_contingency
 from acdcopf.run import CorrectiveConfig, OpfProblem
+
+from conftest import same_elements, same_plan_arrays
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,26 @@ class TestEvaluation:
             pytest.skip("constructed point unexpectedly feasible")
         assert not rec["meta"]["cstar"]
         assert rec["violation"] >= run.SKIP_SURCHARGE
+
+    def test_outage_variants_carry_the_controls(self, acdc_net, acdc_space):
+        # the context's outage variants of the case, each carrying a
+        # point's controls, are the outage variants of the network that
+        # carries them: every element and every plan array, bit for bit,
+        # at random points whose taps move
+        ctx = run._EvalContext(acdc_net, None, CorrectiveConfig())
+        assert list(ctx.outages) == acdc_net.contingencies
+        space = acdc_space
+        taps = [i for i, kind in enumerate(space.kinds) if kind == "tap"]
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            u = space.snap(rng.uniform(space.lo, space.hi))
+            assert (u[taps] != space.base[taps]).any()
+            net_u = opfcore.apply_controls(acdc_net, space, u)
+            for k, outage in ctx.outages.items():
+                ours = opfcore.apply_controls(outage, space, u)
+                ref = apply_contingency(net_u, k)
+                assert same_elements(ours, ref), k.label
+                assert same_plan_arrays(ours.plan, ref.plan), k.label
 
     def test_initial_genomes_structure(self, problem, acdc_space):
         cfg = evo.EvoConfig(population=20, seed=3)
