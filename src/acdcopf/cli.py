@@ -383,6 +383,17 @@ def cmd_powerflow(args) -> int:
 # train-screen
 
 
+def _exact_errors(net: Network, space: ControlSpace, u: np.ndarray,
+                  ranked) -> list[tuple[float, float | None]]:
+    """Exact index at ``u`` of each ranked outage and the relative error of
+    its prediction in percent (None when the flow diverged or the exact
+    index is 0)."""
+    exact = screen.exact_indices(net, space, u, screen.outage_variants(net))
+    return [(exact[k][0], None if exact[k][1]
+             else screen.prediction_error(pred, exact[k][0]))
+            for k, pred, _ in ranked]
+
+
 def train_screening_model(net: Network, cfg: dict):
     """Build training data, fit with cross-validated penalty, validate on
     held-out control samples.  Returns (model, validation dict, table rows,
@@ -422,9 +433,15 @@ def train_screening_model(net: Network, cfg: dict):
         keep = sound & (hold.row_sample == si)
         if keep.sum() >= 3:
             rhos.append(screen.rank_correlation(preds[keep], hold.y[keep]))
+    # recall: the share of the held-out insecure rows (diverged rows
+    # included, at the sentinel) that the model predicts insecure
+    insecure = hold.y > 1.0
     validation = {
         "holdout_samples": sorted(holdout),
         "n_holdout_rows": len(hold.y),
+        "holdout_insecure_rows": int(insecure.sum()),
+        "holdout_recall": (float(np.mean(preds[insecure] > 1.0))
+                           if insecure.any() else None),
         "n_errors_scored": len(errors),
         "max_abs_error_percent": max((abs(e) for e in errors), default=0.0),
         "mean_abs_error_percent": (float(np.mean([abs(e) for e in errors]))
@@ -439,9 +456,10 @@ def train_screening_model(net: Network, cfg: dict):
     # training by construction), in rank order; divergent outages carry
     # the sentinel and no error, and are excluded from the statistics
     u0 = space.default_vector()
+    ranked = screen.rank_contingencies(model, net, u0)
     table, table_errors, preds, exacts = [], [], [], []
-    for k, pred, cls in screen.rank_contingencies(model, net, u0):
-        exact, err = screen.exact_error(net, space, u0, k, pred)
+    for (k, pred, cls), (exact, err) in zip(
+            ranked, _exact_errors(net, space, u0, ranked)):
         table.append([k.label, pred, exact, err, cls])
         if err is not None and exact >= 0.05:
             table_errors.append(abs(err))
@@ -476,9 +494,11 @@ def cmd_train_screen(args) -> int:
                 for o, row, y in zip(train.row_outage, train.x, train.y)]
         write_csv(out / "training_set.csv",
                   ["outage"] + train.feature_names + ["index"], rows, stamp)
+    recall = validation["holdout_recall"]
     print(f"model written to {model_path} (lambda={model.lam:.6g}, "
           f"max holdout |err|="
-          f"{validation['max_abs_error_percent']:.3f}%)")
+          f"{validation['max_abs_error_percent']:.3f}%, holdout recall="
+          f"{'n/a' if recall is None else format(recall, '.3f')})")
     return EXIT_OK
 
 
@@ -500,8 +520,8 @@ def cmd_rank(args) -> int:
     rows = [[k.label, _fmt(pred, 4), cls] for k, pred, cls in ranked]
     if args.exact:
         header += ["exact", "error_percent"]
-        for row, (k, pred, _) in zip(rows, ranked):
-            exact, err = screen.exact_error(net, space, u, k, pred)
+        for row, (exact, err) in zip(rows,
+                                     _exact_errors(net, space, u, ranked)):
             row += [_fmt(exact, 4), _fmt_error(err)]
     write_csv(out / "rank.csv", header, rows, stamp)
     write_json(out / "rank.json", {

@@ -322,6 +322,8 @@ class DcPlan:
     free_rows: np.ndarray      # every other row, ascending: Newton unknowns
     droop_rows: np.ndarray     # rows whose equation is the droop law
     const_p: tuple[int, ...]   # const_p converters, in case order
+    y_series: tuple[complex, ...]  # per converter: complex(g, b) of its PCC
+    r_series: tuple[float, ...]    # branch, and (1 / complex(g, b)).real
     u_set: np.ndarray          # preset DC bus voltage
     # dc_voltage, and with DC branches dc_current and dc_flow
     limits: dict[str, Limits]
@@ -499,8 +501,11 @@ def dc_plan(dc_buses: list[DcBus], dc_branches: list[DcBranch],
             [f"P_dc:{br.outage_id}" for br in dc_branches],
             [br.p_min for br in dc_branches], [br.p_max for br in dc_branches])
     const_p = tuple(j for j, c in enumerate(converters) if c.mode == "const_p")
-    return DcPlan(index, ydc, f, t, y, conv, vdc, free, droop, const_p, u_set,
-                  limits, tuple(f"capability:{c.name}" for c in converters))
+    y_series = tuple(complex(c.g, c.b) for c in converters)
+    r_series = tuple((1.0 / y_c).real for y_c in y_series)
+    return DcPlan(index, ydc, f, t, y, conv, vdc, free, droop, const_p,
+                  y_series, r_series, u_set, limits,
+                  tuple(f"capability:{c.name}" for c in converters))
 
 
 def build_plan(net: Network) -> SolverPlan:

@@ -124,11 +124,6 @@ class SystemState:
 # Converter station primitives
 
 
-def _series_resistance(conv) -> float:
-    """Resistance of the PCC-converter coupling branch."""
-    return (1.0 / complex(conv.g, conv.b)).real
-
-
 def _station_loss(conv, i_c: float, k: float) -> float:
     """Station loss ``a + b*I_c + c*I_c^2`` with ``k = I_c^2``."""
     return conv.a_loss + conv.b_loss * i_c + conv.c_loss * k
@@ -140,9 +135,11 @@ def _net_dc_power(conv, r_br: float, p_s: float, k: float) -> float:
     return p_s - r_br * k - _station_loss(conv, math.sqrt(k), k)
 
 
-def _station_terms(v_pcc: complex, p_s: float, q_s: float, conv):
+def _station_terms(v_pcc: complex, p_s: float, q_s: float, conv,
+                   y_ser: complex):
     """Arriving power ``(p_c, q_c)``, station loss, series current
-    magnitude and terminal voltage phasor of one station.
+    magnitude and terminal voltage phasor of one station whose coupling
+    branch has the admittance ``y_ser`` (``DcPlan.y_series``).
 
     Closed form: the series current follows from the PCC power, and the
     terminal voltage from the voltage drop over the coupling impedance.
@@ -150,7 +147,7 @@ def _station_terms(v_pcc: complex, p_s: float, q_s: float, conv):
     complex division rounds differently.
     """
     i_ser = np.conj(complex(p_s, q_s) / v_pcc)
-    v_c = v_pcc - i_ser / complex(conv.g, conv.b)
+    v_c = v_pcc - i_ser / y_ser
     s_into = v_c * np.conj(i_ser)          # power arriving at the terminal
     i_c = abs(i_ser)
     p_loss = _station_loss(conv, i_c, i_c * i_c)
@@ -169,12 +166,13 @@ def _converter_state(conv, p_s: float, q_s: float, terms,
         p_dc=p_dc, residual=abs(p_c - p_dc - p_loss))
 
 
-def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
-                      p_s_guess: float) -> float | None:
+def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, r_br: float,
+                      p_dc_target: float, p_s_guess: float) -> float | None:
     """Invert the station model: PCC power that delivers ``p_dc_target``.
 
     Scalar Newton on ``h(p_s) = p_s - R_br*K - loss(sqrt(K)) - p_dc_target``
-    with ``K = (p_s^2 + q_s^2) / |V_pcc|^2``, in Python floats; smooth and
+    with ``K = (p_s^2 + q_s^2) / |V_pcc|^2`` and the coupling-branch
+    resistance ``r_br`` (``DcPlan.r_series``), in Python floats; smooth and
     well conditioned for realistic loss coefficients.  Returns None when
     ``|h|`` does not fall below 1e-13, e.g. when the target exceeds what
     the station can deliver at this PCC voltage.
@@ -182,7 +180,6 @@ def _solve_ps_for_pdc(v_pcc: complex, q_s: float, conv, p_dc_target: float,
     u = float(abs(v_pcc))
     u_s2 = u * u
     q_s, p_dc_target, p_s = float(q_s), float(p_dc_target), float(p_s_guess)
-    r_br = _series_resistance(conv)
     for _ in range(60):
         k = (p_s * p_s + q_s * q_s) / u_s2
         i_c = math.sqrt(k)
@@ -400,14 +397,14 @@ def assemble_ac_inputs(net: Network):
     return p_inj, q_inj, vm_set
 
 
-def derive_droop_schedule(conv, p_s: float, q_s: float) -> float:
-    """Scheduled DC injection implied by the scheduled PCC power.
+def derive_droop_schedule(conv, r_br: float, p_s: float, q_s: float) -> float:
+    """Scheduled DC injection implied by the scheduled PCC power, for a
+    coupling-branch resistance ``r_br`` (``DcPlan.r_series``).
 
     Evaluated at nominal voltage: the droop characteristic absorbs the
     (small) mismatch between this estimate and the converged solution.
     """
-    return _net_dc_power(conv, _series_resistance(conv), p_s,
-                         p_s * p_s + q_s * q_s)
+    return _net_dc_power(conv, r_br, p_s, p_s * p_s + q_s * q_s)
 
 
 def solve_acdc(net: Network, *, warm: SystemState | None = None,
@@ -438,7 +435,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     convs = net.converters
     pcc = net.plan.buses.pcc_rows
     dcp = net.plan.dc
-    rows = dcp.conv_rows
+    rows, r_ser, y_ser = dcp.conv_rows, dcp.r_series, dcp.y_series
     p_load, q_inj, vm_set = assemble_ac_inputs(net)
     p_s_act = np.array([c.p_s for c in convs], dtype=float)
     q_s = np.array([c.q_s for c in convs], dtype=float)
@@ -447,7 +444,8 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
     droop[rows] = [c.droop for c in convs]
     u0[rows] = [c.u_dc0 for c in convs]
-    p0[rows] = [derive_droop_schedule(c, c.p_s, c.q_s) for c in convs]
+    p0[rows] = [derive_droop_schedule(c, r_ser[j], c.p_s, c.q_s)
+                for j, c in enumerate(convs)]
 
     vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
     # the last DC solution: the start of the next DC solve, or that solve
@@ -463,6 +461,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     dc = None
     terms: list[tuple] = []        # _station_terms of each station
     p_dc_ac: list[float] = []      # the DC power each AC side delivers
+    p_dc_dc: list[float] = []      # and the DC injection at its DC bus
     outer = 0
     failure = ""
     converged = False
@@ -482,7 +481,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
             break
 
         v_pcc = ac.vm[pcc] * np.exp(1j * ac.va[pcc])
-        terms = [_station_terms(v_pcc[j], p_s_act[j], q_s[j], c)
+        terms = [_station_terms(v_pcc[j], p_s_act[j], q_s[j], c, y_ser[j])
                  for j, c in enumerate(convs)]
         p_dc_ac = [p_c - p_loss for p_c, _, p_loss, _, _ in terms]
 
@@ -502,7 +501,8 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         solved = dc
 
         # coupling residual: AC-side delivery vs DC-side absorption
-        residual = max(abs(p - dc.p_inj[r]) for p, r in zip(p_dc_ac, rows))
+        p_dc_dc = dc.p_inj[rows].tolist()
+        residual = max(abs(p - q) for p, q in zip(p_dc_ac, p_dc_dc))
         if trace is not None:
             trace.append((outer, ac.iterations, dc.iterations, residual))
         if residual <= TOL_COUPLE:
@@ -511,8 +511,8 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
 
         # back-substitute the DC solution into the AC-side schedules
         p_s_new = [p_s_act[j] if c.mode == "const_p"
-                   else _solve_ps_for_pdc(v_pcc[j], q_s[j], c,
-                                          dc.p_inj[rows[j]], p_s_act[j])
+                   else _solve_ps_for_pdc(v_pcc[j], q_s[j], c, r_ser[j],
+                                          p_dc_dc[j], p_s_act[j])
                    for j, c in enumerate(convs)]
         if None in p_s_new:            # a station cannot deliver its target
             break
@@ -525,7 +525,7 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
         dc_side = dc is not None and dc.converged
         conv_states = [_converter_state(
             c, p_s_act[j], q_s[j], terms[j],
-            dc.p_inj[rows[j]] if dc_side and c.mode != "const_p"
+            p_dc_dc[j] if dc_side and c.mode != "const_p"
             else p_dc_ac[j]) for j, c in enumerate(convs)]
 
     ac.p_branch, ac.q_branch = branch_flows(net, ac.vm, ac.va)
@@ -533,17 +533,18 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
                         outer_iterations=outer, converged=converged,
                         failure_stage=failure)
     if converged:
-        _fill_generator_outputs(net, state)
+        _fill_generator_outputs(net, state, p_s_act, q_s)
     return state
 
 
-def _fill_generator_outputs(net: Network, state: SystemState) -> None:
-    """Recover generator P/Q from solved bus injections; a bus has at most
-    one generator, one converter and one shunt."""
+def _fill_generator_outputs(net: Network, state: SystemState,
+                            p_s_act: np.ndarray, q_s_act: np.ndarray) -> None:
+    """Recover generator P/Q from solved bus injections and the settled
+    PCC powers; a bus has at most one generator, converter and shunt."""
     ac, bp, n = state.ac, net.plan.buses, net.n_bus
     p_s, q_s, q_c = (np.zeros(n) for _ in range(3))
-    p_s[bp.pcc_rows] += [cs.p_s for cs in state.converters]
-    q_s[bp.pcc_rows] += [cs.q_s for cs in state.converters]
+    p_s[bp.pcc_rows] += p_s_act
+    q_s[bp.pcc_rows] += q_s_act
     q_c[bp.shunt_rows] = [sh.q_c for sh in net.shunts]
     rows = bp.gen_rows
     gen_p = np.array([gen.p_g for gen in net.generators], dtype=float)

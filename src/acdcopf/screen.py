@@ -12,8 +12,9 @@ The caller supplies the training control points (:func:`sample_controls`
 draws a Latin-hypercube box around the case point).  The penalty is
 always chosen by cross-validation; the coordinate-descent stopping rule
 (``LASSO_TOL``, ``LASSO_MAX_SWEEPS``) and the penalty grid are module
-constants.  ``rank`` and the ``train-screen`` error table share
-:func:`rank_contingencies` and :func:`exact_error`.
+constants.  The training rows, ``rank --exact`` and the ``train-screen``
+error table share :func:`exact_indices`, and the last two
+:func:`rank_contingencies`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import opfcore
+from . import opfcore, powerflow
 from .netmodel import Contingency, ControlSpace, Network, apply_contingency
 from .powerflow import SystemState
 
@@ -98,22 +99,33 @@ def composite_index(state: SystemState, params: SecurityIndexParams) -> float:
     return float(total ** (1.0 / n2))
 
 
-def exact_index(net_k: Network, space: ControlSpace,
-                u: np.ndarray) -> tuple[float, bool]:
-    """Exact composite index of control vector ``u`` on the post-outage
-    network ``net_k``, and whether its flow diverged."""
-    res = opfcore.evaluate(net_k, space, u)
-    params = SecurityIndexParams.from_network(net_k)
-    return composite_index(res.state, params), not res.state.converged
+def outage_variants(net: Network) -> dict[Contingency, tuple]:
+    """Variant and :class:`SecurityIndexParams` of each AC-line outage."""
+    nets = {k: apply_contingency(net, k) for k in net.contingencies
+            if k.kind == "ac_line"}
+    return {k: (net_k, SecurityIndexParams.from_network(net_k))
+            for k, net_k in nets.items()}
 
 
-def exact_error(net: Network, space: ControlSpace, u: np.ndarray,
-                k: Contingency, pred: float) -> tuple[float, float | None]:
-    """Exact composite index of outage ``k`` at control vector ``u``, and
-    the relative error of the prediction ``pred`` in percent (None when
-    the flow diverged or the exact index is 0)."""
-    exact, diverged = exact_index(apply_contingency(net, k), space, u)
-    return exact, None if diverged else prediction_error(pred, exact)
+def exact_indices(net: Network, space: ControlSpace, u: np.ndarray,
+                  variants: dict) -> dict[Contingency, tuple[float, bool]]:
+    """Exact composite index at ``u`` of each of the
+    :func:`outage_variants`, and whether its flow diverged.
+
+    As a corrective check solves its first probe: one coupled solve of
+    ``net`` at ``u``, then each variant warm-started from that base state
+    (cold when the base does not converge).  Only the solved states are
+    read: no objectives and no constraint report.
+    """
+    u = space.snap(u)
+    base = powerflow.solve_acdc(opfcore.apply_controls(net, space, u))
+    warm = base if base.converged else None
+    out = {}
+    for k, (net_k, params) in variants.items():
+        state = powerflow.solve_acdc(opfcore.apply_controls(net_k, space, u),
+                                     warm=warm)
+        out[k] = composite_index(state, params), not state.converged
+    return out
 
 
 def classify(pi_value: float) -> str:
@@ -220,25 +232,22 @@ def build_training_set(net: Network, controls: np.ndarray) -> TrainingSet:
     ``controls``.
 
     Each row pairs an outage one-hot with the control vector; the
-    response is the exact post-contingency composite index (divergent
-    flows get the severity sentinel and are flagged).
+    response is the exact post-contingency composite index of
+    :func:`exact_indices` (divergent flows get the severity sentinel and
+    are flagged).
     """
     space = ControlSpace(net)
-    ac_outages = [k for k in net.contingencies if k.kind == "ac_line"]
-    nets_k = {k.branch_id: apply_contingency(net, k) for k in ac_outages}
-
-    tasks = [(si, k.branch_id) for si in range(len(controls))
-             for k in ac_outages]
-    results = [exact_index(nets_k[kid], space, controls[si])
-               for si, kid in tasks]
-    y, flagged = map(np.array, zip(*results))   # index, diverged per row
+    variants = outage_variants(net)
+    rows = [(si, k.branch_id, *index) for si, u in enumerate(controls)
+            for k, index in exact_indices(net, space, u, variants).items()]
+    samples, outages, y, flagged = map(np.array, zip(*rows))
     return TrainingSet(
-        x=np.vstack([encode_row(net, controls[si], kid) for si, kid in tasks]),
+        x=np.vstack([encode_row(net, controls[si], kid)
+                     for si, kid in zip(samples, outages)]),
         y=y,
         feature_names=([f"outage:{k.branch_id}" for k in net.contingencies]
                        + list(space.names)),
-        row_outage=np.array([kid for _, kid in tasks]),
-        row_sample=np.array([si for si, _ in tasks]), flagged=flagged)
+        row_outage=outages, row_sample=samples, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------

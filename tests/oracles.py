@@ -6,10 +6,11 @@ equations, the indicator and projection oracles are literal
 straight-line translations of their definitions, and the Lasso oracle is
 a projected-subgradient descent.  The residual-update Lasso is the
 reference the Gram-matrix ``screen.lasso_fit`` is checked against.  They
-are slow and simple on purpose.  One reference does share production
+are slow and simple on purpose.  Two references do share production
 code: ``newton_without_stop`` is the AC Newton loop of
 ``powerflow.solve_ac`` without its divergence stop, which the stop is
-checked against.
+checked against, and ``cold_exact_index`` is the cold per-row solve the
+warm-started ``screen.exact_indices`` is checked against.
 """
 
 import math
@@ -17,8 +18,11 @@ import math
 import numpy as np
 from scipy.optimize import fsolve
 
+from acdcopf import opfcore
+from acdcopf.netmodel import apply_contingency
 from acdcopf.powerflow import MAX_NR, TOL_AC, ds_dv, newton_jacobian
-from acdcopf.screen import LASSO_MAX_SWEEPS, LASSO_TOL
+from acdcopf.screen import (LASSO_MAX_SWEEPS, LASSO_TOL, SecurityIndexParams,
+                            composite_index)
 
 
 def oracle_solve_ac(net, p_inj, q_inj, vm_setpoint, xtol=1e-13):
@@ -90,6 +94,17 @@ def newton_without_stop(net, p_inj, q_inj, vm_setpoint, *, vm0=None,
         if not ((vm > 0.0) & (vm < math.inf)).all():
             break
     return vm, va, mismatches, False
+
+
+def cold_exact_index(net, space, u, k):
+    """Exact composite index of outage ``k`` at control vector ``u``, and
+    whether its flow diverged: the outage variant and its security limits
+    built for this one row, and a full ``opfcore.evaluate`` from a flat
+    start."""
+    net_k = apply_contingency(net, k)
+    res = opfcore.evaluate(net_k, space, u)
+    params = SecurityIndexParams.from_network(net_k)
+    return composite_index(res.state, params), not res.state.converged
 
 
 def two_bus_closed_form(p_load, q_load, x_line, v_slack=1.0):

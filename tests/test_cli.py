@@ -222,6 +222,38 @@ def test_holdout_spearman_skips_diverged_rows(monkeypatch):
         assert runs[0][key] == runs[1][key]
 
 
+def test_holdout_recall_recomputed(monkeypatch):
+    """``holdout_insecure_rows`` counts the held-out rows whose exact
+    index is above 1, and ``holdout_recall`` is the share of them that
+    the model ranks insecure at their control sample."""
+    net = load_bundled_case("case14_acdc")
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    cfg["seed"] = 3
+    # a wide box, where the model misses some insecure rows
+    cfg["screening"].update(samples=30, width=0.15)
+    seen = []
+    build = screen.build_training_set
+
+    def capture(net, controls):
+        seen.append(controls)
+        return build(net, controls)
+
+    monkeypatch.setattr(screen, "build_training_set", capture)
+    model, validation, _, train = cli.train_screening_model(net, cfg)
+    held = np.isin(train.row_sample, validation["holdout_samples"])
+    insecure = held & (train.y > 1.0)
+    kept = [cls == "insecure"
+            for si, kid in zip(train.row_sample[insecure],
+                               train.row_outage[insecure])
+            for k, _, cls in screen.rank_contingencies(model, net,
+                                                       seen[0][si])
+            if k.branch_id == kid]
+    assert len(kept) == validation["holdout_insecure_rows"] > 0
+    assert 0.0 < np.mean(kept) < 1.0
+    assert validation["holdout_recall"] == pytest.approx(np.mean(kept),
+                                                         abs=1e-15)
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     """No command uses scipy: importing the command line loads none of
     ``scipy.stats``, ``scipy.linalg`` and ``scipy.optimize`` (the

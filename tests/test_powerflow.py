@@ -201,9 +201,17 @@ def station(g=0.0206, b=-3.6028, a_loss=0.011, b_loss=0.003,
                             a_loss=a_loss, b_loss=b_loss, c_loss=c_loss)
 
 
+def series_terms(conv):
+    """Coupling-branch admittance and resistance of one station, as its
+    DC plan holds them."""
+    plan = dc_plan(make_dc_buses([conv.dc_bus]), [], [conv])
+    return plan.y_series[0], plan.r_series[0]
+
+
 def station_quantities(v_pcc, p_s, q_s, conv):
     """One station on its own, injecting what its AC side delivers."""
-    terms = powerflow._station_terms(v_pcc, p_s, q_s, conv)
+    terms = powerflow._station_terms(v_pcc, p_s, q_s, conv,
+                                     series_terms(conv)[0])
     p_c, _, p_loss, _, _ = terms
     return powerflow._converter_state(conv, p_s, q_s, terms, p_c - p_loss)
 
@@ -254,7 +262,8 @@ class TestConverterPrimitives:
         # of the type the coupled solve passes (a NumPy complex)
         conv = station(g=g, b=b, a_loss=losses[0], b_loss=losses[1],
                        c_loss=losses[2])
-        r_br = powerflow._series_resistance(conv)
+        y_ser, r_br = series_terms(conv)
+        assert r_br == (1.0 / complex(g, b)).real and y_ser == complex(g, b)
         v_pcc = np.complex128(vm * cmath.exp(1j * va))
         state = station_quantities(v_pcc, p_s, q_s, conv)
         # series conduction loss, then the station loss: what the AC side
@@ -286,19 +295,22 @@ class TestConverterPrimitives:
         # at nominal PCC voltage the scheduled DC power, the station model
         # and the PCC-power inversion agree on one net-DC-power expression
         conv = station()
+        r_br = series_terms(conv)[1]
         for p_s, q_s in ((-0.862, 0.0111), (0.968, -0.1237), (0.3, 0.4)):
-            p_dc = powerflow.derive_droop_schedule(conv, p_s, q_s)
+            p_dc = powerflow.derive_droop_schedule(conv, r_br, p_s, q_s)
             st = station_quantities(1.0 + 0j, p_s, q_s, conv)
             assert st.p_dc == pytest.approx(p_dc, abs=1e-12)
-            p_s_back = powerflow._solve_ps_for_pdc(1.0 + 0j, q_s, conv,
+            p_s_back = powerflow._solve_ps_for_pdc(1.0 + 0j, q_s, conv, r_br,
                                                    p_dc, 0.0)
             assert p_s_back == pytest.approx(p_s, abs=1e-12)
 
     def test_inversion_reports_unreachable_target(self):
         # with a quadratic loss coefficient of 1, at most about 0.24 p.u.
         # reaches the DC side at nominal PCC voltage
-        assert powerflow._solve_ps_for_pdc(1.0 + 0j, 0.0, station(c_loss=1.0),
-                                           0.9, 0.5) is None
+        conv = station(c_loss=1.0)
+        assert powerflow._solve_ps_for_pdc(1.0 + 0j, 0.0, conv,
+                                           series_terms(conv)[1], 0.9,
+                                           0.5) is None
 
     def test_capability_center(self, acdc_net, base_eval):
         assert capability_margin(acdc_net, base_eval.state, 0.0, 0.0) <= 0.0
@@ -581,8 +593,8 @@ def scheduled_dc_inputs(net):
     droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
     droop[rows] = [c.droop for c in net.converters]
     u0[rows] = [c.u_dc0 for c in net.converters]
-    p0[rows] = [powerflow.derive_droop_schedule(c, c.p_s, c.q_s)
-                for c in net.converters]
+    p0[rows] = [powerflow.derive_droop_schedule(c, r_br, c.p_s, c.q_s)
+                for c, r_br in zip(net.converters, net.plan.dc.r_series)]
     return droop, u0, p0
 
 

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from acdcopf import cli, opfcore, screen
+from acdcopf import cli, opfcore, powerflow, screen
 from acdcopf.netmodel import ControlSpace, apply_contingency
 from acdcopf.screen import (DROOP_WIDTH, SecurityIndexParams, classify,
                             composite_index, filter_contingencies,
@@ -16,7 +16,7 @@ from acdcopf.screen import (DROOP_WIDTH, SecurityIndexParams, classify,
 
 from conftest import training_set
 
-from oracles import lasso_fit_residual, lasso_kkt_violation
+from oracles import cold_exact_index, lasso_fit_residual, lasso_kkt_violation
 from oracles import lasso_objective as oracle_objective
 from oracles import lasso_subgradient_oracle
 
@@ -166,6 +166,47 @@ class TestTrainingSet:
         dc_cols = [i for i, k in enumerate(acdc_net.contingencies)
                    if k.kind == "dc_line"]
         assert np.all(train.x[:, dc_cols] == 0.0)
+
+
+class TestExactIndices:
+    """Training rows come from one base solve per sample and a warm
+    solve per outage variant (``screen.exact_indices``)."""
+
+    def test_agrees_with_cold_oracle(self, acdc_net, acdc_space):
+        # the first 4 control samples of ``train-screen --seed 1``
+        screening = cli.DEFAULT_CONFIG["screening"]
+        controls = screen.sample_controls(acdc_space, screening["samples"],
+                                          screening["width"], 1)[:4]
+        train = screen.build_training_set(acdc_net, controls)
+        exact, diverged = map(np.array, zip(*(
+            cold_exact_index(acdc_net, acdc_space, controls[si],
+                             acdc_net.contingency(kid))
+            for si, kid in zip(train.row_sample, train.row_outage))))
+        assert train.flagged.any()
+        assert np.array_equal(train.flagged, diverged)
+        assert np.abs(train.y - exact).max() <= 1e-6
+
+    def test_work_counts(self, acdc_net, monkeypatch):
+        calls = {"solve_acdc": 0, "warm": 0, "solve_ac": 0, "solve_dc": 0}
+
+        def counting(name):
+            solve = getattr(powerflow, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "solve_acdc":
+                    calls["warm"] += kwargs.get("warm") is not None
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_acdc", "solve_ac", "solve_dc"):
+            monkeypatch.setattr(powerflow, name, counting(name))
+        training_set(acdc_net, 3, seed=1)
+        # per sample one base solve and 17 outage solves warm from it; the
+        # outages keep the DC grid and the controls, so only the base
+        # solves the DC grid
+        assert calls == {"solve_acdc": 54, "warm": 51, "solve_ac": 105,
+                         "solve_dc": 3}
 
 
 class TestSampling:
