@@ -384,11 +384,12 @@ def cmd_powerflow(args) -> int:
 
 
 def _exact_errors(net: Network, space: ControlSpace, u: np.ndarray,
-                  ranked) -> list[tuple[float, float | None]]:
-    """Exact index at ``u`` of each ranked outage and the relative error of
+                  ranked, variants: dict) -> list[tuple[float, float | None]]:
+    """Exact index at ``u`` of each ranked outage (``variants``, the
+    :func:`screen.outage_variants` of ``net``) and the relative error of
     its prediction in percent (None when the flow diverged or the exact
     index is 0)."""
-    exact = screen.exact_indices(net, space, u, screen.outage_variants(net))
+    exact = screen.exact_indices(net, space, u, variants)
     return [(exact[k][0], None if exact[k][1]
              else screen.prediction_error(pred, exact[k][0]))
             for k, pred, _ in ranked]
@@ -412,7 +413,8 @@ def train_screening_model(net: Network, cfg: dict):
 
     controls = screen.sample_controls(space, n_samples,
                                       cfg["screening"]["width"], seed)
-    train = screen.build_training_set(net, controls)
+    variants = screen.outage_variants(net)
+    train = screen.build_training_set(net, controls, variants)
 
     rng = np.random.default_rng(seed + 1)
     n_hold = max(1, int(round(HOLDOUT_FRACTION * n_samples)))
@@ -459,7 +461,7 @@ def train_screening_model(net: Network, cfg: dict):
     ranked = screen.rank_contingencies(model, net, u0)
     table, table_errors, preds, exacts = [], [], [], []
     for (k, pred, cls), (exact, err) in zip(
-            ranked, _exact_errors(net, space, u0, ranked)):
+            ranked, _exact_errors(net, space, u0, ranked, variants)):
         table.append([k.label, pred, exact, err, cls])
         if err is not None and exact >= 0.05:
             table_errors.append(abs(err))
@@ -520,8 +522,8 @@ def cmd_rank(args) -> int:
     rows = [[k.label, _fmt(pred, 4), cls] for k, pred, cls in ranked]
     if args.exact:
         header += ["exact", "error_percent"]
-        for row, (exact, err) in zip(rows,
-                                     _exact_errors(net, space, u, ranked)):
+        for row, (exact, err) in zip(rows, _exact_errors(
+                net, space, u, ranked, screen.outage_variants(net))):
             row += [_fmt(exact, 4), _fmt_error(err)]
     write_csv(out / "rank.csv", header, rows, stamp)
     write_json(out / "rank.json", {

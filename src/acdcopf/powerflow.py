@@ -25,6 +25,13 @@ shunts and converter PCCs, and the DC conductance matrix with the DC rows
 that the converter modes fix.  No solve builds or repairs a plan, and
 :func:`solve_acdc` reads the network elements once per solve.
 
+Networks that differ only in their AC branches (the AC-outage variants
+of one network at one control point) can be solved as one stack
+(:func:`solve_acdc_stack`): each runs its own coupling loop, but the AC
+solves of an outer iteration are one Newton over all of them
+(:func:`solve_ac_stack`), with one stacked ``np.linalg.solve`` per step.
+Each system's state is bit-identical to its own :func:`solve_acdc`.
+
 The Jacobian is formed entry by entry over the sparsity pattern with
 MATPOWER's ``dSbus_dV`` element formulas (:func:`ds_dv`); it agrees with
 the dense ``diag(V) @ ...`` products to rounding (about 2e-16 relative),
@@ -45,6 +52,7 @@ any number of concurrent solves may share a read-only network.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -203,7 +211,8 @@ def ds_dv(br: BranchPlan, v: np.ndarray, i_bus: np.ndarray):
     """Bus power derivatives ``(dS/dVa, dS/dVm)`` at voltages ``v`` with
     ``i_bus = ybus @ v`` (MATPOWER's ``dSbus_dV``), at the entries of the
     admittance sparsity pattern (``br.pat_r``, ``br.pat_c``); every other
-    entry is zero."""
+    entry is zero.  ``v``, ``i_bus`` and ``br.pat_y`` may carry a trailing
+    system axis (:func:`solve_ac_stack`)."""
     n = len(v)                     # the diagonal entries come first
     v_r = v[br.pat_r]
     vn = v / np.abs(v)
@@ -220,10 +229,14 @@ def newton_jacobian(br: BranchPlan, ds_dva: np.ndarray,
                     ds_dvm: np.ndarray, size: int) -> np.ndarray:
     """The ``size x size`` AC Newton Jacobian (P at pvpq, then Q at pq,
     against the angles at pvpq, then the magnitudes at pq) from the
-    pattern values of :func:`ds_dv`."""
-    jac = np.zeros(size * size)
-    jac[br.jac_dst] = np.concatenate((ds_dva, ds_dvm)).view(float)[br.jac_src]
-    return jac.reshape(size, size)
+    pattern values of :func:`ds_dv`, with their trailing system axis."""
+    systems = ds_dva.shape[1:]
+    jac = np.zeros((size * size,) + systems)
+    # the float view of each system's stacked pattern values
+    values = np.ascontiguousarray(
+        np.concatenate((ds_dva, ds_dvm)).T).view(float).T
+    jac[br.jac_dst] = values[br.jac_src]
+    return jac.reshape((size, size) + systems)
 
 
 def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
@@ -290,6 +303,100 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
     return AcState(vm=vm, va=va, p_inj=s_calc.real, q_inj=s_calc.imag,
                    iterations=iterations, max_mismatch=max_mismatch,
                    converged=converged, singular=singular)
+
+
+def solve_ac_stack(nets: list[Network], pattern: BranchPlan,
+                   p_inj: np.ndarray, q_inj: np.ndarray,
+                   vm_setpoint: np.ndarray, *,
+                   vm0: np.ndarray | None = None,
+                   va0: np.ndarray | None = None) -> list[AcState]:
+    """:func:`solve_ac` of several systems at once, one Newton step of
+    all the systems still iterating per stacked ``np.linalg.solve``.
+
+    The systems share their buses (``plan.buses``), and the sparsity
+    pattern of ``pattern`` holds every entry of each one's admittance
+    matrix: the outage and tap variants of one network, with the case's
+    pattern.  ``p_inj``, ``vm0`` and ``va0`` carry a leading system
+    axis; ``q_inj`` and ``vm_setpoint`` may be shared.  Each system
+    stops by :func:`solve_ac`'s rules, and its state is bit-identical to
+    its own :func:`solve_ac`: its ``ybus @ v`` is its own product (a
+    stacked product rounds differently), and a stack holding a singular
+    Jacobian is solved system by system on that iteration.
+    """
+    bp = nets[0].plan.buses
+    pq, pvpq = bp.pq, bp.pvpq
+    ybus = [net.plan.branches.ybus for net in nets]
+    # each system's admittance values on the shared pattern (0 at the
+    # entries of a dropped branch)
+    pat_y = np.stack([y[pattern.pat_r, pattern.pat_c] for y in ybus], axis=1)
+    br = dataclasses.replace(pattern, pat_y=pat_y)
+    count, n = p_inj.shape
+
+    vm = np.ones((count, n)) if vm0 is None else vm0.astype(float)
+    va = np.zeros((count, n)) if va0 is None else va0.astype(float)
+    vm[:, bp.fixed] = vm_setpoint[..., bp.fixed]
+    va[:, bp.slack] = 0.0
+
+    spec = np.concatenate([p_inj[:, pvpq],
+                           np.broadcast_to(q_inj, p_inj.shape)[:, pq]], axis=1)
+    na, size = len(pvpq), spec.shape[1]
+    s_calc = np.zeros((count, n), dtype=complex)
+    max_mismatch = np.full(count, math.inf)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    singular = np.zeros(count, dtype=bool)
+    run = np.arange(count)         # the systems still iterating
+
+    for it in range(MAX_NR + 1):
+        v = vm[run] * np.exp(1j * va[run])
+        i_bus = np.stack([ybus[s] @ v_s for s, v_s in zip(run.tolist(), v)])
+        s_run = v * np.conj(i_bus)
+        mis = spec[run] - s_run.view(float)[:, bp.mis_index]
+        mism = np.abs(mis).max(axis=1) if size else np.zeros(len(run))
+        done = mism <= TOL_AC
+        converged[run[done]] = True
+        # diverging: the mismatch grew after the first step
+        stop = done | (it == MAX_NR) | ((it >= 2) & (mism > max_mismatch[run]))
+        s_calc[run], max_mismatch[run], iterations[run] = s_run, mism, it
+        keep = ~stop
+        run, v, i_bus, mis = run[keep], v[keep], i_bus[keep], mis[keep]
+        if not run.size:
+            break
+
+        if len(run) != br.pat_y.shape[1]:  # the run only ever shrinks
+            br = dataclasses.replace(pattern, pat_y=pat_y[:, run])
+        # the Jacobian formulas take the system axis last
+        jac = newton_jacobian(br, *ds_dv(br, v.T, i_bus.T),
+                              size).transpose(2, 0, 1)
+        try:
+            dx = np.linalg.solve(jac, mis[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            dx = np.zeros_like(mis)
+            solved = np.ones(len(run), dtype=bool)
+            for i in range(len(run)):
+                try:
+                    dx[i] = np.linalg.solve(jac[i], mis[i])
+                except np.linalg.LinAlgError:
+                    solved[i] = False
+            singular[run[~solved]] = True
+            run, dx = run[solved], dx[solved]
+        va[np.ix_(run, pvpq)] += dx[:, :na]
+        vm[np.ix_(run, pq)] += dx[:, na:]
+        vm_run = vm[run]
+        bad = ~((vm_run > 0.0) & (vm_run < math.inf)).all(axis=1)
+        for s in run[bad].tolist():
+            # the only exit after the step: the injections are recomputed
+            v_s = vm[s] * np.exp(1j * va[s])
+            s_calc[s] = v_s * np.conj(ybus[s] @ v_s)
+        run = run[~bad]
+        if not run.size:
+            break
+
+    return [AcState(vm=vm[s].copy(), va=va[s].copy(), p_inj=s_calc[s].real,
+                    q_inj=s_calc[s].imag, iterations=int(iterations[s]),
+                    max_mismatch=float(max_mismatch[s]),
+                    converged=bool(converged[s]), singular=bool(singular[s]))
+            for s in range(count)]
 
 
 def branch_flows(net: Network, vm: np.ndarray,
@@ -432,109 +539,198 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     plus ``failure_stage`` in {"ac", "dc", "coupling"}; "coupling" also
     covers a station whose model cannot deliver the DC-side power.
     """
-    convs = net.converters
-    pcc = net.plan.buses.pcc_rows
-    dcp = net.plan.dc
-    rows, r_ser, y_ser = dcp.conv_rows, dcp.r_series, dcp.y_series
-    p_load, q_inj, vm_set = assemble_ac_inputs(net)
-    p_s_act = np.array([c.p_s for c in convs], dtype=float)
-    q_s = np.array([c.q_s for c in convs], dtype=float)
-    q_inj[pcc] -= q_s
-    # one entry per DC bus; a const_p station's p0 is set per iteration
-    droop, u0, p0 = (np.zeros(len(net.dc_buses)) for _ in range(3))
-    droop[rows] = [c.droop for c in convs]
-    u0[rows] = [c.u_dc0 for c in convs]
-    p0[rows] = [derive_droop_schedule(c, r_ser[j], c.p_s, c.q_s)
-                for j, c in enumerate(convs)]
+    loop = _Coupling(net, warm)
+    while loop.outer < MAX_OUTER:
+        loop.outer += 1
+        ac = solve_ac(net, loop.p_inj(), loop.q_inj, loop.vm_set,
+                      vm0=loop.vm0, va0=loop.va0)
+        if loop.step(ac, trace):
+            break
+    return loop.state()
 
-    vm0, va0 = (warm.ac.vm, warm.ac.va) if warm is not None else (None, None)
-    # the last DC solution: the start of the next DC solve, or that solve
-    # itself when the inputs are unchanged
-    solved = warm.dc if warm is not None else None
-    if (warm is not None and warm.converged
-            and [cs.name for cs in warm.converters] == [c.name for c in convs]):
-        for j, c in enumerate(convs):
-            if c.mode != "const_p":
-                p_s_act[j] = warm.converters[j].p_s
 
-    ac = None
-    dc = None
-    terms: list[tuple] = []        # _station_terms of each station
-    p_dc_ac: list[float] = []      # the DC power each AC side delivers
-    p_dc_dc: list[float] = []      # and the DC injection at its DC bus
-    outer = 0
-    failure = ""
-    converged = False
+def solve_acdc_stack(nets: list[Network], pattern: BranchPlan, *,
+                     warm: SystemState | None = None) -> list[SystemState]:
+    """:func:`solve_acdc` of each of ``nets``, all warm from ``warm``,
+    with the AC solves of every outer iteration stacked
+    (:func:`solve_ac_stack`).
 
-    while outer < MAX_OUTER:
-        outer += 1
-        p_inj = p_load.copy()
-        p_inj[pcc] -= p_s_act
-        ac = solve_ac(net, p_inj, q_inj, vm_set, vm0=vm0, va0=va0)
+    The networks differ only in their AC branches: they share their
+    generators, shunts, converters, bus plan and DC plan, and
+    ``pattern`` holds every entry of each one's admittance matrix (the
+    AC-outage variants of one network at one control point, with that
+    network's branch plan).  Each state is bit-identical to
+    ``solve_acdc(net, warm=warm)``.
+    """
+    first = _Coupling(nets[0], warm)
+    shared = (first.net.generators, first.net.shunts, first.convs,
+              first.net.plan.buses, first.dcp)
+    for net in nets:
+        if any(a is not b for a, b in zip(
+                (net.generators, net.shunts, net.converters, net.plan.buses,
+                 net.plan.dc), shared)):
+            raise ValueError("stacked networks must differ only in their "
+                             "AC branches")
+    if first.solved is not None and first.solved.iterations:
+        # a DC state seeds a DC solve by its voltages alone, and stands
+        # for a solve it makes unnecessary with 0 iterations
+        first.solved = dataclasses.replace(first.solved, iterations=0)
+    loops = [first] + [first.fork(net) for net in nets[1:]]
+    run = loops
+    while run:
+        for loop in run:
+            loop.outer += 1
+        vm0 = va0 = None
+        if run[0].vm0 is not None:     # warm, or after the first iteration
+            vm0 = np.stack([loop.vm0 for loop in run])
+            va0 = np.stack([loop.va0 for loop in run])
+        acs = solve_ac_stack([loop.net for loop in run], pattern,
+                             np.stack([loop.p_inj() for loop in run]),
+                             first.q_inj, first.vm_set, vm0=vm0, va0=va0)
+        run = [loop for loop, ac in zip(run, acs)
+               if not loop.step(ac) and loop.outer < MAX_OUTER]
+    return [loop.state() for loop in loops]
+
+
+class _Coupling:
+    """One coupled solve around its AC solves: the specified AC
+    injections and the DC inputs, then per outer iteration the station
+    terms, the DC solve, the coupling residual and the back-substituted
+    PCC powers (:meth:`step`), and the final state (:meth:`state`).
+    :func:`solve_acdc` runs one and :func:`solve_acdc_stack` one per
+    network."""
+
+    def __init__(self, net: Network, warm: SystemState | None):
+        convs = net.converters
+        dcp = net.plan.dc
+        self.net, self.convs, self.dcp = net, convs, dcp
+        self.pcc = net.plan.buses.pcc_rows
+        self.p_load, self.q_inj, self.vm_set = assemble_ac_inputs(net)
+        self.p_s = np.array([c.p_s for c in convs], dtype=float)
+        self.q_s = np.array([c.q_s for c in convs], dtype=float)
+        self.q_inj[self.pcc] -= self.q_s
+        # one entry per DC bus; a const_p station's p0 is set per iteration
+        rows = dcp.conv_rows
+        self.droop, self.u0, self.p0 = (np.zeros(len(net.dc_buses))
+                                        for _ in range(3))
+        self.droop[rows] = [c.droop for c in convs]
+        self.u0[rows] = [c.u_dc0 for c in convs]
+        self.p0[rows] = [derive_droop_schedule(c, dcp.r_series[j], c.p_s,
+                                               c.q_s)
+                         for j, c in enumerate(convs)]
+
+        self.vm0, self.va0 = ((warm.ac.vm, warm.ac.va) if warm is not None
+                              else (None, None))
+        # the last DC solution: the start of the next DC solve, or that
+        # solve itself when the inputs are unchanged
+        self.solved = warm.dc if warm is not None else None
+        if (warm is not None and warm.converged
+                and [cs.name for cs in warm.converters]
+                == [c.name for c in convs]):
+            for j, c in enumerate(convs):
+                if c.mode != "const_p":
+                    self.p_s[j] = warm.converters[j].p_s
+
+        self.ac: AcState | None = None
+        self.dc: DcState | None = None
+        self.terms: list[tuple] = []    # _station_terms of each station
+        self.p_dc_ac: list[float] = []  # the DC power each AC side delivers
+        self.p_dc_dc: list[float] = []  # and the DC injection at its DC bus
+        self.outer = 0
+        self.failure = ""
+        self.converged = False
+
+    def fork(self, net: Network) -> "_Coupling":
+        """The same solve, before its first iteration, of ``net``, which
+        differs from this network only in its AC branches."""
+        loop = copy.copy(self)
+        loop.net, loop.p_s, loop.p0 = net, self.p_s.copy(), self.p0.copy()
+        return loop
+
+    def p_inj(self) -> np.ndarray:
+        """Specified active injections at the current PCC powers."""
+        p_inj = self.p_load.copy()
+        p_inj[self.pcc] -= self.p_s
+        return p_inj
+
+    def step(self, ac: AcState, trace: list | None = None) -> bool:
+        """Take the AC state ``ac`` of this outer iteration; True when the
+        solve has ended."""
+        self.ac = ac
         if not ac.converged:
-            failure = "ac"
-            break
-        vm0, va0 = ac.vm, ac.va
-
+            self.failure = "ac"
+            return True
+        self.vm0, self.va0 = ac.vm, ac.va
+        convs, dcp = self.convs, self.dcp
         if not convs:
-            converged = True
-            break
+            self.converged = True
+            return True
 
-        v_pcc = ac.vm[pcc] * np.exp(1j * ac.va[pcc])
-        terms = [_station_terms(v_pcc[j], p_s_act[j], q_s[j], c, y_ser[j])
-                 for j, c in enumerate(convs)]
-        p_dc_ac = [p_c - p_loss for p_c, _, p_loss, _, _ in terms]
+        rows, y_ser = dcp.conv_rows, dcp.y_series
+        p_s, q_s, p0 = self.p_s, self.q_s, self.p0
+        v_pcc = ac.vm[self.pcc] * np.exp(1j * ac.va[self.pcc])
+        self.terms = [_station_terms(v_pcc[j], p_s[j], q_s[j], c, y_ser[j])
+                      for j, c in enumerate(convs)]
+        self.p_dc_ac = [p_c - p_loss for p_c, _, p_loss, _, _ in self.terms]
 
         # a const_p station injects what its AC side delivers
         for j in dcp.const_p:
-            p0[rows[j]] = p_dc_ac[j]
-        if _solves(solved, dcp, droop, u0, p0):
+            p0[rows[j]] = self.p_dc_ac[j]
+        solved = self.solved
+        if _solves(solved, dcp, self.droop, self.u0, p0):
             if solved.iterations:
                 solved = dataclasses.replace(solved, iterations=0)
             dc = solved
         else:
-            dc = solve_dc(dcp, droop, u0, p0,
+            dc = solve_dc(dcp, self.droop, self.u0, p0,
                           u_start=None if solved is None else solved.u)
+        self.dc = dc
         if not dc.converged:
-            failure = "dc"
-            break
-        solved = dc
+            self.failure = "dc"
+            return True
+        self.solved = dc
 
         # coupling residual: AC-side delivery vs DC-side absorption
-        p_dc_dc = dc.p_inj[rows].tolist()
-        residual = max(abs(p - q) for p, q in zip(p_dc_ac, p_dc_dc))
+        self.p_dc_dc = dc.p_inj[rows].tolist()
+        residual = max(abs(p - q) for p, q in zip(self.p_dc_ac, self.p_dc_dc))
         if trace is not None:
-            trace.append((outer, ac.iterations, dc.iterations, residual))
+            trace.append((self.outer, ac.iterations, dc.iterations, residual))
         if residual <= TOL_COUPLE:
-            converged = True
-            break
+            self.converged = True
+            return True
 
         # back-substitute the DC solution into the AC-side schedules
-        p_s_new = [p_s_act[j] if c.mode == "const_p"
-                   else _solve_ps_for_pdc(v_pcc[j], q_s[j], c, r_ser[j],
-                                          p_dc_dc[j], p_s_act[j])
+        p_s_new = [p_s[j] if c.mode == "const_p"
+                   else _solve_ps_for_pdc(v_pcc[j], q_s[j], c,
+                                          dcp.r_series[j], self.p_dc_dc[j],
+                                          p_s[j])
                    for j, c in enumerate(convs)]
         if None in p_s_new:            # a station cannot deliver its target
-            break
-        p_s_act[:] = p_s_new
-    if not converged and not failure:
-        failure = "coupling"
+            return True
+        p_s[:] = p_s_new
+        return False
 
-    conv_states: list[ConverterState] = []
-    if ac.converged and terms:
-        dc_side = dc is not None and dc.converged
-        conv_states = [_converter_state(
-            c, p_s_act[j], q_s[j], terms[j],
-            p_dc_dc[j] if dc_side and c.mode != "const_p"
-            else p_dc_ac[j]) for j, c in enumerate(convs)]
+    def state(self) -> SystemState:
+        """The solved state after the last :meth:`step`."""
+        ac, dc, convs = self.ac, self.dc, self.convs
+        failure = self.failure
+        if not self.converged and not failure:
+            failure = "coupling"
+        conv_states: list[ConverterState] = []
+        if ac.converged and self.terms:
+            dc_side = dc is not None and dc.converged
+            conv_states = [_converter_state(
+                c, self.p_s[j], self.q_s[j], self.terms[j],
+                self.p_dc_dc[j] if dc_side and c.mode != "const_p"
+                else self.p_dc_ac[j]) for j, c in enumerate(convs)]
 
-    ac.p_branch, ac.q_branch = branch_flows(net, ac.vm, ac.va)
-    state = SystemState(ac=ac, dc=dc, converters=conv_states,
-                        outer_iterations=outer, converged=converged,
-                        failure_stage=failure)
-    if converged:
-        _fill_generator_outputs(net, state, p_s_act, q_s)
-    return state
+        ac.p_branch, ac.q_branch = branch_flows(self.net, ac.vm, ac.va)
+        state = SystemState(ac=ac, dc=dc, converters=conv_states,
+                            outer_iterations=self.outer,
+                            converged=self.converged, failure_stage=failure)
+        if self.converged:
+            _fill_generator_outputs(self.net, state, self.p_s, self.q_s)
+        return state
 
 
 def _fill_generator_outputs(net: Network, state: SystemState,

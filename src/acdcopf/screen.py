@@ -19,6 +19,7 @@ error table share :func:`exact_indices`, and the last two
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -107,6 +108,24 @@ def outage_variants(net: Network) -> dict[Contingency, tuple]:
             for k, net_k in nets.items()}
 
 
+def variants_at(net_u: Network, space: ControlSpace, u: np.ndarray,
+                variants: dict) -> list[Network]:
+    """The :func:`outage_variants` at the snapped controls ``u``, which
+    ``net_u`` carries (``opfcore.apply_controls(net, space, u)``): that
+    network with each outage's branches, at the taps of ``u``.  Equal to
+    ``apply_controls(net_k, space, u)`` of each variant, but sharing the
+    other elements of ``net_u``, as :func:`powerflow.solve_acdc_stack`
+    requires."""
+    taps = {c.key: value for c, value in zip(space.components, u.tolist())
+            if c.kind == "tap"}
+    nets = []
+    for net_k, _ in variants.values():
+        outage = copy.copy(net_u)
+        outage.branches, outage.plan = net_k.branches, net_k.plan
+        nets.append(opfcore.apply_taps(outage, taps))
+    return nets
+
+
 def exact_indices(net: Network, space: ControlSpace, u: np.ndarray,
                   variants: dict) -> dict[Contingency, tuple[float, bool]]:
     """Exact composite index at ``u`` of each of the
@@ -114,18 +133,20 @@ def exact_indices(net: Network, space: ControlSpace, u: np.ndarray,
 
     As a corrective check solves its first probe: one coupled solve of
     ``net`` at ``u``, then each variant warm-started from that base state
-    (cold when the base does not converge).  Only the solved states are
-    read: no objectives and no constraint report.
+    (cold when the base does not converge).  The controls are applied
+    once (:func:`variants_at`), and the variants are solved as one stack
+    (:func:`powerflow.solve_acdc_stack`), each bit-identical to its own
+    ``solve_acdc``.  Only the solved states are read: no objectives and
+    no constraint report.
     """
     u = space.snap(u)
-    base = powerflow.solve_acdc(opfcore.apply_controls(net, space, u))
-    warm = base if base.converged else None
-    out = {}
-    for k, (net_k, params) in variants.items():
-        state = powerflow.solve_acdc(opfcore.apply_controls(net_k, space, u),
-                                     warm=warm)
-        out[k] = composite_index(state, params), not state.converged
-    return out
+    net_u = opfcore.apply_controls(net, space, u)
+    base = powerflow.solve_acdc(net_u)
+    states = powerflow.solve_acdc_stack(
+        variants_at(net_u, space, u, variants), net_u.plan.branches,
+        warm=base if base.converged else None)
+    return {k: (composite_index(state, params), not state.converged)
+            for (k, (_, params)), state in zip(variants.items(), states)}
 
 
 def classify(pi_value: float) -> str:
@@ -227,8 +248,10 @@ def encode_row(net: Network, u: np.ndarray, outage_id: str) -> np.ndarray:
     return np.concatenate([one_hot, u])
 
 
-def build_training_set(net: Network, controls: np.ndarray) -> TrainingSet:
-    """Simulate every AC-line outage at each control point (row) of
+def build_training_set(net: Network, controls: np.ndarray,
+                       variants: dict) -> TrainingSet:
+    """Simulate every AC-line outage (``variants``, the
+    :func:`outage_variants` of ``net``) at each control point (row) of
     ``controls``.
 
     Each row pairs an outage one-hot with the control vector; the
@@ -237,7 +260,6 @@ def build_training_set(net: Network, controls: np.ndarray) -> TrainingSet:
     are flagged).
     """
     space = ControlSpace(net)
-    variants = outage_variants(net)
     rows = [(si, k.branch_id, *index) for si, u in enumerate(controls)
             for k, index in exact_indices(net, space, u, variants).items()]
     samples, outages, y, flagged = map(np.array, zip(*rows))

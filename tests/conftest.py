@@ -54,7 +54,8 @@ def training_set(net, n_samples, seed,
     """Training rows at ``n_samples`` points of the Latin-hypercube box."""
     controls = screen.sample_controls(ControlSpace(net), n_samples, width,
                                       seed)
-    return screen.build_training_set(net, controls)
+    return screen.build_training_set(net, controls,
+                                     screen.outage_variants(net))
 
 
 @pytest.fixture(scope="session")

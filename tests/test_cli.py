@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,9 +197,9 @@ def test_holdout_spearman_skips_diverged_rows(monkeypatch):
     built = []
 
     def training(value, samples):
-        def flagged_holdout(net, controls):
+        def flagged_holdout(net, controls, variants):
             if not built:
-                built.append(build(net, controls))
+                built.append(build(net, controls, variants))
             train = built[0]
             # three outages diverge at every held-out control sample
             outages = sorted(set(train.row_outage))[:3]
@@ -234,9 +235,9 @@ def test_holdout_recall_recomputed(monkeypatch):
     seen = []
     build = screen.build_training_set
 
-    def capture(net, controls):
+    def capture(net, controls, variants):
         seen.append(controls)
-        return build(net, controls)
+        return build(net, controls, variants)
 
     monkeypatch.setattr(screen, "build_training_set", capture)
     model, validation, _, train = cli.train_screening_model(net, cfg)
@@ -646,6 +647,28 @@ class TestOptimizeAndDecideCmd:
                            "9b8685e9e16cac59d82ecf4165779afc",
             "bcs.json": "f5d85b45c0b052d9c8c766374cb124ad"
                         "57110189e6823385468cf4b0b5145adf"}
+
+    def test_train_screen_artifacts_pinned(self, tmp_path):
+        # tripwire for the training arithmetic, which the screened digests
+        # above see only through the optimizer: the model and validation
+        # of ``train-screen --seed 1 --samples 30``, with the wall-clock
+        # ``train_seconds`` masked.  They hold for the NumPy/LAPACK build
+        # they were taken with
+        assert run_cli("train-screen", "--case", "bundled:case14_acdc",
+                       "--seed", "1", "--samples", "30",
+                       "--out", str(tmp_path)) == 0
+        model = (tmp_path / "screening_model.json").read_bytes()
+        validation = re.sub(
+            rb'"train_seconds": [^,\n]+', b'"train_seconds": 0',
+            (tmp_path / "screen_validation.json").read_bytes())
+        digests = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in (("screening_model.json", model),
+                                      ("screen_validation.json", validation))}
+        assert digests == {
+            "screening_model.json": "55d6815e3032d5ab66f076e056731870"
+                                    "55de39fa3b4a062698dac8c9024d4796",
+            "screen_validation.json": "c043f2411e5d857bdbfed6cfe5accf34"
+                                      "0342a114e99e2d494e6bff44b1f28975"}
 
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),

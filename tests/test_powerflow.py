@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acdcopf import opfcore, powerflow
+from acdcopf import cli, opfcore, powerflow, screen
 from acdcopf.netmodel import (ConverterStation, apply_contingency,
-                              branch_admittance, dc_plan, network_from_dict)
+                              branch_admittance, branch_values, dc_plan,
+                              network_from_dict)
 from acdcopf.powerflow import (TOL_COUPLE, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
@@ -686,3 +687,109 @@ class TestDcReuse:
         assert [state_digest(cold.state), state_digest(warm.state)] == [
             "9ef5684e2826a6182cc5eb764072df66c69c592bfc632a5a28165caf2305694e",
             "fac8966a0ad685aa76a586bc89c44e011400317aa401ba013ddc61a07ee75d48"]
+
+
+def assert_same_ac(stacked, single, arrays=("vm", "va", "p_inj", "q_inj")):
+    """Two AC solves reached the same state, bit for bit."""
+    for key in ("iterations", "converged", "singular", "max_mismatch"):
+        assert getattr(stacked, key) == getattr(single, key), key
+    for key in arrays:
+        assert (getattr(stacked, key).tobytes()
+                == getattr(single, key).tobytes()), key
+
+
+def assert_same_state(stacked, single):
+    """Two coupled solves reached the same state, bit for bit."""
+    for key in ("converged", "failure_stage", "outer_iterations"):
+        assert getattr(stacked, key) == getattr(single, key), key
+    assert_same_ac(stacked.ac, single.ac, ("vm", "va", "p_inj", "q_inj",
+                                           "p_branch", "q_branch"))
+    if single.converged:
+        assert state_digest(stacked) == state_digest(single)
+
+
+class TestStack:
+    """The stacked solves of one network's outage variants
+    (``solve_acdc_stack``, ``solve_ac_stack``) against the single path,
+    system by system."""
+
+    @staticmethod
+    def outage_states(net, space, u, warm):
+        """Stacked and single-path states of every AC outage of ``net``
+        at ``u``, warm from the base solve or cold; the number of
+        diverged outages."""
+        variants = screen.outage_variants(net)
+        u = space.snap(u)
+        net_u = opfcore.apply_controls(net, space, u)
+        base = solve_acdc(net_u) if warm else None
+        start = base if base is not None and base.converged else None
+        stacked = powerflow.solve_acdc_stack(
+            screen.variants_at(net_u, space, u, variants),
+            net_u.plan.branches, warm=start)
+        single = [solve_acdc(opfcore.apply_controls(net_k, space, u),
+                             warm=start) for net_k, _ in variants.values()]
+        for a, b in zip(stacked, single, strict=True):
+            assert_same_state(a, b)
+        return sum(not state.converged for state in single)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_training_samples(self, acdc_net, acdc_space, seed):
+        # every outage at the 30 samples of ``train-screen --seed <seed>
+        # --samples 30``, warm as in training and cold
+        width = cli.DEFAULT_CONFIG["screening"]["width"]
+        diverged = sum(
+            self.outage_states(acdc_net, acdc_space, u, warm)
+            for u in screen.sample_controls(acdc_space, 30, width, seed)
+            for warm in (True, False))
+        assert diverged > 0
+
+    def test_mixed_modes(self):
+        # a const_vdc and a const_p station: a DC solve per system in
+        # every outer iteration
+        net, space = case_variant("mixed_modes")
+        points = [space.default_vector(),
+                  *screen.sample_controls(space, 12, 0.05, 4)]
+        converged = sum(
+            len(net.contingencies)
+            - self.outage_states(net, space, u, warm)
+            for u in points for warm in (True, False))
+        assert converged > 100
+
+    def test_failing_systems_stop_alone(self, acdc_net):
+        # in one stack: a system whose mismatch grows, one whose step
+        # leaves a non-positive magnitude, one with a singular Jacobian
+        # (bus 14 cut off by zero admittances) and two that converge
+        p, q, vm = ac_inputs(acdc_net)
+        cut = [dataclasses.replace(br, g=0.0, b=0.0, b_charge=0.0)
+               if 14 in (br.from_bus, br.to_bus) else br
+               for br in acdc_net.branches]
+        isolated = copy.copy(acdc_net)
+        isolated.branches = cut
+        bp = acdc_net.plan.branches
+        isolated.plan = dataclasses.replace(
+            acdc_net.plan, branches=dataclasses.replace(bp, **branch_values(
+                cut, bp.f, bp.t, bp.pat_r, bp.pat_c, acdc_net.n_bus)))
+        systems = [(acdc_net, p, q), (acdc_net, 3 * p, 3 * q),
+                   (acdc_net, 4 * p, 4 * q), (isolated, p, q),
+                   (acdc_net, p, 10 * q)]
+        nets, ps, qs = zip(*systems)
+        stacked = powerflow.solve_ac_stack(list(nets), bp, np.stack(ps),
+                                           np.stack(qs), vm)
+        single = [solve_ac(net, p_s, q_s, vm) for net, p_s, q_s in systems]
+        for a, b in zip(stacked, single, strict=True):
+            assert_same_ac(a, b)
+        converged, grown, negative, singular, loaded = single
+        assert converged.converged and loaded.converged
+        assert not grown.converged and grown.iterations < powerflow.MAX_NR
+        assert grown.vm.min() > 0.0
+        assert not negative.converged and negative.vm.min() <= 0.0
+        assert singular.singular
+
+    def test_networks_must_share_all_but_branches(self, acdc_net,
+                                                  acdc_space):
+        other = opfcore.apply_controls(
+            acdc_net, acdc_space, TestDcReuse.moved(
+                acdc_space, acdc_space.default_vector(), "P_G:bus2"))
+        with pytest.raises(ValueError, match="AC branches"):
+            powerflow.solve_acdc_stack([acdc_net, other],
+                                       acdc_net.plan.branches)

@@ -177,7 +177,8 @@ class TestExactIndices:
         screening = cli.DEFAULT_CONFIG["screening"]
         controls = screen.sample_controls(acdc_space, screening["samples"],
                                           screening["width"], 1)[:4]
-        train = screen.build_training_set(acdc_net, controls)
+        train = screen.build_training_set(
+            acdc_net, controls, screen.outage_variants(acdc_net))
         exact, diverged = map(np.array, zip(*(
             cold_exact_index(acdc_net, acdc_space, controls[si],
                              acdc_net.contingency(kid))
@@ -187,25 +188,33 @@ class TestExactIndices:
         assert np.abs(train.y - exact).max() <= 1e-6
 
     def test_work_counts(self, acdc_net, monkeypatch):
-        calls = {"solve_acdc": 0, "warm": 0, "solve_ac": 0, "solve_dc": 0}
+        calls = dict.fromkeys(("solve_acdc", "solve_acdc_stack", "warm",
+                               "solve_ac", "solve_ac_stack", "stacked",
+                               "solve_dc"), 0)
 
         def counting(name):
             solve = getattr(powerflow, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "solve_acdc":
-                    calls["warm"] += kwargs.get("warm") is not None
+                if name == "solve_acdc_stack":
+                    calls["warm"] += (kwargs["warm"] is not None) * len(args[0])
+                if name == "solve_ac_stack":
+                    calls["stacked"] += len(args[0])
                 return solve(*args, **kwargs)
             return wrapper
 
-        for name in ("solve_acdc", "solve_ac", "solve_dc"):
+        for name in ("solve_acdc", "solve_acdc_stack", "solve_ac",
+                     "solve_ac_stack", "solve_dc"):
             monkeypatch.setattr(powerflow, name, counting(name))
         training_set(acdc_net, 3, seed=1)
-        # per sample one base solve and 17 outage solves warm from it; the
-        # outages keep the DC grid and the controls, so only the base
-        # solves the DC grid
-        assert calls == {"solve_acdc": 54, "warm": 51, "solve_ac": 105,
+        # per sample one base solve and one stack of its 17 outages warm
+        # from it; the outages keep the DC grid and the controls, so only
+        # the base solves the DC grid.  The stacks make the 96 outage AC
+        # solves that 51 separate coupled solves made, in one stacked AC
+        # solve per outer iteration
+        assert calls == {"solve_acdc": 3, "solve_acdc_stack": 3, "warm": 51,
+                         "solve_ac": 9, "solve_ac_stack": 6, "stacked": 96,
                          "solve_dc": 3}
 
 
