@@ -320,7 +320,7 @@ def solve_ac_stack(nets: list[Network], pattern: BranchPlan,
     axis; ``q_inj`` and ``vm_setpoint`` may be shared.  Each system
     stops by :func:`solve_ac`'s rules, and its state is bit-identical to
     its own :func:`solve_ac`: its ``ybus @ v`` is its own product (a
-    stacked product rounds differently), and a stack holding a singular
+    stacked product may round differently), and a stack holding a singular
     Jacobian is solved system by system on that iteration.
     """
     bp = nets[0].plan.buses

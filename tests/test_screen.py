@@ -197,8 +197,8 @@ class TestExactIndices:
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "solve_acdc_stack":
-                    calls["warm"] += (kwargs["warm"] is not None) * len(args[0])
+                if name == "solve_acdc_stack" and kwargs["warm"] is not None:
+                    calls["warm"] += len(args[0])
                 if name == "solve_ac_stack":
                     calls["stacked"] += len(args[0])
                 return solve(*args, **kwargs)
