@@ -35,7 +35,7 @@ import numpy as np
 
 from . import decide, evo, opfcore, screen
 from .netmodel import (CaseError, ControlSpace, Network, bundled_case_path,
-                       load_case)
+                       finite_numbers, load_case)
 from .run import CorrectiveConfig, OpfProblem
 
 log = logging.getLogger(__name__)
@@ -157,8 +157,7 @@ def load_config(path: str | None, flags: dict) -> dict:
     for where, value in flags.items():
         _set(cfg, where, value, "command line")
     weights = cfg["decision"]["weights"]
-    if len(weights) != 2 or not all(type(w) in (int, float) and w > 0
-                                    and math.isfinite(w) for w in weights):
+    if not (finite_numbers(weights, 2) and min(weights) > 0):
         raise CliError(f"decision.weights must be two finite positive "
                        f"numbers, not {weights!r}", EXIT_VALIDATION)
     return cfg
@@ -247,9 +246,7 @@ def load_control_overrides(space: ControlSpace,
         if name not in space.index:
             raise CliError(f"unknown control component {name!r}",
                            EXIT_VALIDATION)
-        # a bool is not taken as a number; NaN fails the comparison
-        if (type(value) not in (int, float)
-                or not abs(value) <= sys.float_info.max):
+        if not finite_numbers([value], 1):
             raise CliError(f"control {name} must be a finite number, "
                            f"not {value!r}", EXIT_VALIDATION)
         u[space.index[name]] = value
@@ -481,7 +478,7 @@ def cmd_train_screen(args) -> int:
 
     started = time.perf_counter()
     model, validation, table, train = train_screening_model(net, cfg)
-    validation["train_seconds"] = round(time.perf_counter() - started, 3)
+    train_seconds = time.perf_counter() - started
 
     model_path = out / "screening_model.json"
     model.save(model_path)
@@ -500,7 +497,8 @@ def cmd_train_screen(args) -> int:
     print(f"model written to {model_path} (lambda={model.lam:.6g}, "
           f"max holdout |err|="
           f"{validation['max_abs_error_percent']:.3f}%, holdout recall="
-          f"{'n/a' if recall is None else format(recall, '.3f')})")
+          f"{'n/a' if recall is None else format(recall, '.3f')}, "
+          f"trained in {train_seconds:.3f} s)")
     return EXIT_OK
 
 
@@ -647,14 +645,31 @@ def cmd_decide(args) -> int:
         raise CliError(f"archive file not found: {args.archive}", EXIT_IO)
     except json.JSONDecodeError as exc:
         raise CliError(f"archive is not valid JSON: {exc}", EXIT_VALIDATION)
-    if not isinstance(doc, dict) or "control_names" not in doc:
+    names = doc.get("control_names") if isinstance(doc, dict) else None
+    if not isinstance(names, list):
         raise CliError("archive lists no control_names; write it again "
                        "with optimize", EXIT_VALIDATION)
     members = doc.get("members", [])
     if not members:
         raise CliError("archive holds no members", EXIT_INFEASIBLE)
+    for i, m in enumerate(members):
+        # the first field that optimize could not have written
+        m = m if isinstance(m, dict) else {}
+        cstar = m.get("cstar")
+        for key, valid, what in (
+                ("id", type(m.get("id")) is int, "an int"),
+                ("f1", finite_numbers([m.get("f1")], 1), "a finite number"),
+                ("f2", finite_numbers([m.get("f2")], 1), "a finite number"),
+                ("genome", finite_numbers(m.get("genome"), len(names)),
+                 f"a list of {len(names)} finite numbers"),
+                ("cstar", isinstance(cstar, list)
+                 and all(isinstance(c, str) for c in cstar),
+                 "a list of strings")):
+            if not valid:
+                raise CliError(f"archive member {i}: {key} must be {what}, "
+                               f"not {m.get(key)!r}", EXIT_VALIDATION)
     out = _ensure_outdir(cfg)
-    payload = _write_decision(members, doc["control_names"], cfg, stamp, out)
+    payload = _write_decision(members, names, cfg, stamp, out)
     for entry in payload:
         print(f"cluster {entry['cluster']}: f1={entry['f1']:.2f} "
               f"f2={entry['f2']:.6f} d={entry['d']:.4f}")

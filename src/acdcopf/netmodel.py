@@ -47,6 +47,7 @@ import itertools
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -531,6 +532,14 @@ def _require_finite(fields: dict, name: str) -> None:
         for v in value if isinstance(value, list) else (value,):
             _require(not isinstance(v, float) or math.isfinite(v),
                      f"{name}: {key} is not finite ({v})")
+
+
+def finite_numbers(values, size: int) -> bool:
+    """Whether ``values`` is a list of ``size`` finite numbers; a bool is
+    not taken as a number, and NaN fails the comparison."""
+    return (isinstance(values, list) and len(values) == size
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in values))
 
 
 def _near_multiple(span: float, step: float) -> bool:

@@ -25,12 +25,12 @@ shunts and converter PCCs, and the DC conductance matrix with the DC rows
 that the converter modes fix.  No solve builds or repairs a plan, and
 :func:`solve_acdc` reads the network elements once per solve.
 
-Networks that differ only in their AC branches (the AC-outage variants
-of one network at one control point) can be solved as one stack
-(:func:`solve_acdc_stack`): each runs its own coupling loop, but the AC
-solves of an outer iteration are one Newton over all of them
-(:func:`solve_ac_stack`), with one stacked ``np.linalg.solve`` per step.
-Each system's state is bit-identical to its own :func:`solve_acdc`.
+One network under several AC branch plans (its AC-outage variants at
+one control point) can be solved as one stack (:func:`solve_acdc_stack`):
+each plan runs its own coupling loop, but the AC solves of an outer
+iteration are one Newton over all of them (:func:`solve_ac_stack`), with
+one stacked ``np.linalg.solve`` per step.  Each system's state is
+bit-identical to its own :func:`solve_acdc`.
 
 The Jacobian is formed entry by entry over the sparsity pattern with
 MATPOWER's ``dSbus_dV`` element formulas (:func:`ds_dv`); it agrees with
@@ -305,35 +305,33 @@ def solve_ac(net: Network, p_inj: np.ndarray, q_inj: np.ndarray,
                    converged=converged, singular=singular)
 
 
-def solve_ac_stack(nets: list[Network], pattern: BranchPlan,
+def solve_ac_stack(net: Network, branches: list[BranchPlan],
                    p_inj: np.ndarray, q_inj: np.ndarray,
-                   vm_setpoint: np.ndarray, *,
-                   vm0: np.ndarray | None = None,
-                   va0: np.ndarray | None = None) -> list[AcState]:
+                   vm_setpoint: np.ndarray, *, vm0: np.ndarray,
+                   va0: np.ndarray) -> list[AcState]:
     """:func:`solve_ac` of several systems at once, one Newton step of
     all the systems still iterating per stacked ``np.linalg.solve``.
 
-    The systems share their buses (``plan.buses``), and the sparsity
-    pattern of ``pattern`` holds every entry of each one's admittance
-    matrix: the outage and tap variants of one network, with the case's
-    pattern.  ``p_inj``, ``vm0`` and ``va0`` carry a leading system
-    axis; ``q_inj`` and ``vm_setpoint`` may be shared.  Each system
+    Each system is ``net`` with one of ``branches`` as its AC branch
+    plan, and the sparsity pattern of ``net.plan.branches`` holds every
+    entry of each one's admittance matrix: the outage and tap variants of
+    ``net``'s branches.  ``p_inj`` and the starting voltages ``vm0`` and
+    ``va0`` carry a leading system axis; ``q_inj`` and ``vm_setpoint``
+    may be shared.  Each system
     stops by :func:`solve_ac`'s rules, and its state is bit-identical to
     its own :func:`solve_ac`: its ``ybus @ v`` is its own product (a
     stacked product may round differently), and a stack holding a singular
     Jacobian is solved system by system on that iteration.
     """
-    bp = nets[0].plan.buses
+    bp, pattern = net.plan.buses, net.plan.branches
     pq, pvpq = bp.pq, bp.pvpq
-    ybus = [net.plan.branches.ybus for net in nets]
+    ybus = [b.ybus for b in branches]
     # each system's admittance values on the shared pattern (0 at the
     # entries of a dropped branch)
     pat_y = np.stack([y[pattern.pat_r, pattern.pat_c] for y in ybus], axis=1)
-    br = dataclasses.replace(pattern, pat_y=pat_y)
     count, n = p_inj.shape
 
-    vm = np.ones((count, n)) if vm0 is None else vm0.astype(float)
-    va = np.zeros((count, n)) if va0 is None else va0.astype(float)
+    vm, va = vm0.astype(float), va0.astype(float)
     vm[:, bp.fixed] = vm_setpoint[..., bp.fixed]
     va[:, bp.slack] = 0.0
 
@@ -363,9 +361,8 @@ def solve_ac_stack(nets: list[Network], pattern: BranchPlan,
         if not run.size:
             break
 
-        if len(run) != br.pat_y.shape[1]:  # the run only ever shrinks
-            br = dataclasses.replace(pattern, pat_y=pat_y[:, run])
         # the Jacobian formulas take the system axis last
+        br = dataclasses.replace(pattern, pat_y=pat_y[:, run])
         jac = newton_jacobian(br, *ds_dv(br, v.T, i_bus.T),
                               size).transpose(2, 0, 1)
         try:
@@ -399,12 +396,11 @@ def solve_ac_stack(nets: list[Network], pattern: BranchPlan,
             for s in range(count)]
 
 
-def branch_flows(net: Network, vm: np.ndarray,
+def branch_flows(bp: BranchPlan, vm: np.ndarray,
                  va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """From-side complex power flow ``v_f * conj(y_ff*v_f + y_ft*v_t)`` of
-    every AC branch, in real arithmetic (bit-identical to the scalar
-    complex formula)."""
-    bp = net.plan.branches
+    every AC branch of the plan ``bp``, in real arithmetic (bit-identical
+    to the scalar complex formula)."""
     v = vm * np.exp(1j * va)
     vr, vi = v.real, v.imag
     fr, fi, tr, ti = vr[bp.f], vi[bp.f], vr[bp.t], vi[bp.t]
@@ -541,7 +537,6 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     """
     loop = _Coupling(net, warm)
     while loop.outer < MAX_OUTER:
-        loop.outer += 1
         ac = solve_ac(net, loop.p_inj(), loop.q_inj, loop.vm_set,
                       vm0=loop.vm0, va0=loop.va0)
         if loop.step(ac, trace):
@@ -549,44 +544,27 @@ def solve_acdc(net: Network, *, warm: SystemState | None = None,
     return loop.state()
 
 
-def solve_acdc_stack(nets: list[Network], pattern: BranchPlan, *,
+def solve_acdc_stack(net: Network, branches: list[BranchPlan], *,
                      warm: SystemState | None = None) -> list[SystemState]:
-    """:func:`solve_acdc` of each of ``nets``, all warm from ``warm``,
-    with the AC solves of every outer iteration stacked
-    (:func:`solve_ac_stack`).
+    """:func:`solve_acdc` of ``net`` with each of ``branches`` as its AC
+    branch plan, all warm from ``warm``, with the AC solves of every
+    outer iteration stacked (:func:`solve_ac_stack`).
 
-    The networks differ only in their AC branches: they share their
-    generators, shunts, converters, bus plan and DC plan, and
-    ``pattern`` holds every entry of each one's admittance matrix (the
-    AC-outage variants of one network at one control point, with that
-    network's branch plan).  Each state is bit-identical to
-    ``solve_acdc(net, warm=warm)``.
+    ``net.plan.branches`` is the sparsity pattern: it holds every entry
+    of each plan's admittance matrix, as it does for the plans of
+    ``net``'s AC-outage variants at any taps.  Each state is
+    bit-identical to ``solve_acdc`` of ``net`` carrying that plan, warm
+    from ``warm``.
     """
-    first = _Coupling(nets[0], warm)
-    shared = (first.net.generators, first.net.shunts, first.convs,
-              first.net.plan.buses, first.dcp)
-    for net in nets:
-        if any(a is not b for a, b in zip(
-                (net.generators, net.shunts, net.converters, net.plan.buses,
-                 net.plan.dc), shared)):
-            raise ValueError("stacked networks must differ only in their "
-                             "AC branches")
-    if first.solved is not None and first.solved.iterations:
-        # a DC state seeds a DC solve by its voltages alone, and stands
-        # for a solve it makes unnecessary with 0 iterations
-        first.solved = dataclasses.replace(first.solved, iterations=0)
-    loops = [first] + [first.fork(net) for net in nets[1:]]
+    base = _Coupling(net, warm)
+    loops = [base.fork(b) for b in branches]
     run = loops
     while run:
-        for loop in run:
-            loop.outer += 1
-        vm0 = va0 = None
-        if run[0].vm0 is not None:     # warm, or after the first iteration
-            vm0 = np.stack([loop.vm0 for loop in run])
-            va0 = np.stack([loop.va0 for loop in run])
-        acs = solve_ac_stack([loop.net for loop in run], pattern,
-                             np.stack([loop.p_inj() for loop in run]),
-                             first.q_inj, first.vm_set, vm0=vm0, va0=va0)
+        acs = solve_ac_stack(
+            net, [loop.branches for loop in run],
+            np.stack([loop.p_inj() for loop in run]), base.q_inj, base.vm_set,
+            vm0=np.stack([loop.vm0 for loop in run]),
+            va0=np.stack([loop.va0 for loop in run]))
         run = [loop for loop, ac in zip(run, acs)
                if not loop.step(ac) and loop.outer < MAX_OUTER]
     return [loop.state() for loop in loops]
@@ -598,12 +576,13 @@ class _Coupling:
     terms, the DC solve, the coupling residual and the back-substituted
     PCC powers (:meth:`step`), and the final state (:meth:`state`).
     :func:`solve_acdc` runs one and :func:`solve_acdc_stack` one per
-    network."""
+    branch plan."""
 
     def __init__(self, net: Network, warm: SystemState | None):
         convs = net.converters
         dcp = net.plan.dc
         self.net, self.convs, self.dcp = net, convs, dcp
+        self.branches = net.plan.branches
         self.pcc = net.plan.buses.pcc_rows
         self.p_load, self.q_inj, self.vm_set = assemble_ac_inputs(net)
         self.p_s = np.array([c.p_s for c in convs], dtype=float)
@@ -619,8 +598,9 @@ class _Coupling:
                                                c.q_s)
                          for j, c in enumerate(convs)]
 
+        # the start of the next AC solve: a flat start when cold
         self.vm0, self.va0 = ((warm.ac.vm, warm.ac.va) if warm is not None
-                              else (None, None))
+                              else (np.ones(net.n_bus), np.zeros(net.n_bus)))
         # the last DC solution: the start of the next DC solve, or that
         # solve itself when the inputs are unchanged
         self.solved = warm.dc if warm is not None else None
@@ -640,11 +620,12 @@ class _Coupling:
         self.failure = ""
         self.converged = False
 
-    def fork(self, net: Network) -> "_Coupling":
-        """The same solve, before its first iteration, of ``net``, which
-        differs from this network only in its AC branches."""
+    def fork(self, branches: BranchPlan) -> "_Coupling":
+        """The same solve, before its first iteration, with ``branches``
+        as the AC branch plan."""
         loop = copy.copy(self)
-        loop.net, loop.p_s, loop.p0 = net, self.p_s.copy(), self.p0.copy()
+        loop.branches = branches
+        loop.p_s, loop.p0 = self.p_s.copy(), self.p0.copy()
         return loop
 
     def p_inj(self) -> np.ndarray:
@@ -654,8 +635,9 @@ class _Coupling:
         return p_inj
 
     def step(self, ac: AcState, trace: list | None = None) -> bool:
-        """Take the AC state ``ac`` of this outer iteration; True when the
-        solve has ended."""
+        """Take the AC state ``ac`` of the next outer iteration; True when
+        the solve has ended."""
+        self.outer += 1
         self.ac = ac
         if not ac.converged:
             self.failure = "ac"
@@ -724,7 +706,7 @@ class _Coupling:
                 self.p_dc_dc[j] if dc_side and c.mode != "const_p"
                 else self.p_dc_ac[j]) for j, c in enumerate(convs)]
 
-        ac.p_branch, ac.q_branch = branch_flows(self.net, ac.vm, ac.va)
+        ac.p_branch, ac.q_branch = branch_flows(self.branches, ac.vm, ac.va)
         state = SystemState(ac=ac, dc=dc, converters=conv_states,
                             outer_iterations=self.outer,
                             converged=self.converged, failure_stage=failure)

@@ -19,7 +19,6 @@ error table share :func:`exact_indices`, and the last two
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import opfcore, powerflow
-from .netmodel import Contingency, ControlSpace, Network, apply_contingency
+from .netmodel import (Contingency, ControlSpace, Network, apply_contingency,
+                       finite_numbers)
 from .powerflow import SystemState
 
 log = logging.getLogger(__name__)
@@ -108,24 +108,6 @@ def outage_variants(net: Network) -> dict[Contingency, tuple]:
             for k, net_k in nets.items()}
 
 
-def variants_at(net_u: Network, space: ControlSpace, u: np.ndarray,
-                variants: dict) -> list[Network]:
-    """The :func:`outage_variants` at the snapped controls ``u``, which
-    ``net_u`` carries (``opfcore.apply_controls(net, space, u)``): that
-    network with each outage's branches, at the taps of ``u``.  Equal to
-    ``apply_controls(net_k, space, u)`` of each variant, but sharing the
-    other elements of ``net_u``, as :func:`powerflow.solve_acdc_stack`
-    requires."""
-    taps = {c.key: value for c, value in zip(space.components, u.tolist())
-            if c.kind == "tap"}
-    nets = []
-    for net_k, _ in variants.values():
-        outage = copy.copy(net_u)
-        outage.branches, outage.plan = net_k.branches, net_k.plan
-        nets.append(opfcore.apply_taps(outage, taps))
-    return nets
-
-
 def exact_indices(net: Network, space: ControlSpace, u: np.ndarray,
                   variants: dict) -> dict[Contingency, tuple[float, bool]]:
     """Exact composite index at ``u`` of each of the
@@ -134,16 +116,19 @@ def exact_indices(net: Network, space: ControlSpace, u: np.ndarray,
     As a corrective check solves its first probe: one coupled solve of
     ``net`` at ``u``, then each variant warm-started from that base state
     (cold when the base does not converge).  The controls are applied
-    once (:func:`variants_at`), and the variants are solved as one stack
-    (:func:`powerflow.solve_acdc_stack`), each bit-identical to its own
-    ``solve_acdc``.  Only the solved states are read: no objectives and
-    no constraint report.
+    once, and the variants are solved as one stack of their branch plans
+    at the taps of ``u`` (:func:`powerflow.solve_acdc_stack`), each
+    bit-identical to its own ``solve_acdc``.  Only the solved states are
+    read: no objectives and no constraint report.
     """
     u = space.snap(u)
     net_u = opfcore.apply_controls(net, space, u)
     base = powerflow.solve_acdc(net_u)
+    taps = {c.key: value for c, value in zip(space.components, u.tolist())
+            if c.kind == "tap"}
     states = powerflow.solve_acdc_stack(
-        variants_at(net_u, space, u, variants), net_u.plan.branches,
+        net_u, [opfcore.apply_taps(net_k, taps).plan.branches
+                for net_k, _ in variants.values()],
         warm=base if base.converged else None)
     return {k: (composite_index(state, params), not state.converged)
             for (k, (_, params)), state in zip(variants.items(), states)}
@@ -384,8 +369,15 @@ class ScreeningModel:
     def from_dict(cls, d: dict) -> "ScreeningModel":
         if d.get("version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model version {d.get('version')!r}")
+        names = list(d["feature_names"])
+        for key in ("sigma", "x_mean", "x_scale", "active"):
+            if not finite_numbers(d[key], len(names)):
+                raise ValueError(f"{key} must hold {len(names)} finite "
+                                 "numbers, one per feature")
+        if not all(scale > 0 for scale in d["x_scale"]):
+            raise ValueError("x_scale must be positive")
         return cls(
-            feature_names=list(d["feature_names"]),
+            feature_names=names,
             sigma=np.array(d["sigma"]),
             lam=float(d["lambda"]),
             x_mean=np.array(d["x_mean"]),

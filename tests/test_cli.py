@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +18,9 @@ from acdcopf.netmodel import (ControlSpace, bundled_case_path,
                               load_bundled_case)
 
 from conftest import two_bus_case, write_case
+
+
+MISSING = object()      # a field left out of a doctored document
 
 
 def run_cli(*argv):
@@ -285,6 +287,18 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
                  " or m.startswith('scipy.')))") == "[0, 0] []"
 
 
+# a screening model doctored at one per-feature list: name -> (the list,
+# its doctored value from the trained model document)
+DOCTORED_MODELS = {
+    "sigma_short": ("sigma", lambda doc: doc["sigma"][:-1]),
+    "sigma_string": ("sigma", lambda doc: ["x"] + doc["sigma"][1:]),
+    "x_mean_nan": ("x_mean", lambda doc: [float("nan")] + doc["x_mean"][1:]),
+    "x_scale_zero_active": ("x_scale", lambda doc: [
+        0.0 if i == doc["active"].index(1) else scale
+        for i, scale in enumerate(doc["x_scale"])]),
+}
+
+
 class TestRankCmd:
     def test_rank_and_critical_set(self, model_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
@@ -352,6 +366,32 @@ class TestRankCmd:
         code = run_cli("rank", "--model", str(model),
                        "--case", "bundled:case14_acdc")
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command", ["rank", "optimize"])
+    @pytest.mark.parametrize("doctored", DOCTORED_MODELS)
+    def test_doctored_model_rejected(self, doctored, command, model_dir,
+                                     tmp_path, monkeypatch, capsys):
+        # a per-feature list of the wrong length, a value that is not a
+        # finite number, or a zero scale is exit 2 before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cli, "OpfProblem", no_solve)
+        monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
+        key, edit = DOCTORED_MODELS[doctored]
+        doc = json.loads((model_dir / "screening_model.json").read_text())
+        doc[key] = edit(doc)
+        model = tmp_path / "screening_model.json"
+        model.write_text(json.dumps(doc))
+        argv = (["rank", "--model", str(model)] if command == "rank"
+                else ["optimize", "--seed", "1"])
+        code = run_cli(*argv, "--case", "bundled:case14_acdc")
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0]
+        assert "Traceback" not in err
 
 
 class TestOptimizeAndDecideCmd:
@@ -651,26 +691,60 @@ class TestOptimizeAndDecideCmd:
     def test_train_screen_artifacts_pinned(self, tmp_path):
         # tripwire for the training arithmetic, which the screened digests
         # above see only through the optimizer: the model and validation
-        # of ``train-screen --seed 1 --samples 30``, with the wall-clock
-        # ``train_seconds`` masked.  They hold for the NumPy/LAPACK build
-        # they were taken with
+        # of ``train-screen --seed 1 --samples 30``, byte for byte (no
+        # wall-clock value enters either file).  They hold for the
+        # NumPy/LAPACK build they were taken with
         assert run_cli("train-screen", "--case", "bundled:case14_acdc",
                        "--seed", "1", "--samples", "30",
                        "--out", str(tmp_path)) == 0
-        model = (tmp_path / "screening_model.json").read_bytes()
-        validation = re.sub(
-            rb'"train_seconds": [^,\n]+', b'"train_seconds": 0',
-            (tmp_path / "screen_validation.json").read_bytes())
-        digests = {name: hashlib.sha256(data).hexdigest()
-                   for name, data in (("screening_model.json", model),
-                                      ("screen_validation.json", validation))}
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+            for name in ("screening_model.json", "screen_validation.json")}
         assert digests == {
             "screening_model.json": "55d6815e3032d5ab66f076e056731870"
                                     "55de39fa3b4a062698dac8c9024d4796",
-            "screen_validation.json": "c043f2411e5d857bdbfed6cfe5accf34"
-                                      "0342a114e99e2d494e6bff44b1f28975"}
+            "screen_validation.json": "65249fae026cc25f4bacf721a99a812e"
+                                      "1efdef58183d6b5cd4876a77fb0ba05a"}
 
     def test_decide_missing_archive(self, tmp_path):
         code = run_cli("decide", "--archive", str(tmp_path / "none.json"),
                        "--seed", "1", "--out", str(tmp_path))
         assert code == cli.EXIT_IO
+
+    @staticmethod
+    def decide_on(tmp_path, key=None, value=None):
+        """Exit code of ``decide`` on an archive of three members at the
+        case point, with the field ``key`` of the second set to ``value``
+        (``MISSING``: removed)."""
+        names = ControlSpace(load_bundled_case("case14_acdc")).names
+        members = [{"id": i, "f1": 8000.0 + 10 * i, "f2": 0.03 - 0.01 * i,
+                    "violation": 0.0, "genome": [1.0] * len(names),
+                    "cstar": ["L10(7-8)"]} for i in range(3)]
+        if value is MISSING:
+            del members[1][key]
+        elif key is not None:
+            members[1][key] = value
+        path = tmp_path / "archive.json"
+        path.write_text(json.dumps({"control_names": names,
+                                    "members": members}))
+        return run_cli("decide", "--archive", str(path), "--seed", "1",
+                       "--out", str(tmp_path))
+
+    def test_decide_sound_archive(self, tmp_path):
+        assert self.decide_on(tmp_path) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("key,value", [
+        ("f1", MISSING), ("f1", "x"), ("f1", float("nan")),
+        ("f2", float("inf")), ("f2", True), ("id", 1.0), ("id", MISSING),
+        ("genome", [1.0]), ("genome", "x"), ("cstar", [3]),
+        ("cstar", "L10(7-8)")], ids=[
+        "f1-missing", "f1-string", "f1-nan", "f2-inf", "f2-bool",
+        "id-float", "id-missing", "genome-short", "genome-string",
+        "cstar-int", "cstar-string"])
+    def test_decide_malformed_member(self, key, value, tmp_path, capsys):
+        assert self.decide_on(tmp_path, key, value) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and f"member 1: {key}" in errors[0]
+        assert "Traceback" not in err

@@ -19,7 +19,7 @@ from acdcopf.netmodel import (ConverterStation, apply_contingency,
 from acdcopf.powerflow import (TOL_COUPLE, PowerFlowConfigError, solve_ac,
                                solve_acdc, solve_dc)
 
-from conftest import case_variant, two_bus_case
+from conftest import bench_literal, case_variant, two_bus_case
 from oracles import (dc_newton_by_rows, dense_ds_dv, newton_without_stop,
                      oracle_solve_ac, two_bus_closed_form)
 
@@ -59,7 +59,8 @@ class TestSolveAc:
         assert state.converged
         np.testing.assert_allclose(state.vm, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(state.va, [0.0, 0.0], atol=1e-12)
-        p_branch, _ = powerflow.branch_flows(net, state.vm, state.va)
+        p_branch, _ = powerflow.branch_flows(net.plan.branches, state.vm,
+                                             state.va)
         np.testing.assert_allclose(p_branch, [0.0], atol=1e-12)
 
     def test_two_bus_closed_form(self):
@@ -162,7 +163,7 @@ class TestSolveAc:
                 yff, yft, _ = branch_admittance(br)
                 s_f = v[f] * np.conj(yff * v[f] + yft * v[t])
                 p_ref[i], q_ref[i] = s_f.real, s_f.imag
-            p, q = powerflow.branch_flows(net, vm, va)
+            p, q = powerflow.branch_flows(net.plan.branches, vm, va)
             assert np.array_equal(p, p_ref)
             assert np.array_equal(q, q_ref)
 
@@ -709,9 +710,9 @@ def assert_same_state(stacked, single):
 
 
 class TestStack:
-    """The stacked solves of one network's outage variants
-    (``solve_acdc_stack``, ``solve_ac_stack``) against the single path,
-    system by system."""
+    """The stacked solves of one network under its outage variants'
+    branch plans (``solve_acdc_stack``, ``solve_ac_stack``) against the
+    single path, system by system."""
 
     @staticmethod
     def outage_states(net, space, u, warm):
@@ -723,9 +724,12 @@ class TestStack:
         net_u = opfcore.apply_controls(net, space, u)
         base = solve_acdc(net_u) if warm else None
         start = base if base is not None and base.converged else None
+        taps = {c.key: value
+                for c, value in zip(space.components, u.tolist())
+                if c.kind == "tap"}
         stacked = powerflow.solve_acdc_stack(
-            screen.variants_at(net_u, space, u, variants),
-            net_u.plan.branches, warm=start)
+            net_u, [opfcore.apply_taps(net_k, taps).plan.branches
+                    for net_k, _ in variants.values()], warm=start)
         single = [solve_acdc(opfcore.apply_controls(net_k, space, u),
                              warm=start) for net_k, _ in variants.values()]
         for a, b in zip(stacked, single, strict=True):
@@ -741,6 +745,18 @@ class TestStack:
             self.outage_states(acdc_net, acdc_space, u, warm)
             for u in screen.sample_controls(acdc_space, 30, width, seed)
             for warm in (True, False))
+        assert diverged > 0
+
+    def test_moved_taps(self, acdc_net, acdc_space):
+        # the perfbench N-1 probe, far from the case point, and samples of
+        # the full control box, each of which moves a tap
+        samples = screen.sample_controls(acdc_space, 8, 1.0, 1)
+        taps = np.array(acdc_space.kinds) == "tap"
+        case_taps = acdc_space.default_vector()[taps]
+        assert all((u[taps] != case_taps).any() for u in samples)
+        points = [np.array(bench_literal("PROBE_GENOME")), *samples]
+        diverged = sum(self.outage_states(acdc_net, acdc_space, u, warm)
+                       for u in points for warm in (True, False))
         assert diverged > 0
 
     def test_mixed_modes(self):
@@ -773,8 +789,10 @@ class TestStack:
                    (acdc_net, 4 * p, 4 * q), (isolated, p, q),
                    (acdc_net, p, 10 * q)]
         nets, ps, qs = zip(*systems)
-        stacked = powerflow.solve_ac_stack(list(nets), bp, np.stack(ps),
-                                           np.stack(qs), vm)
+        flat = np.ones((len(systems), acdc_net.n_bus))
+        stacked = powerflow.solve_ac_stack(
+            acdc_net, [net.plan.branches for net in nets], np.stack(ps),
+            np.stack(qs), vm, vm0=flat, va0=0.0 * flat)
         single = [solve_ac(net, p_s, q_s, vm) for net, p_s, q_s in systems]
         for a, b in zip(stacked, single, strict=True):
             assert_same_ac(a, b)
@@ -784,12 +802,3 @@ class TestStack:
         assert grown.vm.min() > 0.0
         assert not negative.converged and negative.vm.min() <= 0.0
         assert singular.singular
-
-    def test_networks_must_share_all_but_branches(self, acdc_net,
-                                                  acdc_space):
-        other = opfcore.apply_controls(
-            acdc_net, acdc_space, TestDcReuse.moved(
-                acdc_space, acdc_space.default_vector(), "P_G:bus2"))
-        with pytest.raises(ValueError, match="AC branches"):
-            powerflow.solve_acdc_stack([acdc_net, other],
-                                       acdc_net.plan.branches)

@@ -198,9 +198,9 @@ class TestExactIndices:
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 if name == "solve_acdc_stack" and kwargs["warm"] is not None:
-                    calls["warm"] += len(args[0])
+                    calls["warm"] += len(args[1])
                 if name == "solve_ac_stack":
-                    calls["stacked"] += len(args[0])
+                    calls["stacked"] += len(args[1])
                 return solve(*args, **kwargs)
             return wrapper
 
