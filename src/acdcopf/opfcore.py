@@ -10,18 +10,18 @@ preset voltages come from the solver plan.
 
 A corrective probe is one :func:`evaluate` call.  The first probe of a
 check applies the point's controls to the outage variant; every later
-probe moves one control of the best probe so far and is evaluated on
-that probe's variant, so it copies one element (and recomputes the
-admittance values only for a tap move) and pays for little more than its
-Newton steps.  Post-contingency corrective feasibility
-searches for an adjusted control vector inside the per-component
-corrective box, trying first the moves that a first-order sensitivity
-says lower the violation most: one adjoint solve with the AC Newton
-Jacobian at the uncorrected post-contingency state
-(:func:`violation_gradient`).  That gradient sees the AC-side limits
-and the controls in the AC equations (``p_g``, ``u_g``, ``q_s``,
-``q_c``); every other kind scores 0 and, with a check whose uncorrected
-state does not converge, keeps the fixed kind order.
+probe is evaluated on the variant of the best probe so far, so it copies
+only the elements whose controls it moves (and recomputes the admittance
+values only for a tap move) and pays for little more than its Newton
+steps.  Post-contingency corrective feasibility searches for an adjusted
+control vector inside the per-component corrective box.  At the
+uncorrected post-contingency state, one bordered linear solve through
+the coupled AC/DC fixed point gives the sensitivity of every limit, AC,
+DC and converter capability alike, to every control
+(:func:`sensitivities`).  From it a linear corrective step proposes the
+move that clears the violated limits to first order, and the same model
+ends a check that no move in the box can clear; otherwise a pattern
+search tries one control at a time, the most effective first.
 
 ``evaluate`` and ``corrective_feasibility`` are pure and reentrant; they
 are designed to be fanned out across worker processes.
@@ -39,11 +39,24 @@ import numpy as np
 
 from .netmodel import (CONTROL_KINDS, Contingency, ControlSpace, Network,
                        apply_contingency, branch_values)
-from .powerflow import SystemState, ds_dv, newton_jacobian, solve_acdc
+from .powerflow import (SystemState, derive_droop_schedule, ds_dv,
+                        solve_acdc)
 
 PENALTY_UNCONVERGED = 1e3
 TOL_FEAS = 1e-6
 MAX_PROBES = 30
+# the linear corrective step aims each violated limit CLEARANCE (p.u.)
+# inside its bound, and RIDGE (in units of the box width) keeps its
+# least-squares problem positive definite; the model is rebuilt at most
+# RELINEARISE times per check.  A check ends early when its linear models
+# leave more than STOP_MARGIN (p.u.) of total violation everywhere in the
+# box and the verified candidates confirm it, or when its first
+# MAX_DIVERGED probes all diverge, which leaves nothing to linearise
+CLEARANCE = 1e-3
+RIDGE = 1e-9
+RELINEARISE = 1
+STOP_MARGIN = 1e-3
+MAX_DIVERGED = 4
 
 # pattern-search priority among moves of equal sensitivity: converter
 # setpoints first, then generators, then discrete controls and droop slopes
@@ -169,18 +182,32 @@ def _bound_violation(value, lo, hi):
     return np.maximum(value - hi, lo - value)
 
 
-def _ac_limits(net: Network, state: SystemState
-               ) -> dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray,
-                                    np.ndarray]]:
-    """Names, solved values and bounds of the AC-side limits of a
-    converged state, by group: the groups :func:`violation_gradient`
-    linearises."""
-    bp = net.plan.buses
+def _limits(net: Network, state: SystemState
+            ) -> dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray,
+                                 np.ndarray]]:
+    """Names, solved values and bounds of every limit of a converged
+    state, by group, in report order: the AC groups, the DC groups when
+    the DC grid was solved, and the capability circle of each converter
+    (the distance of its ``(p_s, q_s)`` from the centre)."""
+    bp, dcp = net.plan.buses, net.plan.dc
     values = {"ac_voltage": state.ac.vm, "ac_angle": state.ac.va,
               "gen_q": state.gen_q, "ac_flow": state.ac.p_branch}
     if net.generators:
         values["gen_p_slack"] = state.gen_p[bp.slack_gens]
     limits = bp.limits | net.plan.branches.limits
+    if state.dc is not None:
+        dc = state.dc
+        values |= {"dc_voltage": dc.u, "dc_current": dc.branch_i,
+                   "dc_flow": dc.branch_p}
+        limits |= dcp.limits
+    if net.converters:
+        convs = net.converters
+        values["capability"] = np.array([
+            math.hypot(cs.p_s - c.p_center, cs.q_s - c.q_center)
+            for c, cs in zip(convs, state.converters)])
+        limits["capability"] = (dcp.capability,
+                                np.array([c.r_min for c in convs]),
+                                np.array([c.r_max for c in convs]))
     return {group: (names, values[group], lo, hi)
             for group, (names, lo, hi) in limits.items()}
 
@@ -190,26 +217,11 @@ def constraint_report(net: Network, state: SystemState) -> ConstraintReport:
     if not state.converged:
         return ConstraintReport(groups={}, converged=False,
                                 penalty=PENALTY_UNCONVERGED)
-    groups = {group: (names, _bound_violation(value, lo, hi))
-              for group, (names, value, lo, hi)
-              in _ac_limits(net, state).items()}
-
-    dcp = net.plan.dc
-    if state.dc is not None:
-        dc = state.dc
-        values = {"dc_voltage": dc.u, "dc_current": dc.branch_i,
-                  "dc_flow": dc.branch_p}
-        for group, (names, lo, hi) in dcp.limits.items():
-            groups[group] = (names, _bound_violation(values[group], lo, hi))
-
-    if net.converters:
-        vals = []
-        for conv, cs in zip(net.converters, state.converters):
-            r = math.hypot(cs.p_s - conv.p_center, cs.q_s - conv.q_center)
-            vals.append(max(r - conv.r_max, conv.r_min - r))
-        groups["capability"] = (dcp.capability, np.array(vals))
-
-    return ConstraintReport(groups=groups, converged=True)
+    return ConstraintReport(
+        groups={group: (names, _bound_violation(value, lo, hi))
+                for group, (names, value, lo, hi)
+                in _limits(net, state).items()},
+        converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,67 +262,205 @@ def evaluate(net: Network, space: ControlSpace, u: np.ndarray, *,
 # Corrective feasibility
 
 
-def violation_gradient(net: Network, space: ControlSpace,
-                       state: SystemState) -> np.ndarray | None:
-    """First-order sensitivity ``dV/du`` of the total violation ``V`` at
-    the converged ``state`` of ``net``, the variant that carries ``u``.
-
-    One adjoint solve with the AC Newton Jacobian at ``state``
-    (``J^T lam = dV/dx`` for the Newton unknowns ``x``).  Only the AC
-    side is linearised, with the converter powers held where ``state``
-    has them: the positive entries of the ``ac_voltage``, ``ac_angle``,
-    ``gen_q``, ``gen_p_slack`` and ``ac_flow`` groups, and the controls
-    that enter the AC equations directly (``p_g``, ``u_g``, ``q_s``,
-    ``q_c``).  Every other control kind, and every DC-side or
-    capability violation, gets 0.  None when the Jacobian is singular or
-    the gradient is not finite.
+@dataclass
+class Sensitivity:
+    """First-order model of every limit at a converged state: the signed
+    violation of each limit entry (the :func:`constraint_report` values,
+    group by group) and its derivative against every control component.
     """
-    n = net.n_bus
-    bp, br = net.plan.buses, net.plan.branches
-    v = state.ac.vm * np.exp(1j * state.ac.va)
-    pattern = ds_dv(br, v, br.ybus @ v)
-    jac = newton_jacobian(br, *pattern, len(bp.mis_index))
-    ds_dva, ds_dvm = (np.zeros((n, n), dtype=complex) for _ in range(2))
-    ds_dva[br.pat_r, br.pat_c], ds_dvm[br.pat_r, br.pat_c] = pattern
-    ds = np.hstack((ds_dva, ds_dvm))       # dS_bus / d(va, vm), n x 2n
-    # +1 above the upper bound, -1 below the lower one, 0 inside
-    side = {group: (value > hi).astype(float) - (value < lo)
-            for group, (_, value, lo, hi) in _ac_limits(net, state).items()}
-    gen_bus = bp.gen_rows
-    w = np.zeros(2 * n)                    # dV / d(va, vm) of every bus
-    w[:n] += side["ac_angle"]
-    w[n:] += side["ac_voltage"]
-    w_q = np.zeros(n)                      # dV / d(generator Q) by bus
-    if net.generators:
-        w += side["gen_q"] @ ds[gen_bus].imag
-        np.add.at(w_q, gen_bus, side["gen_q"])
-        w += side["gen_p_slack"] @ ds[gen_bus[gen_bus == bp.slack]].real
-    if net.branches:
-        w += side["ac_flow"] @ _flow_derivative(net, v)
 
+    value: np.ndarray          # one entry per limit
+    jac: np.ndarray            # d value / d u, limits x controls
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """``dV/du`` of the total violation ``V``: the rows of the
+        violated entries, summed."""
+        return (self.value > 0.0).astype(float) @ self.jac
+
+
+def sensitivities(net: Network, space: ControlSpace,
+                  state: SystemState) -> Sensitivity | None:
+    """Derivatives of every limit at the converged ``state`` of ``net``,
+    the variant that carries ``u``, through the coupled AC/DC fixed point.
+
+    The state is ``y``: the bus angles and magnitudes, the ``p_s`` and
+    ``q_s`` of every station and the DC voltages.  A control either sets
+    an entry of ``y`` (``U_G`` a set magnitude, ``Q_s`` and a const_p
+    station's ``P_s`` the station power, a const_vdc station's ``U_dc0``
+    its DC voltage) or enters an equation.  The equations are the AC
+    mismatch (P at pvpq, Q at pq), the free DC rows (power balance, or the
+    droop law with the scheduled ``P_s``/``Q_s`` through
+    :func:`~acdcopf.powerflow.derive_droop_schedule`; a const_p station's
+    balance takes what its AC side delivers) and one coupling row per
+    droop and const_vdc station (its AC side delivers what the DC grid
+    draws at its bus).  The unknowns are the AC Newton unknowns, the
+    settled ``p_s`` of those stations and the free DC voltages, so one
+    bordered linear solve, with one right-hand side per control, gives
+    ``dy/du``; each limit's derivative follows from it.  None when the
+    bordered matrix is singular or a derivative is not finite.
+    """
+    n, nu = net.n_bus, len(space)
+    bp, br, dcp = net.plan.buses, net.plan.branches, net.plan.dc
+    convs = net.converters if state.converters else []
+    dc = state.dc if convs else None
+    nc, nd = len(convs), 0 if dc is None else len(dc.u)
+    ip, iq, iu = 2 * n, 2 * n + nc, 2 * n + 2 * nc     # offsets in y
+    ny = iu + nd
+    vm = state.ac.vm
+    v = vm * np.exp(1j * state.ac.va)
+    ds_dva, ds_dvm = (np.zeros((n, n), dtype=complex) for _ in range(2))
+    ds_dva[br.pat_r, br.pat_c], ds_dvm[br.pat_r, br.pat_c] = ds_dv(
+        br, v, br.ybus @ v)
+    pcc, fixed = bp.pcc_rows, set(bp.fixed.tolist())
+    js = np.arange(nc)
+
+    # d(S - S_spec) of every bus: the power its generator (or the slack)
+    # makes up, so also the gen_q and gen_p_slack rows
+    bus_y = np.zeros((n, ny), dtype=complex)
+    bus_y[:, :n], bus_y[:, n:ip] = ds_dva, ds_dvm
+    bus_y[pcc, ip + js] += 1.0
+    bus_y[pcc, iq + js] += 1j
+    bus_u = np.zeros((n, nu), dtype=complex)
+    flow_y = np.zeros((len(br.f), ny))
+    flow_y[:, :ip] = _flow_derivative(net, v)
+    flow_u = np.zeros((len(br.f), nu))
+    set_y = np.zeros((ny, nu))           # the entries of y a control sets
+    station_controls: dict[tuple[str, int], int] = {}   # -> column
+    for c, (comp, pos) in enumerate(zip(space.components, space.positions)):
+        kind = comp.kind
+        if kind == "p_g":
+            bus_u[bp.gen_rows[pos], c] = -1.0
+        elif kind == "q_c":
+            bus_u[bp.shunt_rows[pos], c] = -1j
+        elif kind == "u_g" and bp.gen_rows[pos] in fixed:
+            set_y[n + bp.gen_rows[pos], c] = 1.0
+        elif kind == "tap":
+            p = br.index.get(comp.key)
+            if p is None:                # the outaged branch
+                continue
+            f, t = br.f[p], br.t[p]
+            tap = net.branches[p].tap
+            yff = complex(br.yff_r[p], br.yff_i[p])
+            yft = complex(br.yft_r[p], br.yft_i[p])
+            # y_ff = y / tap^2 and y_ft = y_tf = -y_s / tap
+            ds_f = v[f] * np.conj(-2.0 * yff / tap * v[f] - yft / tap * v[t])
+            bus_u[f, c] += ds_f
+            bus_u[t, c] += v[t] * np.conj(-yft / tap * v[f])
+            flow_u[p, c] = ds_f.real
+        elif nc:
+            station_controls[kind, pos] = c
+            if kind == "q_s":
+                set_y[iq + pos, c] = 1.0
+            elif kind == "p_s" and convs[pos].mode == "const_p":
+                set_y[ip + pos, c] = 1.0
+            elif kind == "u_dc0" and convs[pos].mode == "const_vdc":
+                set_y[iu + dcp.conv_rows[pos], c] = 1.0
+
+    # equations: the AC mismatch, then the free DC rows, then one
+    # coupling row per droop and const_vdc station
+    pvpq, pq = bp.pvpq, bp.pq
+    m_ac = len(pvpq) + len(pq)
+    free = dcp.free_rows if nd else np.zeros(0, dtype=int)
+    settled = [j for j, c in enumerate(convs) if c.mode != "const_p"]
+    size = m_ac + len(free) + len(settled)
+    eq_y, eq_u = np.zeros((size, ny)), np.zeros((size, nu))
+    eq_y[:len(pvpq)], eq_y[len(pvpq):m_ac] = bus_y[pvpq].real, bus_y[pq].imag
+    eq_u[:len(pvpq)], eq_u[len(pvpq):m_ac] = bus_u[pvpq].real, bus_u[pq].imag
+    if nd:
+        u_dc = dc.u
+        i_dc = dcp.ydc @ u_dc
+        d_p = np.diag(i_dc) + u_dc[:, None] * dcp.ydc   # dP_dc / du_dc
+        eq_y[m_ac:m_ac + len(free), iu:] = d_p[free]     # power balance
+        row_of = {r: m_ac + i for i, r in enumerate(free.tolist())}
+        for j, c in enumerate(convs):
+            r = int(dcp.conv_rows[j])
+            r_br = dcp.r_series[j]
+            d_vm, d_p_s, d_q_s = _delivery_derivatives(
+                c, r_br, vm[pcc[j]], state.converters[j].p_s, c.q_s)
+            if c.mode == "const_p":
+                # its DC bus takes what the AC side delivers
+                e = row_of[r]
+                eq_y[e, n + pcc[j]] -= d_vm
+                eq_y[e, ip + j] -= d_p_s
+                eq_y[e, iq + j] -= d_q_s
+                continue
+            e = m_ac + len(free) + settled.index(j)
+            eq_y[e, n + pcc[j]] = d_vm
+            eq_y[e, ip + j] = d_p_s
+            eq_y[e, iq + j] = d_q_s
+            eq_y[e, iu:] = -d_p[r]
+            if c.mode != "droop":
+                continue
+            # u - u_dc0 - R (p0 - P_dc) with p0 from the scheduled p_s, q_s
+            e = row_of[r]
+            eq_y[e, iu:] = c.droop * d_p[r]
+            eq_y[e, iu + r] += 1.0
+            p0 = derive_droop_schedule(c, r_br, c.p_s, c.q_s)
+            _, s_p, s_q = _delivery_derivatives(c, r_br, 1.0, c.p_s, c.q_s)
+            eq_y[e, iq + j] -= c.droop * s_q
+            for kind, value in (("u_dc0", -1.0),
+                                ("droop", u_dc[r] * i_dc[r] - p0),
+                                ("p_s", -c.droop * s_p)):
+                if (kind, j) in station_controls:
+                    eq_u[e, station_controls[kind, j]] = value
+    unknowns = np.concatenate((pvpq, n + pq, ip + np.array(settled, dtype=int),
+                               iu + free))
     try:
-        lam = np.linalg.solve(jac.T, np.concatenate((w[bp.pvpq],
-                                                     w[n + bp.pq])))
+        d_z = np.linalg.solve(eq_y[:, unknowns], -(eq_y @ set_y + eq_u))
     except np.linalg.LinAlgError:
         return None
-    # adjoint of the P equation (pvpq) and the Q equation (pq) of each bus
-    lam_p, lam_q = np.zeros(n), np.zeros(n)
-    lam_p[bp.pvpq] = lam[:len(bp.pvpq)]
-    lam_q[bp.pq] = lam[len(bp.pvpq):]
-    # a set magnitude moves V directly and through the mismatch it leaves
-    d_vm_set = np.zeros(n)
-    d_vm_set[bp.fixed] = (w[n:] - lam_p @ ds_dvm.real
-                          - lam_q @ ds_dvm.imag)[bp.fixed]
-    by_kind = {"p_g": lam_p, "u_g": d_vm_set, "q_c": lam_q - w_q,
-               "q_s": w_q - lam_q}
-    pcc = {c.name: net.bus_index[c.pcc_bus] for c in net.converters}
-    grad = np.zeros(len(space))
-    for i, comp in enumerate(space.components):
-        if comp.kind in by_kind:
-            bus = (pcc[comp.key] if comp.kind == "q_s"
-                   else net.bus_index[int(comp.key)])
-            grad[i] = by_kind[comp.kind][bus]
-    return grad if np.all(np.isfinite(grad)) else None
+    d_y = set_y
+    d_y[unknowns] += d_z
+
+    # every limit's value against y and u, in report order
+    values, rows = [], []
+    for group, (_, value, lo, hi) in _limits(net, state).items():
+        if group in ("ac_voltage", "ac_angle"):
+            jac = d_y[n:ip] if group == "ac_voltage" else d_y[:n]
+        elif group == "gen_q":
+            jac = bus_y[bp.gen_rows].imag @ d_y + bus_u[bp.gen_rows].imag
+        elif group == "gen_p_slack":
+            slack = np.full(len(value), bp.slack)
+            jac = bus_y[slack].real @ d_y + bus_u[slack].real
+        elif group == "ac_flow":
+            jac = flow_y @ d_y + flow_u
+        elif group == "dc_voltage":
+            jac = d_y[iu:]
+        elif group == "dc_current":
+            jac = dcp.y[:, None] * (d_y[iu + dcp.f] - d_y[iu + dcp.t])
+        elif group == "dc_flow":
+            u_f, u_t = dc.u[dcp.f], dc.u[dcp.t]
+            jac = (dcp.y * (2.0 * u_f - u_t))[:, None] * d_y[iu + dcp.f] \
+                - (dcp.y * u_f)[:, None] * d_y[iu + dcp.t]
+        else:                            # capability
+            p_s = np.array([cs.p_s for cs in state.converters])
+            q_s = np.array([c.q_s for c in convs])
+            dp = p_s - [c.p_center for c in convs]
+            dq = q_s - [c.q_center for c in convs]
+            jac = (dp[:, None] * d_y[ip + js] + dq[:, None] * d_y[iq + js]) \
+                / np.maximum(value, 1e-12)[:, None]
+        # the nearer bound is the one the signed violation measures
+        side = np.where(value - hi >= lo - value, 1.0, -1.0)
+        values.append(_bound_violation(value, lo, hi))
+        rows.append(side[:, None] * jac)
+    value = np.concatenate(values)
+    jac = np.concatenate(rows) if rows else np.zeros((0, nu))
+    return Sensitivity(value, jac) if np.all(np.isfinite(jac)) else None
+
+
+def _delivery_derivatives(conv, r_br: float, vm: float, p_s: float,
+                          q_s: float) -> tuple[float, float, float]:
+    """Derivatives against ``(|V_pcc|, p_s, q_s)`` of the DC-side power
+    ``p_s - R K - loss(sqrt(K))`` a station delivers, with ``K = (p_s^2 +
+    q_s^2) / |V_pcc|^2`` (:func:`~acdcopf.powerflow.derive_droop_schedule`
+    at ``|V_pcc| = 1``)."""
+    k = (p_s * p_s + q_s * q_s) / (vm * vm)
+    i_c = math.sqrt(k)
+    d_k = -r_br - conv.c_loss - (0.0 if i_c < 1e-12
+                                 else conv.b_loss / (2.0 * i_c))
+    return (-2.0 * k / vm * d_k, 1.0 + 2.0 * p_s / (vm * vm) * d_k,
+            2.0 * q_s / (vm * vm) * d_k)
 
 
 def _flow_derivative(net: Network, v: np.ndarray) -> np.ndarray:
@@ -376,6 +526,111 @@ def probe_moves(space: ControlSpace, lims: CorrectiveLimits,
             for sign in ((-1.0, 1.0) if grad[i] > 0 else (1.0, -1.0))]
 
 
+def _box_least_squares(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``argmin |a s - b|^2 + RIDGE |s|^2`` over ``lo <= s <= hi`` by an
+    active set on the bounds (bounded-variable least squares), from the
+    point ``s`` of the box, whose components at a bound start bound:
+    solve for the free components with the others at their bounds, move
+    towards that solution until a free component meets its bound, and
+    bind it; at the free optimum, free the bound whose multiplier pulls
+    inwards most.  A component with ``lo == hi`` stays there."""
+    n = a.shape[1]
+    m = a.T @ a + RIDGE * np.eye(n)
+    r = a.T @ b
+    movable = lo < hi
+    at = np.where(movable, np.where(s <= lo, -1, np.where(s >= hi, 1, 0)),
+                  -1)                  # -1 at lo, 1 at hi, 0 free
+    for _ in range(4 * n + 4):
+        free = at == 0
+        z = s.copy()
+        if free.any():
+            m_f = m[free]
+            z[free] = np.linalg.solve(m_f[:, free],
+                                      r[free] - m_f[:, ~free] @ s[~free])
+        d = z - s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.where(d > 0, (hi - s) / d,
+                             np.where(d < 0, (lo - s) / d, np.inf))
+        reach[~free] = np.inf
+        t = min(1.0, reach.min(initial=np.inf))
+        s = np.clip(s + t * d, lo, hi)
+        if t < 1.0:                    # a free component met its bound
+            hit = reach <= t
+            at[hit] = np.where(d[hit] > 0, 1, -1)
+            continue
+        grad = m @ s - r
+        pull = np.where(movable, np.where(at < 0, -grad, at * grad), 0.0)
+        j = int(np.argmax(pull)) if n else 0
+        if not n or pull[j] <= 1e-15:
+            break
+        at[j] = 0
+    return s
+
+
+def _on_grid(space: ControlSpace, cand: np.ndarray, keep: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``cand`` with every stepped component moved to its nearest grid
+    point inside ``[lo, hi]`` (one step inwards when the nearest lies
+    outside), or back to its value in ``keep`` when there is none; then
+    snapped, so it is the grid value that :func:`evaluate` solves."""
+    s = space.step > 0
+    step, base = space.step[s], space.lo[s]
+    raw = base + np.round((cand[s] - base) / step) * step
+    raw = np.where(raw > hi[s] + 1e-12, raw - step, raw)
+    raw = np.where(raw < lo[s] - 1e-12, raw + step, raw)
+    inside = (lo[s] - 1e-12 <= raw) & (raw <= hi[s] + 1e-12)
+    cand = cand.copy()
+    cand[s] = np.where(inside, raw, keep[s])
+    return space.snap(cand)
+
+
+def linear_step(space: ControlSpace, sens: Sensitivity, u: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, movable: np.ndarray,
+                du_max: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(floor, candidate)`` of the linear model ``sens`` taken at ``u``
+    over the corrective box ``[lo, hi]`` of the ``movable`` components.
+
+    ``floor`` bounds the linearised total violation from below at every
+    point of the box: the largest of each violated limit's minimum over
+    the box and of their sum's.  The candidate solves, in units of
+    ``du_max``, the box-constrained least-squares problem that puts every
+    violated limit, and every limit the move would push over, ``CLEARANCE``
+    inside its bound; moves under 1e-9 of ``du_max`` are dropped, and the
+    stepped components go to their nearest grid points.  The droop slopes
+    are left where they are: the droop law multiplies a slope by the power
+    deviation, so their first-order model holds only for small moves, and
+    the pattern search tries them.
+    """
+    free = np.flatnonzero(movable)
+    width = du_max[free]
+    a = sens.jac[:, free] * width
+    s_lo, s_hi = (lo - u)[free] / width, (hi - u)[free] / width
+    g = sens.value
+    bad = g > 0.0
+    rows = np.vstack((a[bad], a[bad].sum(axis=0)))
+    floor = float((np.append(g[bad], g[bad].sum())
+                   + np.minimum(rows * s_lo, rows * s_hi).sum(axis=1)).max())
+
+    linear = np.array([space.kinds[i] != "droop" for i in free], dtype=bool)
+    s_lo, s_hi = np.where(linear, s_lo, 0.0), np.where(linear, s_hi, 0.0)
+    # no move when a move can clear the violation, else the corner that
+    # lowers the summed violation most: the solution binds most components
+    s = np.where(floor <= STOP_MARGIN, np.clip(0.0, s_lo, s_hi),
+                 np.where(rows[-1] > 0, s_lo, s_hi))
+    aimed = bad
+    for _ in range(len(g)):
+        s = _box_least_squares(a[aimed], -CLEARANCE - g[aimed], s_lo, s_hi,
+                               s)
+        pushed = aimed | (g + a @ s > 0.0)
+        if (pushed == aimed).all():
+            break
+        aimed = pushed
+    cand = u.copy()
+    cand[free] += np.where(np.abs(s) < 1e-9, 0.0, s) * width
+    return floor, _on_grid(space, cand, u, lo, hi)
+
+
 def corrective_feasibility(net: Network, space: ControlSpace,
                            u0: np.ndarray, k: Contingency,
                            lims: CorrectiveLimits, *,
@@ -386,27 +641,38 @@ def corrective_feasibility(net: Network, space: ControlSpace,
                            include_discrete: bool = True) -> CorrectiveResult:
     """Search the corrective box for a feasible post-contingency setting.
 
-    Greedy coordinate pattern search from ``u0``, at the scales 1, 1/2
-    and 1/4 of each component's corrective width.  The moves are ranked
-    by the first-order sensitivity of the total violation at the ``u0``
-    probe (:func:`violation_gradient`): components by ``|dV/du_i| *
-    du_max_i``, descending, each tried first in the descent direction.
-    That gradient sees only the AC side, so components of equal score
-    (every kind but ``p_g``, ``u_g``, ``q_s`` and ``q_c``, and every
-    component when only DC-side or capability limits are violated) keep
-    the kind order: converter setpoints, then generator controls, then
-    discrete controls and droop slopes, ``+`` before ``-``.  When the
-    ``u0`` probe does not converge, the kind order alone is used.
+    The first probe solves ``u0``.  When it is violated and converged,
+    :func:`sensitivities` linearises every limit there through the
+    coupled AC/DC fixed point, and a linear corrective step
+    (:func:`linear_step`, after Capitanescu and Wehenkel, IEEE TPWRS
+    23(4), 2008) proposes the move that clears the violated limits to
+    first order inside the box; one probe verifies it.  An improving
+    candidate is linearised once more and its own step verified.  The
+    check ends there when it is feasible, or when every linear model
+    said that no point of the box brings the total violation under
+    ``STOP_MARGIN`` and every verified candidate converged above it.
+
+    Otherwise a greedy coordinate pattern search continues from the best
+    probe, at the scales 1, 1/2 and 1/4 of each component's corrective
+    width.  Its moves are ranked by the first-order sensitivity of the
+    total violation at the ``u0`` probe (:attr:`Sensitivity.gradient`):
+    components by ``|dV/du_i| * du_max_i``, descending, each tried first
+    in the descent direction; components of equal score keep the kind
+    order (converter setpoints, then generator controls, then discrete
+    controls and droop slopes, ``+`` before ``-``), which is the whole
+    order when the ``u0`` probe does not converge.  With nothing to
+    linearise, such a check ends when its first ``MAX_DIVERGED`` probes
+    have all diverged.
 
     The probe budget bounds the cost per contingency; a candidate within
     1e-12 of a point already solved in this check (in every component) is
     skipped and not counted; the search is deterministic.  Each probe
     after the first is evaluated on the network variant of the best probe
-    so far, from which it moves one control.  Its coupled solve is
-    warm-started from the solved post-contingency state of the best probe
-    so far: from ``base_state`` (the pre-contingency state) until a probe
-    converges, then from the ``u0`` probe and from each accepted
-    improvement.
+    so far, and a pattern-search probe moves one control of it.  Its
+    coupled solve is warm-started from the solved post-contingency state
+    of the best probe so far: from ``base_state`` (the pre-contingency
+    state) until a probe converges, then from the ``u0`` probe and from
+    each accepted improvement.
     """
     if net_k is None:
         net_k = apply_contingency(net, k)
@@ -419,36 +685,59 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     probes = 1
     if best_v <= tol_feas:
         return CorrectiveResult(True, best_u, best_v, probes)
-    grad = None
+    sens = None
     if best.state.converged:
         warm = best.state
-        grad = violation_gradient(best.net, space, best.state)
-    moves = probe_moves(space, lims, grad, include_discrete)
+        sens = sensitivities(best.net, space, best.state)
+    moves = probe_moves(space, lims, None if sens is None else sens.gradient,
+                        include_discrete)
 
     box_lo = np.maximum(space.lo, u0 - lims.du_max)
     box_hi = np.minimum(space.hi, u0 + lims.du_max)
     solved = u0[None, :]           # every point solved in this check
+    movable = lims.du_max > 0
+    if not include_discrete:
+        movable &= space.step == 0
+
+    def seen(cand):
+        # a move back by the step just taken lands on a solved point, or
+        # within rounding of it (best + du - du)
+        return np.abs(solved - cand).max(axis=1).min() <= 1e-12
+
+    hopeless = sens is not None
+    for relinearised in range(1 + RELINEARISE):
+        if sens is None or probes >= max_probes:
+            break
+        floor, cand = linear_step(space, sens, best_u, box_lo, box_hi,
+                                  movable, lims.du_max)
+        hopeless = hopeless and floor > STOP_MARGIN
+        if seen(cand):
+            break
+        solved = np.vstack((solved, cand))
+        res = evaluate(best.net, space, cand, warm=warm)
+        probes += 1
+        hopeless = (hopeless and res.state.converged
+                    and res.report.total_violation > STOP_MARGIN)
+        if res.report.total_violation >= best_v - 1e-12:
+            break
+        best, best_v, best_u = res, res.report.total_violation, cand
+        warm = res.state
+        if best_v <= tol_feas or relinearised == RELINEARISE:
+            break
+        sens = sensitivities(best.net, space, best.state)
+    if hopeless or best_v <= tol_feas:
+        return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)
 
     for scale, (idx, sign) in itertools.product((1.0, 0.5, 0.25), moves):
         if probes >= max_probes or best_v <= tol_feas:
             break
-        raw = best_u[idx] + sign * scale * lims.du_max[idx]
-        raw = min(max(raw, box_lo[idx]), box_hi[idx])
-        step = space.step[idx]
-        if step > 0:
-            raw = space.lo[idx] + round((raw - space.lo[idx]) / step) * step
-            if raw > box_hi[idx] + 1e-12:
-                raw -= step
-            if raw < box_lo[idx] - 1e-12:
-                raw += step
-            if not box_lo[idx] - 1e-12 <= raw <= box_hi[idx] + 1e-12:
-                continue
+        if not best.state.converged and probes >= MAX_DIVERGED:
+            break
         cand = best_u.copy()
-        cand[idx] = raw
-        cand = space.snap(cand)    # the grid value that ``evaluate`` solves
-        # a move back by the step just taken lands on a solved point, or
-        # within rounding of it (best + du - du)
-        if np.abs(solved - cand).max(axis=1).min() <= 1e-12:
+        cand[idx] = min(max(best_u[idx] + sign * scale * lims.du_max[idx],
+                            box_lo[idx]), box_hi[idx])
+        cand = _on_grid(space, cand, best_u, box_lo, box_hi)
+        if seen(cand):
             continue
         solved = np.vstack((solved, cand))
         # ``cand`` moves one control from ``best_u``, so the variant of the

@@ -367,9 +367,14 @@ class ScreeningModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScreeningModel":
+        if not isinstance(d, dict):
+            raise ValueError("the model document must be a JSON object")
         if d.get("version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model version {d.get('version')!r}")
-        names = list(d["feature_names"])
+        names = d["feature_names"]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise ValueError("feature_names must be a list of names")
         for key in ("sigma", "x_mean", "x_scale", "active"):
             if not finite_numbers(d[key], len(names)):
                 raise ValueError(f"{key} must hold {len(names)} finite "

@@ -289,13 +289,19 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
 
 # a screening model doctored at one per-feature list: name -> (the list,
 # its doctored value from the trained model document)
+# a doctored model document: the word its error names, and the edit
 DOCTORED_MODELS = {
-    "sigma_short": ("sigma", lambda doc: doc["sigma"][:-1]),
-    "sigma_string": ("sigma", lambda doc: ["x"] + doc["sigma"][1:]),
-    "x_mean_nan": ("x_mean", lambda doc: [float("nan")] + doc["x_mean"][1:]),
-    "x_scale_zero_active": ("x_scale", lambda doc: [
+    "sigma_short": ("sigma", lambda doc: {**doc, "sigma": doc["sigma"][:-1]}),
+    "sigma_string": ("sigma", lambda doc: {
+        **doc, "sigma": ["x"] + doc["sigma"][1:]}),
+    "x_mean_nan": ("x_mean", lambda doc: {
+        **doc, "x_mean": [float("nan")] + doc["x_mean"][1:]}),
+    "x_scale_zero_active": ("x_scale", lambda doc: {**doc, "x_scale": [
         0.0 if i == doc["active"].index(1) else scale
-        for i, scale in enumerate(doc["x_scale"])]),
+        for i, scale in enumerate(doc["x_scale"])]}),
+    "not_an_object": ("object", lambda doc: []),
+    "feature_names_number": ("feature_names", lambda doc: {
+        **doc, "feature_names": 5}),
 }
 
 
@@ -372,7 +378,8 @@ class TestRankCmd:
     def test_doctored_model_rejected(self, doctored, command, model_dir,
                                      tmp_path, monkeypatch, capsys):
         # a per-feature list of the wrong length, a value that is not a
-        # finite number, or a zero scale is exit 2 before any solve
+        # finite number, a zero scale, a document that is not an object or
+        # feature names that are not a list is exit 2 before any solve
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
@@ -380,9 +387,8 @@ class TestRankCmd:
         monkeypatch.setenv("ACDCOPF_OUTPUT_DIR", str(tmp_path))
         key, edit = DOCTORED_MODELS[doctored]
         doc = json.loads((model_dir / "screening_model.json").read_text())
-        doc[key] = edit(doc)
         model = tmp_path / "screening_model.json"
-        model.write_text(json.dumps(doc))
+        model.write_text(json.dumps(edit(doc)))
         argv = (["rank", "--model", str(model)] if command == "rank"
                 else ["optimize", "--seed", "1"])
         code = run_cli(*argv, "--case", "bundled:case14_acdc")
@@ -683,10 +689,10 @@ class TestOptimizeAndDecideCmd:
             (tmp_path / name).read_bytes()).hexdigest()
             for name in ("archive.csv", "bcs.json")}
         assert digests == {
-            "archive.csv": "b8df90a364bd3a626ef064e5f6ee9896"
-                           "9b8685e9e16cac59d82ecf4165779afc",
-            "bcs.json": "f5d85b45c0b052d9c8c766374cb124ad"
-                        "57110189e6823385468cf4b0b5145adf"}
+            "archive.csv": "ce62ccf04703528c7f6a27bc12822848"
+                           "515a8b473452adea521ca54e2fe71f26",
+            "bcs.json": "cf7da9d4cdfa1ac8e73fbd7e8eb11577"
+                        "d65960fff587f4c4f4e74b234c17851e"}
 
     def test_train_screen_artifacts_pinned(self, tmp_path):
         # tripwire for the training arithmetic, which the screened digests

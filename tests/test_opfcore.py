@@ -2,8 +2,10 @@
 
 import copy
 import itertools
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,12 @@ import pytest
 from acdcopf import netmodel, opfcore, powerflow
 from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
-                             generation_cost, probe_moves, violation_gradient,
+                             generation_cost, probe_moves, sensitivities,
                              voltage_deviation)
 from acdcopf.powerflow import solve_acdc
 
-from conftest import (bench_literal, network_to_dict, same_elements,
-                      scalar_ybus, two_bus_case)
+from conftest import (bench_literal, case_variant, network_to_dict,
+                      same_elements, scalar_ybus, two_bus_case)
 
 
 ELEMENT_LISTS = ("generators", "branches", "shunts", "converters")
@@ -297,24 +299,28 @@ class TestCorrectiveFeasibility:
         assert mine.feasible
 
     @pytest.mark.parametrize("budget,probed", [
-        (4, [(0.0, 1.0), (0.02, 1.0), (0.02, 1.02), (0.02, 0.98)]),
-        (30, [(0.0, 1.0), (0.02, 1.0), (0.02, 1.02), (0.02, 0.98),
-              (0.01, 1.0), (0.02, 1.01), (0.02, 0.99), (0.015, 1.0),
-              (0.02, 1.005), (0.02, 0.995)]),
+        (4, [(0.0, 1.0), (0.1995, 1.0), (0.1995, 1.02), (0.1995, 0.98)]),
+        (30, [(0.0, 1.0), (0.1995, 1.0), (0.1995, 1.02), (0.1995, 0.98),
+              (0.09975, 1.0), (0.1995, 1.01), (0.1995, 0.99),
+              (0.149625, 1.0), (0.1995, 1.005)]),
     ])
     def test_probe_sequence(self, budget, probed, monkeypatch):
-        # an outage the box cannot correct: scales, then components by
-        # sensitivity, then signs, descent first.  Raising P_G:bus2 (dV/du
-        # = -1) relieves the overloaded line; the flow over the lossless
-        # line does not depend on U_G:bus2 (dV/du at round-off), so U_G
-        # keeps + before -, and warm-started probes see that tie to
-        # round-off, so no U_G move is accepted.  A candidate solved
-        # before (the - move back to u0 after the accepted + move) is
-        # skipped, and the budget stops the search
+        # a box that falls just short: P_G:bus2 raised by its whole width
+        # leaves the line at 0.3005 against 0.3.  The u0 probe, then the
+        # linear candidate (P_G:bus2 to the edge of the box; the flow over
+        # the lossless line does not depend on U_G:bus2, so U_G stays).
+        # The linear floor (5e-4) is under STOP_MARGIN, so the pattern
+        # search follows: scales, then components by sensitivity, then
+        # signs, descent first, U_G keeping + before -.  A candidate solved
+        # before (P_G:bus2 + at the edge, and - back to u0) is skipped; at
+        # scale 1/4 U_G:bus2 + gains 3e-9, which is accepted, so its -
+        # move lands back on the linear candidate; the budget stops the
+        # search
         net = constrained_two_bus(p_limit=0.3)
         space = ControlSpace(net)
         du = np.zeros(len(space))
-        du[space.index["P_G:bus2"]] = du[space.index["U_G:bus2"]] = 0.02
+        du[space.index["P_G:bus2"]] = 0.1995
+        du[space.index["U_G:bus2"]] = 0.02
         calls = []
         evaluate = opfcore.evaluate
 
@@ -332,13 +338,30 @@ class TestCorrectiveFeasibility:
         assert out.probes == len(calls)
         assert calls == probed
 
+    def test_hopeless_check_ends_early(self, monkeypatch):
+        # the same outage with a box far too small: the linear model says
+        # no point of the box brings the violation (0.2) under the margin,
+        # and its candidate (P_G:bus2 to the edge) confirms it at 0.18, so
+        # the check ends after two probes with that candidate's residual
+        net = constrained_two_bus(p_limit=0.3)
+        space = ControlSpace(net)
+        du = np.zeros(len(space))
+        du[space.index["P_G:bus2"]] = du[space.index["U_G:bus2"]] = 0.02
+        out = corrective_feasibility(net, space, space.default_vector(),
+                                     net.contingency("L1"),
+                                     CorrectiveLimits(du_max=du))
+        assert not out.feasible
+        assert out.probes == 2
+        assert out.residual == pytest.approx(0.18, abs=1e-9)
+        assert out.u_k[space.index["P_G:bus2"]] == pytest.approx(0.02)
+
     def test_probes_warm_start_from_best_probe(self, monkeypatch):
         # the first probe starts from the pre-contingency state; every
         # later one from the state of the best probe so far
         net = constrained_two_bus(p_limit=0.3)
         space = ControlSpace(net)
         du = np.zeros(len(space))
-        du[space.index["P_G:bus2"]] = 0.02
+        du[space.index["P_G:bus2"]] = 0.1995
         base = opfcore.evaluate(net, space, space.default_vector())
         calls = []
         evaluate = opfcore.evaluate
@@ -353,11 +376,11 @@ class TestCorrectiveFeasibility:
                                      net.contingency("L1"),
                                      CorrectiveLimits(du_max=du),
                                      base_state=base.state)
-        # u0, then P_G:bus2 +0.02 (accepted), then the rejected moves
-        # -0.01 and -0.005 (the + moves clip to the best point, and -0.02
-        # lands back on u0, which was solved)
+        # u0, then the linear candidate P_G:bus2 +0.1995 (accepted), then
+        # the rejected pattern moves -0.09975 and -0.049875 (the + moves
+        # clip to the best point, and -0.1995 lands back on u0)
         assert [float(res.u[space.index["P_G:bus2"]])
-                for _, res in calls] == [0.0, 0.02, 0.01, 0.015]
+                for _, res in calls] == [0.0, 0.1995, 0.09975, 0.149625]
         assert calls[0][0] is base.state
         assert calls[1][0] is calls[0][1].state
         assert all(warm is calls[1][1].state for warm, _ in calls[2:])
@@ -435,10 +458,11 @@ class TestOneControlProbes:
 
     def test_probe_copies_one_element(self, acdc_net, acdc_space,
                                       monkeypatch):
-        # work-count guard over whole checks: every probe after the
-        # first moves one control of the best probe's variant and copies
-        # one element, and none builds a plan part.  A non-tap move keeps
-        # the variant's plan; a tap move keeps the topology of its branch
+        # work-count guard over whole checks: every probe after the first
+        # copies exactly the elements whose controls it moves from the
+        # best probe's variant (one for a pattern-search probe), and none
+        # builds a plan part.  A probe without a tap move keeps the
+        # variant's plan; a tap move keeps the topology of its branch
         # plan (the same arrays) and recomputes the admittance values
         space = acdc_space
         base = opfcore.evaluate(acdc_net, space, space.default_vector())
@@ -458,7 +482,7 @@ class TestOneControlProbes:
             return res
 
         monkeypatch.setattr(opfcore, "evaluate", recording)
-        kinds = set()
+        kinds, single = set(), 0
         for label in ("L1", "L2", "L3"):
             k = acdc_net.contingency(label)
             out = corrective_feasibility(
@@ -468,15 +492,17 @@ class TestOneControlProbes:
             for net, res, built in probes[1:]:
                 moved = [comp for comp, value in zip(space.components, res.u)
                          if getattr(element_of(net, comp), comp.kind) != value]
-                assert len(moved) == 1
+                assert moved
+                single += len(moved) == 1
                 copied = [new for elements in ELEMENT_LISTS
                           for new, old in zip(getattr(res.net, elements),
                                               getattr(net, elements))
                           if new is not old]
-                assert copied == [element_of(res.net, moved[0])]
+                targets = {id(element_of(res.net, comp)) for comp in moved}
+                assert sorted(map(id, copied)) == sorted(targets)
                 assert built == 0
-                kinds.add(moved[0].kind)
-                if moved[0].kind != "tap":
+                kinds.update(comp.kind for comp in moved)
+                if "tap" not in {comp.kind for comp in moved}:
                     assert res.net.plan is net.plan
                     continue
                 new, old = res.net.plan.branches, net.plan.branches
@@ -488,11 +514,7 @@ class TestOneControlProbes:
                 assert res.net.plan.buses is net.plan.buses
                 assert res.net.plan.dc is net.plan.dc
             probes.clear()
-        assert "tap" in kinds and len(kinds) > 2
-
-
-# the control kinds that enter the AC equations directly
-AC_KINDS = ("p_g", "u_g", "q_s", "q_c")
+        assert "tap" in kinds and len(kinds) > 2 and single
 
 
 def post_contingency(net, space, u, outage):
@@ -503,43 +525,65 @@ def post_contingency(net, space, u, outage):
     return net_k, opfcore.evaluate(net_k, space, u, warm=base.state)
 
 
+def report_values(result):
+    """The signed violation of every limit, group by group."""
+    return np.concatenate([values for _, values
+                           in result.report.groups.values()])
+
+
 class TestViolationGradient:
     @pytest.mark.parametrize("point,outage", [
         ("probe", "L5"),        # ac_flow
         ("default", "L2"),      # ac_angle, gen_q, ac_flow
         ("default", "L3"),      # ac_voltage, ac_angle, gen_q, ac_flow
+        ("default", "DC1"),     # secure
+        ("mixed", "L2"),        # const_vdc VSC1 and const_p VSC3
+        ("mixed", "DC2"),
     ])
     def test_matches_central_differences(self, acdc_net, acdc_space, point,
-                                         outage):
-        # central differences of the total violation at h = 1e-6, in a
-        # copy of the space without grids so that the shunt Q_C:bus9
-        # moves continuously; a component at a bound is left out (its
-        # difference is one-sided).  The agreement seen is 2e-8 or
-        # better: the AC-only gradient misses only the small pull of the
-        # AC voltages on the droop stations' losses
-        space = acdc_space
+                                         outage, monkeypatch):
+        # central differences at h = 1e-5 of every limit's signed
+        # violation, in a copy of the space without grids so that the
+        # taps and the shunt move continuously; a component at a bound is
+        # left out (its difference is one-sided), and so is a limit at
+        # the midpoint of its bounds, where the nearer bound changes
+        # (its one-sided differences disagree).  The solver tolerances
+        # are tightened to 1e-12: at the coupling tolerance of 1e-6 a
+        # move of h often leaves the stations' powers where they were
+        for name in ("TOL_AC", "TOL_DC", "TOL_COUPLE"):
+            monkeypatch.setattr(powerflow, name, 1e-12)
+        net, space = (case_variant("mixed_modes") if point == "mixed"
+                      else (acdc_net, acdc_space))
         u = probe_point(space) if point == "probe" else space.default_vector()
-        net_k, res = post_contingency(acdc_net, space, u, outage)
-        assert res.report.total_violation > 0
-        grad = violation_gradient(res.net, space, res.state)
+        net_k, res = post_contingency(net, space, u, outage)
+        sens = sensitivities(res.net, space, res.state)
+        v0 = report_values(res)
+        np.testing.assert_array_equal(sens.value, v0)
+        group = np.concatenate([[name] * len(values) for name, (_, values)
+                                in res.report.groups.items()])
         continuous = copy.copy(space)
         continuous.step = np.zeros(len(space))
         continuous._stepped = np.flatnonzero(continuous.step)
-        h = 1e-6
-        checked = 0
+        h = 1e-5
+        kinds, groups = set(), set()
         for i, kind in enumerate(space.kinds):
-            if kind not in AC_KINDS:
-                assert grad[i] == 0.0, space.names[i]
-            elif space.lo[i] + h < u[i] < space.hi[i] - h:
-                step = h * np.eye(len(space))[i]
-                up, down = (opfcore.evaluate(net_k, continuous, u + d,
-                                             warm=res.state)
-                            .report.total_violation for d in (step, -step))
-                assert grad[i] == pytest.approx((up - down) / (2 * h),
-                                                rel=1e-6, abs=1e-7), \
-                    space.names[i]
-                checked += 1
-        assert checked >= 8
+            if not space.lo[i] + h < u[i] < space.hi[i] - h:
+                continue
+            step = h * np.eye(len(space))[i]
+            up, down = (report_values(opfcore.evaluate(
+                net_k, continuous, u + d, warm=res.state))
+                for d in (step, -step))
+            ahead, back = (up - v0) / h, (v0 - down) / h
+            smooth = np.abs(ahead - back) <= 1e-3 * (1.0 + np.abs(ahead))
+            np.testing.assert_allclose(sens.jac[smooth, i],
+                                       ((up - down) / (2 * h))[smooth],
+                                       rtol=1e-4, atol=1e-5,
+                                       err_msg=space.names[i])
+            kinds.add(kind)
+            groups.update(group[smooth & (np.abs(sens.jac[:, i]) > 1e-6)])
+        assert kinds == set(space.kinds)
+        assert groups == set(res.report.groups)
+        assert {"dc_voltage", "dc_current", "dc_flow", "capability"} <= groups
 
     @pytest.mark.parametrize("slack_p_max,gen_q_max,violated,expected", [
         # over the lossless lines every unit of P_G:bus2 is a unit less
@@ -571,7 +615,7 @@ class TestViolationGradient:
         res = opfcore.evaluate(net, space, space.default_vector())
         assert [(group, name) for group, name, _ in
                 res.report.violations()] == [violated]
-        grad = violation_gradient(res.net, space, res.state)
+        grad = sensitivities(res.net, space, res.state).gradient
         for name, value in expected.items():
             assert grad[space.index[name]] == pytest.approx(value, abs=1e-9)
 
@@ -586,7 +630,7 @@ class TestViolationGradient:
             ["P_L:L12"]
         lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
         i = acdc_space.index["P_G:bus8"]
-        grad = violation_gradient(res.net, acdc_space, res.state)
+        grad = sensitivities(res.net, acdc_space, res.state).gradient
         assert probe_moves(acdc_space, lims, grad, True)[0] == (i, -1.0)
         assert acdc_space.kinds[probe_moves(acdc_space, lims, None,
                                             True)[0][0]] == "p_s"
@@ -598,11 +642,14 @@ class TestViolationGradient:
             return evaluate(net_k, space, u, **kwargs)
 
         monkeypatch.setattr(opfcore, "evaluate", recording)
-        corrective_feasibility(acdc_net, acdc_space, u0,
-                               acdc_net.contingency("L5"), lims, net_k=net_k)
-        move = probed[1] - u0
-        assert np.flatnonzero(move).tolist() == [i]
-        assert move[i] == pytest.approx(-lims.du_max[i])
+        out = corrective_feasibility(acdc_net, acdc_space, u0,
+                                     acdc_net.contingency("L5"), lims,
+                                     net_k=net_k)
+        # the linear candidate lowers P_G:bus8 by more of its box than it
+        # moves any other control, and clears the overload
+        move = (probed[1] - u0) / lims.du_max
+        assert np.argmax(np.abs(move)) == i and move[i] < 0
+        assert out.feasible and out.probes == 2
 
 
 class TestProbeOrder:
@@ -616,7 +663,8 @@ class TestProbeOrder:
         lims = CorrectiveLimits.from_fraction(space, 0.15)
         lims.du_max[space.index["P_G:bus3"]] = 0.0
         grad = np.random.default_rng(1).normal(size=len(space))
-        grad[[space.kinds[i] not in AC_KINDS for i in range(len(space))]] = 0
+        # ties: the discrete controls and the droop slopes score 0
+        grad[[kind in ("tap", "q_c", "droop") for kind in space.kinds]] = 0
         kind_order = probe_moves(space, lims, None, include_discrete)
         ranked = probe_moves(space, lims, grad, include_discrete)
         assert sorted(ranked) == sorted(kind_order)
@@ -666,6 +714,34 @@ class TestProbeOrder:
                 assert np.all((space.lo <= u) & (u <= space.hi))
                 if not include_discrete:
                     assert np.array_equal(u[stepped], u0[stepped])
+
+
+STUDY = Path(__file__).resolve().parent / "data" / "corrective_study.json"
+
+
+def test_corrective_study(acdc_net, acdc_space):
+    # regression guard on the frozen corrective study: all 20 outages at
+    # the 94 sound points of 12 small unscreened optimize calls, 1,880
+    # checks.  The pattern search alone found 1,737 feasible with 7,788
+    # probes; the linear step and the stop rule may not find fewer, and
+    # must need at most half the probes
+    lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
+    outages = {k: apply_contingency(acdc_net, k)
+               for k in acdc_net.contingencies}
+    genomes = json.loads(STUDY.read_text())["genomes"]
+    assert len(genomes) == 94
+    feasible = probes = 0
+    for genome in genomes:
+        base = opfcore.evaluate(acdc_net, acdc_space, np.array(genome))
+        assert base.report.total_violation == 0.0
+        for k, net_k in outages.items():
+            out = corrective_feasibility(base.net, acdc_space, base.u, k,
+                                         lims, net_k=net_k,
+                                         base_state=base.state)
+            feasible += out.feasible
+            probes += out.probes
+    assert feasible >= 1737
+    assert probes <= 7788 // 2
 
 
 def bruteforce_box(net, space, u0, k, lims, resolution):
