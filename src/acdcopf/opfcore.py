@@ -50,8 +50,8 @@ MAX_PROBES = 30
 # least-squares problem positive definite; the model is rebuilt at most
 # RELINEARISE times per check.  A check ends early when its linear models
 # leave more than STOP_MARGIN (p.u.) of total violation everywhere in the
-# box and the verified candidates confirm it, or when its first
-# MAX_DIVERGED probes all diverge, which leaves nothing to linearise
+# box and the verified candidates, at least one, confirm it, or when its
+# first MAX_DIVERGED probes all diverge, which leaves nothing to linearise
 CLEARANCE = 1e-3
 RIDGE = 1e-9
 RELINEARISE = 1
@@ -650,7 +650,8 @@ def corrective_feasibility(net: Network, space: ControlSpace,
     candidate is linearised once more and its own step verified.  The
     check ends there when it is feasible, or when every linear model
     said that no point of the box brings the total violation under
-    ``STOP_MARGIN`` and every verified candidate converged above it.
+    ``STOP_MARGIN`` and every verified candidate, at least one, converged
+    above it.
 
     Otherwise a greedy coordinate pattern search continues from the best
     probe, at the scales 1, 1/2 and 1/4 of each component's corrective
@@ -725,7 +726,9 @@ def corrective_feasibility(net: Network, space: ControlSpace,
         if best_v <= tol_feas or relinearised == RELINEARISE:
             break
         sens = sensitivities(best.net, space, best.state)
-    if hopeless or best_v <= tol_feas:
+    # the stop rule needs a verified candidate: the linear one can fall
+    # back on ``u0`` (grid snapping, or no move but the droop slopes')
+    if (hopeless and probes > 1) or best_v <= tol_feas:
         return CorrectiveResult(best_v <= tol_feas, best_u, best_v, probes)
 
     for scale, (idx, sign) in itertools.product((1.0, 0.5, 0.25), moves):

@@ -287,8 +287,6 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
                  " or m.startswith('scipy.')))") == "[0, 0] []"
 
 
-# a screening model doctored at one per-feature list: name -> (the list,
-# its doctored value from the trained model document)
 # a doctored model document: the word its error names, and the edit
 DOCTORED_MODELS = {
     "sigma_short": ("sigma", lambda doc: {**doc, "sigma": doc["sigma"][:-1]}),

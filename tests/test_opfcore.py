@@ -13,8 +13,8 @@ import pytest
 from acdcopf import netmodel, opfcore, powerflow
 from acdcopf.netmodel import ControlSpace, apply_contingency, network_from_dict
 from acdcopf.opfcore import (CorrectiveLimits, corrective_feasibility,
-                             generation_cost, probe_moves, sensitivities,
-                             voltage_deviation)
+                             generation_cost, linear_step, probe_moves,
+                             sensitivities, voltage_deviation)
 from acdcopf.powerflow import solve_acdc
 
 from conftest import (bench_literal, case_variant, network_to_dict,
@@ -355,6 +355,62 @@ class TestCorrectiveFeasibility:
         assert out.residual == pytest.approx(0.18, abs=1e-9)
         assert out.u_k[space.index["P_G:bus2"]] == pytest.approx(0.02)
 
+    def test_stop_needs_a_verified_candidate(self, acdc_net, acdc_space):
+        # L3(2-3) at the probe point with only the droop slopes free: the
+        # linear model leaves 0.08 of violation everywhere in the box, but
+        # the step leaves the droop slopes to the pattern search, so its
+        # candidate is u0 itself and no probe verified the stop.  The
+        # pattern search runs and lowers the violation (0.43) by over 0.2
+        space = acdc_space
+        u0 = probe_point(space)
+        lims = CorrectiveLimits.from_fraction(space, 0.15)
+        lims.du_max[[kind != "droop" for kind in space.kinds]] = 0.0
+        net_k, res = post_contingency(acdc_net, space, u0, "L3")
+        floor, cand = linear_step(
+            space, sensitivities(res.net, space, res.state), res.u,
+            np.maximum(space.lo, u0 - lims.du_max),
+            np.minimum(space.hi, u0 + lims.du_max), lims.du_max > 0,
+            lims.du_max)
+        assert floor > opfcore.STOP_MARGIN
+        np.testing.assert_array_equal(cand, res.u)
+        out = corrective_feasibility(acdc_net, space, u0,
+                                     acdc_net.contingency("L3"), lims,
+                                     net_k=net_k)
+        assert not out.feasible and out.probes > 2
+        assert out.residual < res.report.total_violation - 0.2
+
+    def test_diverged_check_ends_after_max_diverged(self, acdc_net,
+                                                    acdc_space, monkeypatch):
+        # L1(1-2) at the first point of the corrective study: u0 and every
+        # move from it diverge, so the check ends after MAX_DIVERGED
+        # probes with the verdict and residual of the whole budget
+        genome = json.loads(STUDY.read_text())["genomes"][0]
+        base = opfcore.evaluate(acdc_net, acdc_space, np.array(genome))
+        lims = CorrectiveLimits.from_fraction(acdc_space, 0.15)
+
+        def check():
+            return corrective_feasibility(
+                base.net, acdc_space, base.u, acdc_net.contingency("L1"),
+                lims, base_state=base.state)
+
+        out = check()
+        assert out.probes == opfcore.MAX_DIVERGED
+        monkeypatch.setattr(opfcore, "MAX_DIVERGED", opfcore.MAX_PROBES)
+        full = check()
+        assert full.probes == opfcore.MAX_PROBES
+        assert (out.feasible, out.residual) == (full.feasible, full.residual)
+        assert out.residual == opfcore.PENALTY_UNCONVERGED
+
+    def test_diverged_check_goes_on_once_a_probe_converges(self, acdc_net,
+                                                           acdc_space):
+        # u0 diverges (every converter at its full rating), the first move
+        # converges, and the pattern search goes on to a feasible point
+        out = corrective_feasibility(
+            acdc_net, acdc_space, diverging_controls(acdc_space),
+            acdc_net.contingency("L10"),
+            CorrectiveLimits.from_fraction(acdc_space, 0.5))
+        assert out.feasible and out.probes > opfcore.MAX_DIVERGED
+
     def test_probes_warm_start_from_best_probe(self, monkeypatch):
         # the first probe starts from the pre-contingency state; every
         # later one from the state of the best probe so far
@@ -542,14 +598,17 @@ class TestViolationGradient:
     ])
     def test_matches_central_differences(self, acdc_net, acdc_space, point,
                                          outage, monkeypatch):
-        # central differences at h = 1e-5 of every limit's signed
-        # violation, in a copy of the space without grids so that the
-        # taps and the shunt move continuously; a component at a bound is
-        # left out (its difference is one-sided), and so is a limit at
-        # the midpoint of its bounds, where the nearer bound changes
-        # (its one-sided differences disagree).  The solver tolerances
-        # are tightened to 1e-12: at the coupling tolerance of 1e-6 a
-        # move of h often leaves the stations' powers where they were
+        # Richardson-extrapolated central differences, (4 D(h) - D(2h)) / 3
+        # at h = 3e-5, of every limit's signed violation, in a copy of the
+        # space without grids so that the taps and the shunt move
+        # continuously; a component within 2h of a bound is left out (its
+        # difference is one-sided), and so is a limit at the midpoint of
+        # its bounds, where the nearer bound changes (the signed violation
+        # has a kink there).  The solver tolerances are tightened to
+        # 1e-12: at the coupling tolerance of 1e-6 a move of h often leaves
+        # the stations' powers where they were.  The worst agreement seen
+        # is 6e-8; a plain central difference at h = 1e-5 is off by up to
+        # 3e-6 on the entries near 37 of default L3 (its truncation error)
         for name in ("TOL_AC", "TOL_DC", "TOL_COUPLE"):
             monkeypatch.setattr(powerflow, name, 1e-12)
         net, space = (case_variant("mixed_modes") if point == "mixed"
@@ -559,25 +618,25 @@ class TestViolationGradient:
         sens = sensitivities(res.net, space, res.state)
         v0 = report_values(res)
         np.testing.assert_array_equal(sens.value, v0)
+        limits = opfcore._limits(res.net, res.state).values()
         group = np.concatenate([[name] * len(values) for name, (_, values)
                                 in res.report.groups.items()])
+        smooth = np.concatenate([np.abs(2 * value - lo - hi) > 1e-9
+                                 for _, value, lo, hi in limits])
         continuous = copy.copy(space)
         continuous.step = np.zeros(len(space))
         continuous._stepped = np.flatnonzero(continuous.step)
-        h = 1e-5
+        h = 3e-5
         kinds, groups = set(), set()
         for i, kind in enumerate(space.kinds):
-            if not space.lo[i] + h < u[i] < space.hi[i] - h:
+            if not space.lo[i] + 2 * h < u[i] < space.hi[i] - 2 * h:
                 continue
-            step = h * np.eye(len(space))[i]
-            up, down = (report_values(opfcore.evaluate(
-                net_k, continuous, u + d, warm=res.state))
-                for d in (step, -step))
-            ahead, back = (up - v0) / h, (v0 - down) / h
-            smooth = np.abs(ahead - back) <= 1e-3 * (1.0 + np.abs(ahead))
-            np.testing.assert_allclose(sens.jac[smooth, i],
-                                       ((up - down) / (2 * h))[smooth],
-                                       rtol=1e-4, atol=1e-5,
+            up, down, up2, down2 = (report_values(opfcore.evaluate(
+                net_k, continuous, u + d * np.eye(len(space))[i],
+                warm=res.state)) for d in (h, -h, 2 * h, -2 * h))
+            diff = (4 * (up - down) / (2 * h) - (up2 - down2) / (4 * h)) / 3
+            np.testing.assert_allclose(sens.jac[smooth, i], diff[smooth],
+                                       rtol=1e-6, atol=1e-7,
                                        err_msg=space.names[i])
             kinds.add(kind)
             groups.update(group[smooth & (np.abs(sens.jac[:, i]) > 1e-6)])
